@@ -5,6 +5,11 @@ the manifest file, the merged manifest is persisted next to the outputs, and
 re-running a persisted manifest reproduces identical content hashes (the
 output directory itself is environment, so it is excluded from the canonical
 form).  Exit codes: 0 success, 1 computational error, 2 validation/usage.
+
+Each command is declared once, in COMMANDS: its handler and a table of Param
+rows.  The table builds the command's flags, merges them over the manifest
+file, and checks and converts every parameter before anything is written.
+Handlers only compute; run() writes what they return.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,14 +39,7 @@ from .massdist import (
 )
 from .collapsesim import CollapseModel, energy_ledger, simulate
 from .dpcriterion import collapse_time, feynman_mass_scale, lifetime_sweep
-from .persistence import (
-    canonical_json,
-    format_number,
-    sha256_file,
-    write_csv,
-    write_json,
-    write_plot_script,
-)
+from .persistence import format_number, sha256_file, write_csv, write_json, write_plot_script
 from .quantities import CODATA2018, PhysicalConstants, scale_system_from_label
 from .snsolver import (
     KernelTerm,
@@ -57,63 +55,272 @@ from .snsolver import (
 )
 
 OUTPUT_DIR_ENV = "GRAVLAB_OUTPUT_DIR"
+REQUIRED = object()   # the default of a parameter that must be given
 
-COMMANDS = (
-    "selfenergy",
-    "e-delta",
-    "collapse-time",
-    "feynman-scale",
-    "lifetime-sweep",
-    "sn-ground",
-    "sn-spectrum",
-    "sn-evolve",
-    "hydrogen-shift",
-    "collapse-sim",
+
+# ---------------------------------------------------------------------------
+# Parameter tables: declaration, validation, flags
+# ---------------------------------------------------------------------------
+
+
+class Param(NamedTuple):
+    """One settable value: its dotted path in the manifest, its kind (float,
+    int, bool, str, list, dict, or a function (value, field) -> value that
+    checks and converts a compound value), its default (a None default makes
+    it optional), its check (a tuple of choices or a bound such as "> 0") and
+    its flags.  A flag is a name that sets the value as given, or a (name,
+    argparse type or choices, help) triple whose values from_flags(target,
+    *values) turns into the value to store in the dict ``target`` (None: keep).
+    """
+
+    path: str
+    kind: Any
+    default: Any = REQUIRED
+    check: tuple | str | None = None
+    flags: tuple = ()
+    help: str = ""
+    from_flags: Callable | None = None
+
+
+def _typed(value, kind, field: str):
+    """``value`` as ``kind``, strictly: a bool is not a number, a number must
+    be finite and a non-integral float is not an int."""
+    if kind is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ManifestError("must be an integer", field=field)
+        return value
+    if kind is float:
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise ManifestError("must be a finite number", field=field)
+        return float(value)
+    names = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+    if not isinstance(value, kind):
+        raise ManifestError(f"must be {names[kind]}", field=field)
+    return kind(value) if kind in (list, dict) else value
+
+
+def _checked(row: Param, value, field: str):
+    if value is None and row.default is None:
+        return None
+    if value is REQUIRED:
+        raise ManifestError("missing required parameter", field=field)
+    if row.kind in (float, int, bool, str, list, dict):
+        value = _typed(value, row.kind, field)
+    else:
+        value = row.kind(value, field)
+    if isinstance(row.check, tuple):
+        if value not in row.check:
+            raise ManifestError(f"must be one of {', '.join(row.check)}", field=field)
+    elif row.check:
+        op, bound = row.check.split()
+        if not (value > float(bound) if op == ">" else value >= float(bound)):
+            raise ManifestError(f"must be {row.check}", field=field)
+    return value
+
+
+def _reject_unknown(payload: dict, paths: set[str], prefix: str, at: str = "") -> None:
+    for key, value in payload.items():
+        path = at + key
+        if path in paths:
+            continue
+        if not any(p.startswith(path + ".") for p in paths):
+            raise ManifestError("unknown key", field=prefix + path)
+        if not isinstance(value, dict):
+            raise ManifestError("must be an object", field=prefix + path)
+        _reject_unknown(value, paths, prefix, path + ".")
+
+
+def _validated(rows, payload: dict, prefix: str) -> dict:
+    """Every row's value in ``payload``, checked and converted, keyed by path;
+    defaults fill what is absent.  A key no row declares is an error."""
+    _reject_unknown(payload, {row.path for row in rows}, prefix)
+    values = {}
+    for row in rows:
+        *groups, name = row.path.split(".")
+        node = payload
+        for key in groups:
+            node = node.get(key, {})
+        values[row.path] = _checked(row, node.get(name, row.default), prefix + row.path)
+    return values
+
+
+def _add_flags(parser: argparse.ArgumentParser, rows, prefix: str) -> None:
+    for row in rows:
+        notes = [prefix + row.path,
+                 "required" if row.default is REQUIRED else f"default {json.dumps(row.default)}"]
+        if isinstance(row.check, str):
+            notes.append(row.check)
+        for flag in row.flags:
+            choices_or_kind = row.check if isinstance(row.check, tuple) else row.kind
+            name, kind, text = (flag, choices_or_kind, row.help) if isinstance(flag, str) else flag
+            if kind is bool:
+                how = {"action": argparse.BooleanOptionalAction}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            parser.add_argument(name, default=None, help=f"{text} [{'; '.join(notes)}]", **how)
+
+
+def _merge_flags(rows, args: argparse.Namespace, target: dict, prefix: str) -> None:
+    """Store in ``target`` the value of every row whose flags were given."""
+    for row in rows:
+        names = [flag if isinstance(flag, str) else flag[0] for flag in row.flags]
+        given = [getattr(args, name.lstrip("-").replace("-", "_")) for name in names]
+        if all(v is None for v in given):
+            continue
+        value = given[0] if row.from_flags is None else row.from_flags(target, *given)
+        if value is None:
+            continue
+        *groups, name = row.path.split(".")
+        node = target
+        for key in groups:
+            node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ManifestError("must be an object", field=prefix + key)
+        node[name] = value
+
+
+def _numbers(value, field: str, count: int | None = None) -> list[float]:
+    items = _typed(value, list, field)
+    if not items or count is not None and len(items) != count:
+        raise ManifestError(f"must be a list of {count or 'one or more'} numbers", field=field)
+    return [_typed(v, float, f"{field}[{i}]") for i, v in enumerate(items)]
+
+
+def _pair(value, field: str) -> tuple[float, float]:
+    return tuple(_numbers(value, field, 2))
+
+
+def _shape(value, field: str) -> MassDistribution:
+    params = _typed(value, dict, field)
+    for key in ("mass_kg", "radius_m", "width_m", "smearing_length_m"):
+        if params.get(key) is not None:
+            _typed(params[key], float, f"{field}.{key}")
+    if "center_m" in params:
+        _numbers(params["center_m"], f"{field}.center_m", 3)
+    try:
+        if params.get("kind") == "radial_profile" and "csv" in params:
+            shape = radial_profile_from_csv(params["csv"],
+                                            center=params.get("center_m", (0.0, 0.0, 0.0)),
+                                            mass=params.get("mass_kg"))
+        else:
+            shape = shape_from_dict(params)
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise ManifestError(f"bad shape definition: {exc}", field=field) from exc
+    unknown = sorted(set(params) - set(shape.to_dict()) - {"csv"})
+    if unknown:
+        raise ManifestError("unknown shape key", field=f"{field}.{unknown[0]}")
+    return shape
+
+
+def _couplings(value, field: str) -> list[Callable]:
+    """Kernel couplings, each as a function (mass, constants) -> KernelTerm."""
+    makers: list[Callable] = []
+    for i, entry in enumerate(_typed(value, list, field)):
+        where = f"{field}[{i}]"
+        if entry == "gravity":
+            makers.append(gravitational_kernel)
+        elif entry == "electrostatic":
+            makers.append(lambda mass, constants: electrostatic_kernel(constants))
+        elif isinstance(entry, dict) and "strength_J_m" in entry:
+            if set(entry) - {"strength_J_m", "label"}:
+                raise ManifestError("unknown coupling key", field=where)
+            term = KernelTerm(_typed(entry["strength_J_m"], float, f"{where}.strength_J_m"),
+                              _typed(entry.get("label", "custom"), str, f"{where}.label"))
+            makers.append(lambda mass, constants, term=term: term)
+        else:
+            raise ManifestError(f"unrecognized coupling {entry!r}", field=where)
+    return makers
+
+
+def _shape_from_flags(params, kind, mass, radius, width, smearing_length, profile_csv):
+    if profile_csv is not None:
+        payload = {"kind": "radial_profile", "csv": profile_csv, "mass_kg": mass}
+    elif kind is not None:
+        payload = {"kind": kind.replace("-", "_"), "mass_kg": mass, "radius_m": radius,
+                   "width_m": width, "smearing_length_m": smearing_length}
+    else:
+        return None
+    return {key: value for key, value in payload.items() if value is not None}
+
+
+def _displaced(payload: dict, d: float) -> dict:
+    """A copy of the shape dict ``payload`` moved by ``d`` along x."""
+    cx, cy, cz = payload.get("center_m", (0.0, 0.0, 0.0))
+    return {**payload, "center_m": [cx + d, cy, cz]}
+
+
+def _separated(params, separation):
+    try:
+        return _displaced(params["shape_a"], separation)
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        raise ManifestError("--separation needs a base shape", field="parameters.shape_a") from exc
+
+
+def float_list(text: str) -> list[float]:
+    """The argparse type of --values; argparse names it when a value is not a float."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+NO_ENERGIES = [0.0, 0.0]
+
+
+def _energies_from_flags(params, energy_a, energy_b):
+    a, b = _pair(params.get("branch_energies_J", NO_ENERGIES), "parameters.branch_energies_J")
+    return [a if energy_a is None else energy_a, b if energy_b is None else energy_b]
+
+
+# ---------------------------------------------------------------------------
+# Run manifest and result bundle
+# ---------------------------------------------------------------------------
+
+
+MANIFEST_FIELDS = (
+    Param("output_dir", str, None, flags=("--output-dir",)),
+    Param("scale_system", str, "si", ("si", "sn-natural", "atomic"), flags=("--scale",)),
+    Param("seed", int, 0, ">= 0", flags=("--seed",)),
+    Param("tolerances", dict, {}, flags=(
+        ("--tolerance", float, "primary tolerance (quadrature or SCF residual)"),),
+        from_flags=lambda payload, tolerance: {
+            **_typed(payload.get("tolerances", {}), dict, "tolerances"), "default": tolerance}),
+    Param("parameters", dict, {}),
+    Param("constant_overrides", dict, {}),
 )
 
 
 @dataclass
 class RunManifest:
+    """A command and its settings; MANIFEST_FIELDS declares the settings."""
+
     command: str
-    parameters: dict = field(default_factory=dict)
-    scale_system: str = "si"
-    constant_overrides: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    output_dir: str | None = None
-    seed: int = 0
+    parameters: dict
+    scale_system: str
+    constant_overrides: dict
+    tolerances: dict
+    output_dir: str | None
+    seed: int
 
     def canonical_dict(self) -> dict:
         # output_dir is where results land, not what they are; keep it out of
         # the canonical form so reruns into fresh directories hash identically
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "scale_system": self.scale_system,
-            "constant_overrides": self.constant_overrides,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-        }
-
-    def canonical_text(self) -> str:
-        return canonical_json(self.canonical_dict())
+        return {key: value for key, value in vars(self).items() if key != "output_dir"}
 
     @staticmethod
     def from_dict(payload: dict) -> "RunManifest":
         if not isinstance(payload, dict):
             raise ManifestError("manifest must be a JSON object")
         command = payload.get("command")
-        if command not in COMMANDS:
+        if not isinstance(command, str) or command not in COMMANDS:
             raise ManifestError(f"unknown command {command!r}", field="command")
-        manifest = RunManifest(
-            command=command,
-            parameters=dict(payload.get("parameters", {})),
-            scale_system=str(payload.get("scale_system", "si")),
-            constant_overrides=dict(payload.get("constant_overrides", {})),
-            tolerances=dict(payload.get("tolerances", {})),
-            output_dir=payload.get("output_dir"),
-            seed=int(payload.get("seed", 0)),
-        )
-        return manifest
+        fields = {key: value for key, value in payload.items() if key != "command"}
+        return RunManifest(command=command, **_validated(MANIFEST_FIELDS, fields, ""))
 
 
 @dataclass
@@ -126,208 +333,77 @@ class ResultBundle:
     error: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": self.manifest.canonical_dict(),
-            "files": self.files,
-            "summary": self.summary,
-            "summary_text": self.summary_text,
-            "tool_version": self.tool_version,
-            "error": self.error,
-        }
+        return {**vars(self), "manifest": self.manifest.canonical_dict()}
+
+
+class Table(NamedTuple):
+    """A CSV output and the gnuplot script that plots it, both named ``stem``."""
+
+    stem: str
+    header: list[str]
+    rows: Iterable
+    curves: list[tuple[int, int, str]]   # (x column, y column, title), 1-based
+    xlabel: str
+    ylabel: str
+    logy: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Validation helpers
+# Command handlers: each takes the validated parameters, computes and returns
+# (summary, summary lines, Table or None); run() writes the outputs
 # ---------------------------------------------------------------------------
 
 
-def _need(params: dict, name: str, kind, path: str):
-    if name not in params:
-        raise ManifestError("missing required parameter", field=f"{path}.{name}")
-    value = params[name]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ManifestError("must be a number", field=f"{path}.{name}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ManifestError("must be an integer", field=f"{path}.{name}")
-        return value
-    if not isinstance(value, kind):
-        raise ManifestError(f"must be {kind.__name__}", field=f"{path}.{name}")
-    return value
-
-
-def _positive(value: float, path: str) -> float:
-    if not value > 0.0:
-        raise ManifestError(f"must be strictly positive, got {value}", field=path)
-    return value
-
-
-def _shape_from_params(params: dict, path: str) -> MassDistribution:
-    if not isinstance(params, dict):
-        raise ManifestError("shape must be an object", field=path)
-    kind = params.get("kind")
+def _superposition(p: dict) -> SuperpositionSpec:
     try:
-        if kind == "radial_profile" and "csv" in params:
-            return radial_profile_from_csv(
-                params["csv"],
-                center=params.get("center_m", (0.0, 0.0, 0.0)),
-                mass=params.get("mass_kg"),
-            )
-        return shape_from_dict(params)
-    except ManifestError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise ManifestError(f"bad shape definition: {exc}", field=path) from exc
+        return SuperpositionSpec(p["shape_a"], p["shape_b"],
+                                 complex(*p["amp_a"]), complex(*p["amp_b"]))
     except ValueError as exc:
-        raise ManifestError(str(exc), field=path) from exc
+        raise ManifestError(str(exc), field="parameters.amp_a") from exc
 
 
-def _superposition(params: dict, path: str = "parameters") -> SuperpositionSpec:
-    shape_a = _shape_from_params(_need(params, "shape_a", dict, path), f"{path}.shape_a")
-    shape_b = _shape_from_params(_need(params, "shape_b", dict, path), f"{path}.shape_b")
-    amp_a = params.get("amp_a", [math.sqrt(0.5), 0.0])
-    amp_b = params.get("amp_b", [math.sqrt(0.5), 0.0])
-    try:
-        return SuperpositionSpec(
-            shape_a, shape_b, complex(amp_a[0], amp_a[1]), complex(amp_b[0], amp_b[1])
-        )
-    except ValueError as exc:
-        raise ManifestError(str(exc), field=f"{path}.amp_a") from exc
+def _cmd_selfenergy(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    shape = p["shape"]
+    value = self_energy(shape, constants, method=p["method"], rel_tol=p["tolerance"])
+    summary = {"self_energy_J": value, "shape": shape.to_dict(), "method": p["method"]}
+    if p["monte_carlo"]:
+        summary["monte_carlo_J"], summary["monte_carlo_stderr_J"] = self_energy_mc(
+            shape, p["mc_samples"], manifest.seed, constants)
+    return summary, [f"self energy: {format_number(value)} J"], None
 
 
-def _constants(manifest: RunManifest) -> PhysicalConstants:
-    overrides = manifest.constant_overrides
-    if not overrides:
-        return CODATA2018
-    for key, value in overrides.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-            raise ManifestError("override must be a positive number",
-                                field=f"constant_overrides.{key}")
-    try:
-        return CODATA2018.with_overrides(**{k: float(v) for k, v in overrides.items()})
-    except ValueError as exc:
-        raise ManifestError(str(exc), field="constant_overrides") from exc
-
-
-def _tol(manifest: RunManifest, key: str, fallback: float) -> float:
-    value = manifest.tolerances.get(key, manifest.tolerances.get("default", fallback))
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ManifestError("tolerance must be a positive number", field=f"tolerances.{key}")
-    return float(value)
-
-
-def _couplings(params: dict, mass: float, constants: PhysicalConstants,
-               path: str) -> list[KernelTerm]:
-    raw = params.get("couplings", ["gravity"])
-    if not isinstance(raw, list):
-        raise ManifestError("couplings must be a list", field=f"{path}.couplings")
-    terms: list[KernelTerm] = []
-    for i, entry in enumerate(raw):
-        if entry == "gravity":
-            terms.append(gravitational_kernel(mass, constants))
-        elif entry == "electrostatic":
-            terms.append(electrostatic_kernel(constants))
-        elif isinstance(entry, dict) and "strength_J_m" in entry:
-            terms.append(KernelTerm(float(entry["strength_J_m"]),
-                                    str(entry.get("label", "custom"))))
-        else:
-            raise ManifestError(f"unrecognized coupling {entry!r}",
-                                field=f"{path}.couplings[{i}]")
-    return terms
-
-
-def _energy_report(value_j: float, manifest: RunManifest, mass_reference: float | None,
-                   constants: PhysicalConstants) -> dict:
-    label = manifest.scale_system
-    system = scale_system_from_label(label, mass_reference, constants)
-    return {
-        "J": value_j,
-        "scaled": value_j / system.energy_scale,
-        "scale_system": system.label,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Command handlers: each returns (summary_dict, [file paths], [summary lines])
-# ---------------------------------------------------------------------------
-
-
-def _cmd_selfenergy(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    params = manifest.parameters
-    shape = _shape_from_params(_need(params, "shape", dict, "parameters"), "parameters.shape")
-    rel_tol = _tol(manifest, "quadrature_rel", 1e-6)
-    method = params.get("method", "auto")
-    value = self_energy(shape, constants, method=method, rel_tol=rel_tol)
-    summary = {"self_energy_J": value, "shape": shape.to_dict(), "method": method}
-    if params.get("monte_carlo", False):
-        mc, err = self_energy_mc(shape, int(params.get("mc_samples", 200_000)),
-                                 manifest.seed, constants)
-        summary["monte_carlo_J"] = mc
-        summary["monte_carlo_stderr_J"] = err
-    files = [write_json(outdir / "selfenergy.json", summary)]
-    return summary, files, [f"self energy: {format_number(value)} J"]
-
-
-def _cmd_e_delta(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    params = manifest.parameters
-    spec = _superposition(params)
-    rel_tol = _tol(manifest, "quadrature_rel", 1e-6)
-    value = e_delta(spec, constants, method=params.get("method", "auto"), rel_tol=rel_tol)
+def _cmd_e_delta(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    spec = _superposition(p)
+    value = e_delta(spec, constants, method=p["method"], rel_tol=p["tolerance"])
     summary = {"e_delta_J": value, "superposition": spec.to_dict(),
                "inputs_digest": spec.content_digest()}
-    if params.get("monte_carlo", False):
-        mc, err = e_delta_mc(spec, int(params.get("mc_samples", 200_000)),
-                             manifest.seed, constants)
-        summary["monte_carlo_J"] = mc
-        summary["monte_carlo_stderr_J"] = err
-    files = [write_json(outdir / "e_delta.json", summary)]
-    return summary, files, [f"E_delta: {format_number(value)} J"]
+    if p["monte_carlo"]:
+        summary["monte_carlo_J"], summary["monte_carlo_stderr_J"] = e_delta_mc(
+            spec, p["mc_samples"], manifest.seed, constants)
+    return summary, [f"E_delta: {format_number(value)} J"], None
 
 
-def _cmd_collapse_time(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    params = manifest.parameters
-    spec = _superposition(params)
-    prefactor = float(params.get("prefactor", 1.0))
-    if not prefactor > 0:
-        raise ManifestError("must be strictly positive", field="parameters.prefactor")
-    estimate = collapse_time(spec, prefactor, constants,
-                             rel_tol=_tol(manifest, "quadrature_rel", 1e-6))
-    summary = estimate.to_dict()
-    files = [write_json(outdir / "collapse_time.json", summary)]
+def _cmd_collapse_time(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    estimate = collapse_time(_superposition(p), p["prefactor"], constants,
+                             rel_tol=p["tolerance"])
     line = ("collapse time: infinite (identical branches)" if estimate.infinite
             else f"collapse time: {format_number(estimate.collapse_time)} s "
                  f"(E_delta = {format_number(estimate.e_delta)} J)")
-    return summary, files, [line]
+    return estimate.to_dict(), [line], None
 
 
-def _cmd_feynman_scale(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
+def _cmd_feynman_scale(p: dict, manifest: RunManifest, constants: PhysicalConstants):
     kg = feynman_mass_scale(constants)
     summary = {
         "mass_kg": kg,
         "mass_g": kg * 1000.0,
         "gm2_over_hbar_c": constants.G * kg**2 / (constants.hbar * constants.c),
     }
-    files = [write_json(outdir / "feynman_scale.json", summary)]
-    return summary, files, [f"threshold mass: {format_number(kg * 1000.0)} g"]
+    return summary, [f"threshold mass: {format_number(kg * 1000.0)} g"], None
 
 
-def _cmd_lifetime_sweep(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    params = manifest.parameters
-    base = _shape_from_params(_need(params, "shape", dict, "parameters"), "parameters.shape")
-    sweep = _need(params, "sweep", dict, "parameters")
-    kind = _need(sweep, "kind", str, "parameters.sweep")
-    values = _need(sweep, "values", list, "parameters.sweep")
-    if not values:
-        raise ManifestError("needs at least one value", field="parameters.sweep.values")
-    prefactor = float(params.get("prefactor", 1.0))
-
-    def displaced(shape: MassDistribution, d: float) -> MassDistribution:
-        payload = shape.to_dict()
-        cx, cy, cz = payload["center_m"]
-        payload["center_m"] = [cx + d, cy, cz]
-        return shape_from_dict(payload)
+def _cmd_lifetime_sweep(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    base, kind, separation = p["shape"], p["sweep.kind"], p["sweep.separation_m"]
 
     def rescaled_mass(shape: MassDistribution, lam: float) -> MassDistribution:
         payload = shape.to_dict()
@@ -336,27 +412,18 @@ def _cmd_lifetime_sweep(manifest: RunManifest, outdir: Path, constants: Physical
             payload["rho_kg_m3"] = [lam * v for v in payload["rho_kg_m3"]]
         return shape_from_dict(payload)
 
+    if kind == "mass-scale" and separation is None:
+        raise ManifestError("missing required parameter", field="parameters.sweep.separation_m")
     family = []
-    if kind == "separation":
-        for d in values:
-            family.append((float(d), SuperpositionSpec(base, displaced(base, float(d)))))
-    elif kind == "mass-scale":
-        separation = _positive(float(_need(sweep, "separation_m", float, "parameters.sweep")),
-                               "parameters.sweep.separation_m")
-        for lam in values:
-            scaled = rescaled_mass(base, float(lam))
-            family.append((float(lam), SuperpositionSpec(scaled, displaced(scaled, separation))))
-    else:
-        raise ManifestError("kind must be 'separation' or 'mass-scale'",
-                            field="parameters.sweep.kind")
+    try:
+        for value in p["sweep.values"]:
+            a, d = (base, value) if kind == "separation" else (rescaled_mass(base, value), separation)
+            b = shape_from_dict(_displaced(a.to_dict(), d))
+            family.append((value, SuperpositionSpec(a, b)))
+    except ValueError as exc:
+        raise ManifestError(str(exc), field="parameters.sweep.values") from exc
 
-    rows = lifetime_sweep(family, prefactor, constants,
-                          rel_tol=_tol(manifest, "quadrature_rel", 1e-6))
-    # errored rows keep their slot with empty cells; messages live in the JSON
-    csv_rows = [(row.parameter, row.e_delta, row.collapse_time) for row in rows]
-    csv_path = write_csv(outdir / "lifetime_sweep.csv", ["parameter", "E_delta_J", "T_s"], csv_rows)
-    plot = write_plot_script(outdir / "lifetime_sweep.gnuplot", "lifetime_sweep.csv",
-                             [(1, 3, "collapse time")], "parameter", "T (s)", logy=True)
+    rows = lifetime_sweep(family, p["prefactor"], constants, rel_tol=p["tolerance"])
     summary = {
         "n_rows": len(rows),
         "kind": kind,
@@ -367,58 +434,34 @@ def _cmd_lifetime_sweep(manifest: RunManifest, outdir: Path, constants: Physical
             for r in rows
         ],
     }
-    files = [csv_path, plot, write_json(outdir / "lifetime_sweep.json", summary)]
-    return summary, files, [f"sweep over {kind}: {len(rows)} rows "
-                            f"({summary['errors']} errored)"]
+    # errored rows keep their slot with empty cells; messages live in the JSON
+    table = Table("lifetime_sweep", ["parameter", "E_delta_J", "T_s"],
+                  [(r.parameter, r.e_delta, r.collapse_time) for r in rows],
+                  [(1, 3, "collapse time")], "parameter", "T (s)", logy=True)
+    return summary, [f"sweep over {kind}: {len(rows)} rows ({summary['errors']} errored)"], table
 
 
-def _sn_grid(params: dict, mass: float, couplings: list[KernelTerm],
+def _sn_grid(p: dict, mass: float, couplings: list[KernelTerm],
              constants: PhysicalConstants) -> RadialGrid:
-    grid_params = params.get("grid", {})
-    if not isinstance(grid_params, dict):
-        raise ManifestError("grid must be an object", field="parameters.grid")
-    points = int(grid_params.get("points", 2400))
-    if points < 8:
-        raise ManifestError("needs at least 8 points", field="parameters.grid.points")
-    units = grid_params.get("units", "natural")
-    r_max = float(grid_params.get("r_max", 60.0))
-    _positive(r_max, "parameters.grid.r_max")
-    if units == "natural":
+    r_max = p["grid.r_max"]
+    if p["grid.units"] == "natural":
         kappa = sum(t.strength for t in couplings)
         if kappa == 0.0:
             raise ManifestError("natural grid units need a nonzero coupling",
                                 field="parameters.grid.units")
         r_max *= constants.hbar**2 / (mass * abs(kappa))
-    elif units != "si":
-        raise ManifestError("units must be 'natural' or 'si'", field="parameters.grid.units")
-    return RadialGrid.uniform(r_max, points)
+    return RadialGrid.uniform(r_max, p["grid.points"])
 
 
-def _profile_csv(states, grid: RadialGrid, path: Path) -> Path:
-    header = ["r_m"] + [f"psi_{s.node_count}" for s in states]
-    columns = [grid.r] + [np.real(s.state.psi) for s in states]
-    rows = zip(*columns)
-    return write_csv(path, header, rows)
-
-
-def _cmd_sn_ground(manifest: RunManifest, outdir: Path, constants: PhysicalConstants,
-                   n_states: int | None = None):
-    params = manifest.parameters
-    mass = _positive(_need(params, "mass_kg", float, "parameters"), "parameters.mass_kg")
-    couplings = _couplings(params, mass, constants, "parameters")
-    grid = _sn_grid(params, mass, couplings, constants)
-    method = params.get("method", "scf")
-    count = n_states if n_states is not None else int(params.get("n_states", 1))
-    if count < 1:
-        raise ManifestError("must be >= 1", field="parameters.n_states")
-    tol = _tol(manifest, "scf_residual", 1e-8)
-
-    methods = ("scf", "shooting") if method == "both" else (method,)
-    results: dict[str, list] = {}
-    for m in methods:
-        results[m] = stationary_states(mass, couplings, None, count, grid=grid,
-                                       method=m, constants=constants, tol=tol)
+def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    mass = p["mass_kg"]
+    couplings = [make(mass, constants) for make in p["couplings"]]
+    grid = _sn_grid(p, mass, couplings, constants)
+    methods = ("scf", "shooting") if p["method"] == "both" else (p["method"],)
+    results = {m: stationary_states(mass, couplings, None, p["n_states"], grid=grid, method=m,
+                                    constants=constants, tol=p["tolerance"]) for m in methods}
     primary = results[methods[0]]
+    system = scale_system_from_label(manifest.scale_system, mass, constants)
 
     summary: dict[str, Any] = {
         "mass_kg": mass,
@@ -426,7 +469,8 @@ def _cmd_sn_ground(manifest: RunManifest, outdir: Path, constants: PhysicalConst
         "states": [
             {
                 "node_count": s.node_count,
-                "eigenvalue": _energy_report(s.eigenvalue, manifest, mass, constants),
+                "eigenvalue": {"J": s.eigenvalue, "scaled": s.eigenvalue / system.energy_scale,
+                               "scale_system": system.label},
                 "residual": s.residual,
                 "method": s.method,
             }
@@ -434,84 +478,53 @@ def _cmd_sn_ground(manifest: RunManifest, outdir: Path, constants: PhysicalConst
         ],
     }
     if len(methods) == 2:
-        cross = []
-        for s1, s2 in zip(results["scf"], results["shooting"]):
-            rel = abs(s1.eigenvalue - s2.eigenvalue) / abs(s1.eigenvalue)
-            cross.append({"node_count": s1.node_count,
-                          "scf_J": s1.eigenvalue,
-                          "shooting_J": s2.eigenvalue,
-                          "relative_difference": rel})
-        summary["cross_check"] = cross
-
-    name = manifest.command.replace("-", "_")
-    profile = _profile_csv(primary, grid, outdir / f"{name}_profiles.csv")
-    plot = write_plot_script(outdir / f"{name}_profiles.gnuplot", profile.name,
-                             [(1, 2 + i, f"{s.node_count} nodes")
-                              for i, s in enumerate(primary)],
-                             "r (m)", "psi")
-    files = [profile, plot, write_json(outdir / f"{name}.json", summary)]
+        summary["cross_check"] = [
+            {"node_count": s1.node_count, "scf_J": s1.eigenvalue, "shooting_J": s2.eigenvalue,
+             "relative_difference": abs(s1.eigenvalue - s2.eigenvalue) / abs(s1.eigenvalue)}
+            for s1, s2 in zip(results["scf"], results["shooting"])
+        ]
+    table = Table(f"{manifest.command.replace('-', '_')}_profiles",
+                  ["r_m"] + [f"psi_{s.node_count}" for s in primary],
+                  zip(grid.r, *(np.real(s.state.psi) for s in primary)),
+                  [(1, 2 + i, f"{s.node_count} nodes") for i, s in enumerate(primary)],
+                  "r (m)", "psi")
     lines = [
         f"state {s.node_count} nodes: {format_number(s.eigenvalue)} J "
-        f"({format_number(summary['states'][i]['eigenvalue']['scaled'])} "
-        f"{manifest.scale_system})"
-        for i, s in enumerate(primary)
+        f"({format_number(s.eigenvalue / system.energy_scale)} {manifest.scale_system})"
+        for s in primary
     ]
-    return summary, files, lines
+    return summary, lines, table
 
 
-def _cmd_sn_spectrum(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    return _cmd_sn_ground(manifest, outdir, constants,
-                          n_states=int(manifest.parameters.get("n_states", 3)))
-
-
-def _cmd_sn_evolve(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    params = manifest.parameters
-    mass = _positive(_need(params, "mass_kg", float, "parameters"), "parameters.mass_kg")
-    couplings = _couplings(params, mass, constants, "parameters")
+def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    mass, n_steps = p["mass_kg"], p["n_steps"]
+    couplings = [make(mass, constants) for make in p["couplings"]]
     kappa = sum(t.strength for t in couplings)
-    n_steps = int(params.get("n_steps", 1000))
-    if n_steps < 1:
-        raise ManifestError("must be >= 1", field="parameters.n_steps")
-    record_every = max(1, int(params.get("record_every", max(1, n_steps // 200))))
-
-    initial_csv = params.get("initial_state_csv")
-    if initial_csv is not None:
+    record_every = p["record_every"] or max(1, n_steps // 200)
+    if p["initial_state_csv"] is not None:
         try:
-            state = load_state_csv(initial_csv, mass, couplings)
+            state = load_state_csv(p["initial_state_csv"], mass, couplings)
         except (OSError, ValueError) as exc:
             raise ManifestError(str(exc), field="parameters.initial_state_csv") from exc
         grid = state.grid
         sigma0 = None
     else:
-        grid = _sn_grid(params, mass, couplings, constants)
-        sigma0 = params.get("sigma0_m")
+        grid = _sn_grid(p, mass, couplings, constants)
+        sigma0 = p["sigma0_m"]
         if sigma0 is None:
-            sigma_nat = float(params.get("sigma0_natural", 2.0))
             if kappa == 0.0:
                 raise ManifestError("natural sigma0 needs a nonzero coupling",
                                     field="parameters.sigma0_natural")
-            sigma0 = sigma_nat * constants.hbar**2 / (mass * abs(kappa))
-        sigma0 = _positive(float(sigma0), "parameters.sigma0_m")
+            sigma0 = p["sigma0_natural"] * constants.hbar**2 / (mass * abs(kappa))
         state = WaveState.gaussian_packet(grid, sigma0, mass, couplings)
-    dt = params.get("dt_s")
+    dt = p["dt_s"]
     if dt is None:
-        dt = float(params.get("dt_fraction", 0.9)) * suggested_dt(state, constants)
-    dt = _positive(float(dt), "parameters.dt_s")
+        dt = p["dt_fraction"] * suggested_dt(state, constants)
 
     result = evolve(state, dt, n_steps, constants=constants, record_every=record_every)
     header = ["t_s", "norm", "energy_J", "width_m"]
     columns = [result.times, result.norm, result.energy, result.width]
-    if params.get("compare_free", False) and kappa != 0.0:
-        free_state = WaveState.gaussian_packet(grid, sigma0, mass)
-        free = evolve(free_state, dt, n_steps, constants=constants, record_every=record_every)
-        header.append("free_width_m")
-        columns.append(free.width)
-    csv_path = write_csv(outdir / "sn_evolve.csv", header, zip(*columns))
-    plot_cols = [(1, 4, "width")]
-    if len(header) == 5:
-        plot_cols.append((1, 5, "free width"))
-    plot = write_plot_script(outdir / "sn_evolve.gnuplot", csv_path.name, plot_cols,
-                             "t (s)", "width (m)")
+    curves = [(1, 4, "width")]
     summary = {
         "mass_kg": mass,
         "sigma0_m": sigma0,
@@ -523,67 +536,55 @@ def _cmd_sn_evolve(manifest: RunManifest, outdir: Path, constants: PhysicalConst
         "final_width_m": float(result.width[-1]),
         "initial_width_m": float(result.width[0]),
     }
-    if len(header) == 5:
-        summary["final_free_width_m"] = float(columns[4][-1])
-        summary["inhibited"] = bool(columns[4][-1] > result.width[-1])
-    files = [csv_path, plot, write_json(outdir / "sn_evolve.json", summary)]
-    return summary, files, [
+    if p["compare_free"] and kappa != 0.0:
+        free_state = WaveState.gaussian_packet(grid, sigma0, mass)
+        free = evolve(free_state, dt, n_steps, constants=constants, record_every=record_every)
+        header.append("free_width_m")
+        columns.append(free.width)
+        curves.append((1, 5, "free width"))
+        summary["final_free_width_m"] = float(free.width[-1])
+        summary["inhibited"] = bool(free.width[-1] > result.width[-1])
+    table = Table("sn_evolve", header, zip(*columns), curves, "t (s)", "width (m)")
+    return summary, [
         f"evolved {n_steps} steps of {format_number(dt)} s; "
         f"width {format_number(summary['initial_width_m'])} -> "
         f"{format_number(summary['final_width_m'])} m"
-    ]
+    ], table
 
 
-def _cmd_hydrogen_shift(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    params = manifest.parameters
+def _cmd_hydrogen_shift(p: dict, manifest: RunManifest, constants: PhysicalConstants):
     report = hydrogen_diagnostic(
-        include_electrostatic_self=bool(params.get("electrostatic", True)),
-        include_gravitational_self=bool(params.get("gravitational", True)),
-        r_max_bohr=float(params.get("r_max_bohr", 40.0)),
-        n_points=int(params.get("points", 2000)),
+        include_electrostatic_self=p["electrostatic"],
+        include_gravitational_self=p["gravitational"],
+        r_max_bohr=p["r_max_bohr"],
+        n_points=p["points"],
         constants=constants,
-        scf_tol=_tol(manifest, "scf_residual", 1e-8),
+        scf_tol=p["tolerance"],
     )
-    summary = report.to_dict()
-    files = [write_json(outdir / "hydrogen_shift.json", summary)]
-    lines = [f"ground state without self-terms: {report.e0_ev:.4f} eV"]
-    for term in report.terms:
-        lines.append(
-            f"{term.label}: first-order {format_number(term.first_order_ev)} eV "
-            f"(ratio to Coulomb {format_number(term.ratio_to_coulomb)})"
-        )
-    return summary, files, lines
+    lines = [f"ground state without self-terms: {report.e0_ev:.4f} eV"] + [
+        f"{term.label}: first-order {format_number(term.first_order_ev)} eV "
+        f"(ratio to Coulomb {format_number(term.ratio_to_coulomb)})"
+        for term in report.terms
+    ]
+    return report.to_dict(), lines, None
 
 
-def _cmd_collapse_sim(manifest: RunManifest, outdir: Path, constants: PhysicalConstants):
-    params = manifest.parameters
-    n = int(params.get("n", 100_000))
-    if n < 1:
-        raise ManifestError("must be >= 1", field="parameters.n")
-    weights = params.get("weights", [0.5, 0.5])
-    energies = params.get("branch_energies_J", [0.0, 0.0])
-    interference = float(params.get("interference_energy_J", 0.0))
-    rate = params.get("rate_per_s")
-    spec_digest = None
-    if rate is None:
-        if "shape_a" in params:
-            spec = _superposition(params)
-            model = CollapseModel.from_superposition(
-                spec, (float(energies[0]), float(energies[1])), interference,
-                float(params.get("prefactor", 1.0)), constants)
+def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    n, energies, interference = p["n"], p["branch_energies_J"], p["interference_energy_J"]
+    try:
+        if p["rate_per_s"] is not None:
+            model = CollapseModel(rate=p["rate_per_s"], outcome_weights=p["weights"],
+                                  branch_energies=energies, interference_energy=interference)
+        elif p["shape_a"] is not None and p["shape_b"] is not None:
+            model = CollapseModel.from_superposition(_superposition(p), energies, interference,
+                                                     p["prefactor"], constants)
         else:
             raise ManifestError("provide rate_per_s or shape_a/shape_b",
                                 field="parameters.rate_per_s")
-    else:
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate < 0:
-            raise ManifestError("must be a number >= 0", field="parameters.rate_per_s")
-        model = CollapseModel(
-            rate=float(rate),
-            outcome_weights=(float(weights[0]), float(weights[1])),
-            branch_energies=(float(energies[0]), float(energies[1])),
-            interference_energy=interference,
-            spec_digest=spec_digest,
-        )
+    except ValueError as exc:
+        # bad weights, or a rate that overflows for a tiny prefactor
+        culprit = "weights" if p["rate_per_s"] is not None else "prefactor"
+        raise ManifestError(str(exc), field=f"parameters.{culprit}") from exc
 
     ensemble = simulate(model, n, manifest.seed)
     ledger = energy_ledger(ensemble, model)
@@ -597,39 +598,124 @@ def _cmd_collapse_sim(manifest: RunManifest, outdir: Path, constants: PhysicalCo
         "ensemble": ensemble.to_dict(),
         "energy_ledger": ledger.to_dict(),
     }
-    files = [write_json(outdir / "collapse_sim.json", summary)]
-    if not ensemble.infinite_lifetime:
-        s = ensemble.summary
-        theory = np.exp(-model.rate * s.survival_times)
-        csv_path = write_csv(outdir / "survival.csv",
-                             ["t_s", "survival_fraction", "expected_exp"],
-                             zip(s.survival_times, s.survival_fractions, theory))
-        plot = write_plot_script(outdir / "survival.gnuplot", "survival.csv",
-                                 [(1, 2, "empirical"), (1, 3, "exp(-rate t)")],
-                                 "t (s)", "surviving fraction", logy=True)
-        files.extend([csv_path, plot])
-        lines = [
-            f"{n} trajectories, rate {format_number(model.rate)} 1/s; "
-            f"outcome frequencies {s.outcome_frequencies[0]:.4f}/{s.outcome_frequencies[1]:.4f}",
-            f"energy residual {format_number(ledger.residual)} J "
-            f"(expected {format_number(ledger.expected_residual)} J)",
-        ]
-    else:
-        lines = [f"{n} trajectories, rate 0: InfiniteLifetime, no collapse events"]
-    return summary, files, lines
+    if ensemble.infinite_lifetime:
+        return summary, [f"{n} trajectories, rate 0: InfiniteLifetime, no collapse events"], None
+    s = ensemble.summary
+    theory = np.exp(-model.rate * s.survival_times)
+    table = Table("survival", ["t_s", "survival_fraction", "expected_exp"],
+                  zip(s.survival_times, s.survival_fractions, theory),
+                  [(1, 2, "empirical"), (1, 3, "exp(-rate t)")],
+                  "t (s)", "surviving fraction", logy=True)
+    return summary, [
+        f"{n} trajectories, rate {format_number(model.rate)} 1/s; "
+        f"outcome frequencies {s.outcome_frequencies[0]:.4f}/{s.outcome_frequencies[1]:.4f}",
+        f"energy residual {format_number(ledger.residual)} J "
+        f"(expected {format_number(ledger.expected_residual)} J)",
+    ], table
 
 
-_HANDLERS: dict[str, Callable] = {
-    "selfenergy": _cmd_selfenergy,
-    "e-delta": _cmd_e_delta,
-    "collapse-time": _cmd_collapse_time,
-    "feynman-scale": _cmd_feynman_scale,
-    "lifetime-sweep": _cmd_lifetime_sweep,
-    "sn-ground": _cmd_sn_ground,
-    "sn-spectrum": _cmd_sn_spectrum,
-    "sn-evolve": _cmd_sn_evolve,
-    "hydrogen-shift": _cmd_hydrogen_shift,
-    "collapse-sim": _cmd_collapse_sim,
+# ---------------------------------------------------------------------------
+# Commands: one declaration each
+# ---------------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    params: tuple[Param, ...] = ()
+    # (key in the manifest's "tolerances", fallback); the checked value
+    # reaches the handler as p["tolerance"]
+    tolerance: tuple[str, float] | None = None
+
+
+QUADRATURE_TOL = ("quadrature_rel", 1e-6)
+SCF_TOL = ("scf_residual", 1e-8)
+
+SHAPE = Param("shape", _shape, flags=(
+    ("--shape", ("uniform-sphere", "spherical-shell", "gaussian", "point-mass"), ""),
+    ("--mass", float, "kg"), ("--radius", float, "m"), ("--width", float, "gaussian sigma, m"),
+    ("--smearing-length", float, "m"), ("--profile-csv", str, "two-column r,rho CSV"),
+), from_flags=_shape_from_flags)
+ENERGY_METHOD = Param("method", str, "auto", ("auto", "analytic", "quadrature"))
+MONTE_CARLO = (Param("monte_carlo", bool, False, flags=("--monte-carlo",)),
+               Param("mc_samples", int, 200_000, ">= 2", flags=("--mc-samples",)))
+AMPLITUDES = (Param("amp_a", _pair, [math.sqrt(0.5), 0.0]),
+              Param("amp_b", _pair, [math.sqrt(0.5), 0.0]))
+BRANCHES = (SHAPE._replace(path="shape_a"),
+            Param("shape_b", _shape, from_flags=_separated, flags=(
+                ("--separation", float, "m; branch b is branch a displaced by this distance"),)),
+            *AMPLITUDES)
+PREFACTOR = Param("prefactor", float, 1.0, "> 0", flags=("--prefactor",))
+SN_MASS = Param("mass_kg", float, check="> 0", flags=("--mass",), help="kg")
+COUPLINGS = Param("couplings", _couplings, ["gravity"])
+GRID = (Param("grid.r_max", float, 60.0, "> 0", flags=("--r-max",),
+              help="domain size, in kernel natural lengths unless grid.units is si"),
+        Param("grid.points", int, 2400, ">= 8", flags=("--points",)),
+        Param("grid.units", str, "natural", ("natural", "si")))
+SN_METHOD = Param("method", str, "scf", ("scf", "shooting", "both"), flags=("--method",))
+N_STATES = Param("n_states", int, 1, ">= 1")
+
+COMMANDS: dict[str, Command] = {
+    "selfenergy": Command(
+        _cmd_selfenergy, "gravitational self energy of one distribution",
+        (SHAPE, ENERGY_METHOD._replace(flags=("--method",)), *MONTE_CARLO), QUADRATURE_TOL),
+    "e-delta": Command(
+        _cmd_e_delta, "self energy of the branch difference",
+        (*BRANCHES, ENERGY_METHOD, *MONTE_CARLO), QUADRATURE_TOL),
+    "collapse-time": Command(
+        _cmd_collapse_time, "lifetime T = prefactor hbar / E_delta",
+        (*BRANCHES, PREFACTOR), QUADRATURE_TOL),
+    "feynman-scale": Command(_cmd_feynman_scale, "mass where G M^2/(hbar c) = 1"),
+    "lifetime-sweep": Command(_cmd_lifetime_sweep, "criterion over a parameter family", (
+        SHAPE,
+        Param("sweep.kind", str, check=("separation", "mass-scale"), flags=("--sweep-kind",)),
+        Param("sweep.values", _numbers,
+              flags=(("--values", float_list, "comma-separated parameter values"),)),
+        Param("sweep.separation_m", float, None, "> 0", flags=("--separation",),
+              help="m; fixed separation for mass-scale sweeps"),
+        PREFACTOR,
+    ), QUADRATURE_TOL),
+    "sn-ground": Command(
+        _cmd_sn_states, "self-gravitating ground state",
+        (SN_MASS, COUPLINGS, *GRID, SN_METHOD, N_STATES), SCF_TOL),
+    "sn-spectrum": Command(
+        _cmd_sn_states, "first n stationary states",
+        (SN_MASS, COUPLINGS, *GRID, SN_METHOD,
+         N_STATES._replace(default=3, flags=("--n-states",))), SCF_TOL),
+    "sn-evolve": Command(_cmd_sn_evolve, "evolve a Gaussian packet", (
+        SN_MASS,
+        COUPLINGS._replace(from_flags=lambda params, on: ["gravity"] if on else [], flags=(
+            ("--gravity", bool, "include the attractive kernel coupling"),)),
+        *GRID,
+        Param("n_steps", int, 1000, ">= 1", flags=("--n-steps",)),
+        Param("record_every", int, None, ">= 1"),   # null: n_steps // 200, at least 1
+        Param("initial_state_csv", str, None),
+        Param("sigma0_m", float, None, "> 0"),
+        Param("sigma0_natural", float, 2.0, "> 0", flags=("--sigma0",),
+              help="initial width in kernel natural lengths"),
+        Param("dt_s", float, None, "> 0"),
+        Param("dt_fraction", float, 0.9, "> 0"),
+        Param("compare_free", bool, False, flags=("--compare-free",)),
+    )),
+    "hydrogen-shift": Command(_cmd_hydrogen_shift, "hydrogen self-interaction diagnostic", (
+        Param("electrostatic", bool, True, flags=("--electrostatic",)),
+        Param("gravitational", bool, True, flags=("--gravitational",)),
+        Param("r_max_bohr", float, 40.0, "> 0", flags=("--r-max-bohr",)),
+        Param("points", int, 2000, ">= 8", flags=("--points",)),
+    ), SCF_TOL),
+    "collapse-sim": Command(_cmd_collapse_sim, "stochastic collapse trajectories", (
+        Param("n", int, 100_000, ">= 1", flags=("--n",)),
+        Param("rate_per_s", float, None, ">= 0", flags=("--rate",), help="1/s"),
+        Param("weights", _pair, [0.5, 0.5], from_flags=lambda params, wa: [wa, 1.0 - wa],
+              flags=(("--weight-a", float, "outcome weight of branch a"),)),
+        Param("branch_energies_J", _pair, NO_ENERGIES, from_flags=_energies_from_flags,
+              flags=(("--energy-a", float, "J"), ("--energy-b", float, "J"))),
+        Param("interference_energy_J", float, 0.0, flags=("--interference",), help="J"),
+        BRANCHES[0]._replace(default=None, flags=()),
+        BRANCHES[1]._replace(default=None, flags=()),
+        *AMPLITUDES,
+        PREFACTOR,
+    )),
 }
 
 
@@ -647,41 +733,53 @@ def _resolve_output_dir(manifest: RunManifest) -> Path:
     return Path.cwd() / "gravlab-runs" / manifest.command
 
 
+POSITIVE = Param("", float, check="> 0")
+
+
+def _constants(manifest: RunManifest) -> PhysicalConstants:
+    values = {key: _checked(POSITIVE, value, f"constant_overrides.{key}")
+              for key, value in manifest.constant_overrides.items()}
+    try:
+        return CODATA2018.with_overrides(**values)
+    except ValueError as exc:
+        raise ManifestError(str(exc), field="constant_overrides") from exc
+
+
 def run(manifest: RunManifest) -> ResultBundle:
     """Validate, dispatch, persist.  Computational failures are recorded in
     the bundle (callers map them to exit status 1); validation failures raise
     ManifestError before anything is written."""
-    if manifest.command not in _HANDLERS:
+    command = COMMANDS.get(manifest.command)
+    if command is None:
         raise ManifestError(f"unknown command {manifest.command!r}", field="command")
-    try:
-        scale_system_from_label(manifest.scale_system,
-                                mass_reference=manifest.parameters.get("mass_kg", 1.0))
-    except ValueError as exc:
-        raise ManifestError(str(exc), field="scale_system") from exc
+    p = _validated(command.params, manifest.parameters, "parameters.")
+    if command.tolerance is not None:
+        key, fallback = command.tolerance
+        value = manifest.tolerances.get(key, manifest.tolerances.get("default", fallback))
+        p["tolerance"] = _checked(POSITIVE, value, f"tolerances.{key}")
     constants = _constants(manifest)
 
-    outdir = _resolve_output_dir(manifest)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    manifest_path = outdir / "manifest.json"
-    manifest_path.write_text(manifest.canonical_text(), encoding="utf-8")
-    produced: list[Path] = [manifest_path]
-
-    error: dict | None = None
-    summary: dict = {}
-    lines: list[str] = []
     try:
-        summary, files, lines = _HANDLERS[manifest.command](manifest, outdir, constants)
-        produced.extend(files)
+        summary, lines, table = command.handler(p, manifest, constants)
+        error = None
     except ManifestError:
         raise
     except GravlabError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-        lines = [f"error: {error['type']}: {error['message']}"]
+        summary, lines, table = {}, [f"error: {error['type']}: {error['message']}"], None
 
+    outdir = _resolve_output_dir(manifest)
+    produced = [write_json(outdir / "manifest.json", manifest.canonical_dict())]
+    if error is None:
+        name = manifest.command.replace("-", "_")
+        produced.append(write_json(outdir / f"{name}.json", summary))
+    if table is not None:
+        produced.append(write_csv(outdir / f"{table.stem}.csv", table.header, table.rows))
+        produced.append(write_plot_script(outdir / f"{table.stem}.gnuplot", f"{table.stem}.csv",
+                                          table.curves, table.xlabel, table.ylabel, table.logy))
     bundle = ResultBundle(
         manifest=manifest,
-        files=[{"name": p.name, "sha256": sha256_file(p)} for p in produced],
+        files=[{"name": path.name, "sha256": sha256_file(path)} for path in produced],
         summary=summary,
         summary_text="\n".join(lines),
         error=error,
@@ -695,49 +793,6 @@ def run(manifest: RunManifest) -> ResultBundle:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--manifest", metavar="JSON", default=None,
-                        help="run-manifest file; explicit flags override its values")
-    parser.add_argument("--output-dir", metavar="DIR", default=None)
-    parser.add_argument("--scale", choices=["si", "sn-natural", "atomic"], default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="primary tolerance (quadrature or SCF residual)")
-
-
-def _add_shape_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
-    dash = f"--{prefix}" if prefix else "--"
-    parser.add_argument(f"{dash}shape", choices=["uniform-sphere", "spherical-shell",
-                                                 "gaussian", "point-mass"], default=None)
-    parser.add_argument(f"{dash}mass", type=float, default=None, help="kg")
-    parser.add_argument(f"{dash}radius", type=float, default=None, help="m")
-    parser.add_argument(f"{dash}width", type=float, default=None, help="gaussian sigma, m")
-    parser.add_argument(f"{dash}smearing-length", type=float, default=None, help="m")
-    parser.add_argument(f"{dash}profile-csv", default=None, help="two-column r,rho CSV")
-
-
-def _shape_dict_from_flags(args: argparse.Namespace, prefix: str = "") -> dict | None:
-    get = lambda name: getattr(args, (prefix + name).replace("-", "_"), None)
-    kind = get("shape")
-    if kind is None and get("profile-csv") is None:
-        return None
-    if get("profile-csv") is not None:
-        payload = {"kind": "radial_profile", "csv": get("profile-csv")}
-        if get("mass") is not None:
-            payload["mass_kg"] = get("mass")
-        return payload
-    payload: dict[str, Any] = {"kind": kind.replace("-", "_")}
-    if get("mass") is not None:
-        payload["mass_kg"] = get("mass")
-    if get("radius") is not None:
-        payload["radius_m"] = get("radius")
-    if get("width") is not None:
-        payload["width_m"] = get("width")
-    if get("smearing-length") is not None:
-        payload["smearing_length_m"] = get("smearing-length")
-    return payload
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravlab",
@@ -746,202 +801,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("selfenergy", help="gravitational self energy of one distribution")
-    _add_common(p)
-    _add_shape_flags(p)
-    p.add_argument("--method", choices=["auto", "analytic", "quadrature"], default=None)
-    p.add_argument("--monte-carlo", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--mc-samples", type=int, default=None)
-
-    p = sub.add_parser("e-delta", help="self energy of the branch difference")
-    _add_common(p)
-    _add_shape_flags(p)
-    p.add_argument("--separation", type=float, default=None,
-                   help="m; branch b is branch a displaced by this distance")
-    p.add_argument("--monte-carlo", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--mc-samples", type=int, default=None)
-
-    p = sub.add_parser("collapse-time", help="lifetime T = prefactor hbar / E_delta")
-    _add_common(p)
-    _add_shape_flags(p)
-    p.add_argument("--separation", type=float, default=None)
-    p.add_argument("--prefactor", type=float, default=None)
-
-    p = sub.add_parser("feynman-scale", help="mass where G M^2/(hbar c) = 1")
-    _add_common(p)
-
-    p = sub.add_parser("lifetime-sweep", help="criterion over a parameter family")
-    _add_common(p)
-    _add_shape_flags(p)
-    p.add_argument("--sweep-kind", choices=["separation", "mass-scale"], default=None)
-    p.add_argument("--values", default=None, help="comma-separated parameter values")
-    p.add_argument("--separation", type=float, default=None,
-                   help="m; fixed separation for mass-scale sweeps")
-    p.add_argument("--prefactor", type=float, default=None)
-
-    for name, help_text in (("sn-ground", "self-gravitating ground state"),
-                            ("sn-spectrum", "first n stationary states")):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--mass", type=float, default=None, help="kg")
-        p.add_argument("--r-max", type=float, default=None,
-                       help="domain size in kernel natural lengths")
-        p.add_argument("--points", type=int, default=None)
-        p.add_argument("--method", choices=["scf", "shooting", "both"], default=None)
-        if name == "sn-spectrum":
-            p.add_argument("--n-states", type=int, default=None)
-
-    p = sub.add_parser("sn-evolve", help="evolve a Gaussian packet")
-    _add_common(p)
-    p.add_argument("--mass", type=float, default=None, help="kg")
-    p.add_argument("--sigma0", type=float, default=None,
-                   help="initial width in kernel natural lengths")
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--gravity", action=argparse.BooleanOptionalAction, default=None,
-                   help="include the attractive kernel coupling")
-    p.add_argument("--compare-free", action=argparse.BooleanOptionalAction, default=None)
-
-    p = sub.add_parser("hydrogen-shift", help="hydrogen self-interaction diagnostic")
-    _add_common(p)
-    p.add_argument("--electrostatic", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--gravitational", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--r-max-bohr", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-
-    p = sub.add_parser("collapse-sim", help="stochastic collapse trajectories")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rate", type=float, default=None, help="1/s")
-    p.add_argument("--weight-a", type=float, default=None)
-    p.add_argument("--energy-a", type=float, default=None, help="J")
-    p.add_argument("--energy-b", type=float, default=None, help="J")
-    p.add_argument("--interference", type=float, default=None, help="J")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--manifest", metavar="JSON", default=None,
+                       help="run-manifest file; explicit flags override its values")
+        _add_flags(p, MANIFEST_FIELDS, "")
+        _add_flags(p, command.params, "parameters.")
     return parser
 
 
 def _merge_manifest(args: argparse.Namespace) -> RunManifest:
-    payload: dict[str, Any] = {"command": args.command, "parameters": {}}
+    payload: dict[str, Any] = {"command": args.command}
     if args.manifest:
-        path = Path(args.manifest)
-        if not path.exists():
-            raise ManifestError(f"manifest file not found: {path}", field="manifest")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            payload = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ManifestError(f"cannot read manifest: {exc}", field="manifest") from exc
+        except ValueError as exc:
             raise ManifestError(f"manifest is not valid JSON: {exc}", field="manifest") from exc
         if not isinstance(payload, dict):
             raise ManifestError("manifest must be a JSON object", field="manifest")
         if payload.get("command") not in (None, args.command):
-            raise ManifestError(
-                f"manifest is for {payload.get('command')!r}, not {args.command!r}",
-                field="command",
-            )
+            raise ManifestError(f"manifest is for {payload['command']!r}, not {args.command!r}",
+                                field="command")
         payload["command"] = args.command
-        payload.setdefault("parameters", {})
-
-    params = payload["parameters"]
-
-    def set_param(key: str, value) -> None:
-        if value is not None:
-            params[key] = value
-
-    shape = _shape_dict_from_flags(args)
-    if args.command == "selfenergy":
-        if shape is not None:
-            params["shape"] = shape
-        set_param("method", getattr(args, "method", None))
-        set_param("monte_carlo", getattr(args, "monte_carlo", None))
-        set_param("mc_samples", getattr(args, "mc_samples", None))
-    elif args.command in ("e-delta", "collapse-time"):
-        if shape is not None:
-            params["shape_a"] = shape
-        if getattr(args, "separation", None) is not None:
-            base = params.get("shape_a")
-            if base is None:
-                raise ManifestError("separation needs a base shape",
-                                    field="parameters.shape_a")
-            moved = dict(base)
-            cx, cy, cz = moved.get("center_m", [0.0, 0.0, 0.0])
-            moved["center_m"] = [cx + args.separation, cy, cz]
-            params["shape_b"] = moved
-        set_param("prefactor", getattr(args, "prefactor", None))
-        set_param("monte_carlo", getattr(args, "monte_carlo", None))
-        set_param("mc_samples", getattr(args, "mc_samples", None))
-    elif args.command == "lifetime-sweep":
-        if shape is not None:
-            params["shape"] = shape
-        sweep = params.get("sweep", {})
-        if getattr(args, "sweep_kind", None) is not None:
-            sweep["kind"] = args.sweep_kind
-        if getattr(args, "values", None) is not None:
-            try:
-                sweep["values"] = [float(v) for v in args.values.split(",") if v.strip()]
-            except ValueError as exc:
-                raise ManifestError(f"bad values list: {exc}",
-                                    field="parameters.sweep.values") from exc
-        if getattr(args, "separation", None) is not None:
-            sweep["separation_m"] = args.separation
-        if sweep:
-            params["sweep"] = sweep
-        set_param("prefactor", getattr(args, "prefactor", None))
-    elif args.command in ("sn-ground", "sn-spectrum"):
-        set_param("mass_kg", getattr(args, "mass", None))
-        set_param("method", getattr(args, "method", None))
-        set_param("n_states", getattr(args, "n_states", None))
-        grid = params.get("grid", {})
-        if getattr(args, "r_max", None) is not None:
-            grid["r_max"] = args.r_max
-        if getattr(args, "points", None) is not None:
-            grid["points"] = args.points
-        if grid:
-            params["grid"] = grid
-    elif args.command == "sn-evolve":
-        set_param("mass_kg", getattr(args, "mass", None))
-        set_param("sigma0_natural", getattr(args, "sigma0", None))
-        set_param("n_steps", getattr(args, "n_steps", None))
-        set_param("compare_free", getattr(args, "compare_free", None))
-        if getattr(args, "gravity", None) is not None:
-            params["couplings"] = ["gravity"] if args.gravity else []
-        grid = params.get("grid", {})
-        if getattr(args, "r_max", None) is not None:
-            grid["r_max"] = args.r_max
-        if getattr(args, "points", None) is not None:
-            grid["points"] = args.points
-        if grid:
-            params["grid"] = grid
-    elif args.command == "hydrogen-shift":
-        set_param("electrostatic", getattr(args, "electrostatic", None))
-        set_param("gravitational", getattr(args, "gravitational", None))
-        set_param("r_max_bohr", getattr(args, "r_max_bohr", None))
-        set_param("points", getattr(args, "points", None))
-    elif args.command == "collapse-sim":
-        set_param("n", getattr(args, "n", None))
-        set_param("rate_per_s", getattr(args, "rate", None))
-        if getattr(args, "weight_a", None) is not None:
-            wa = args.weight_a
-            params["weights"] = [wa, 1.0 - wa]
-        energies = params.get("branch_energies_J", [0.0, 0.0])
-        if getattr(args, "energy_a", None) is not None:
-            energies = [args.energy_a, energies[1]]
-        if getattr(args, "energy_b", None) is not None:
-            energies = [energies[0], args.energy_b]
-        params["branch_energies_J"] = energies
-        set_param("interference_energy_J", getattr(args, "interference", None))
-
-    if args.output_dir is not None:
-        payload["output_dir"] = args.output_dir
-    if args.scale is not None:
-        payload["scale_system"] = args.scale
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.tolerance is not None:
-        payload.setdefault("tolerances", {})["default"] = args.tolerance
-
-    return RunManifest.from_dict(payload)
+    _merge_flags(MANIFEST_FIELDS, args, payload, "")
+    manifest = RunManifest.from_dict(payload)
+    _merge_flags(COMMANDS[args.command].params, args, manifest.parameters, "parameters.")
+    return manifest
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -23,6 +23,14 @@ class NormalizationError(GravlabError):
     """Wavefunction norm deviates from unity beyond tolerance."""
 
 
+class CancellationError(GravlabError):
+    """A difference of nearly equal energies came out negative beyond roundoff."""
+
+
+class NoClosedForm(GravlabError):
+    """``method="analytic"`` was asked for a shape pair with no closed form."""
+
+
 class ConvergenceError(GravlabError):
     """Iterative solver failed to reach the requested residual.
 

@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import erf, gammaincinv
 
-from .errors import DivergentSelfEnergy
+from .errors import CancellationError, DivergentSelfEnergy, NoClosedForm
 from .quantities import CODATA2018, PhysicalConstants
 
 DEFAULT_REL_TOL = 1e-6
@@ -614,7 +614,7 @@ def _unit_mutual(
         if closed is not None:
             return closed
         if method == "analytic":
-            raise ValueError("no closed form for this shape pair; use method='auto'")
+            raise NoClosedForm("no closed form for this shape pair; use method='auto'")
     return _unit_mutual_quadrature(d1, d2, d, rel_tol)
 
 
@@ -685,7 +685,7 @@ def e_delta(
         # kernel positivity guarantees >= 0; tiny negatives are quadrature roundoff
         scale = self_energy(a, constants, method, rel_tol) + self_energy(b, constants, method, rel_tol)
         if abs(value) > 1e-6 * scale:
-            raise ArithmeticError(f"e_delta came out negative beyond roundoff: {value!r}")
+            raise CancellationError(f"e_delta came out negative beyond roundoff: {value!r}")
         value = 0.0
     return value
 
