@@ -119,6 +119,20 @@ def test_shooting_handles_linear_problem():
     assert states[0].eigenvalue / C.hartree == pytest.approx(-0.5, rel=1e-3)
 
 
+def test_shooting_results_are_pinned():
+    # the bisection decides each trial eigenvalue by its node count; a wrong
+    # decision moves the result by at least one bracket width, far past rel=1e-12
+    _, e_scale = natural_scales()
+    ground = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
+                               grid=ground_grid(), method="shooting")[0]
+    assert ground.eigenvalue / e_scale == pytest.approx(-0.16276920777870146, rel=1e-12)
+    assert ground.residual == pytest.approx(1.4825373411267212e-12, rel=1e-12)
+    grid = RadialGrid.uniform(30.0 * C.bohr_radius, 1500)
+    hydrogen = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1,
+                                 grid=grid, method="shooting")[0]
+    assert hydrogen.eigenvalue == pytest.approx(-2.179872332535048e-18, rel=1e-12)
+
+
 def test_node_counting():
     x = np.linspace(0.01, 10.0, 500)
     assert count_nodes(np.exp(-x)) == 0
