@@ -8,7 +8,9 @@ Two independent routes are provided and cross-checked against each other:
   warm-up), repeat until the potential reproduces itself.
 * ``method="shooting"``: integrate the coupled ODE pair (radial wave equation
   plus the radial equation for the kernel potential) outward and bisect on the
-  eigenvalue until the solution has the requested node count and decays.  For
+  eigenvalue until the solution has the requested node count and decays.  Each
+  trial eigenvalue is integrated only until its node count is decided, and the
+  profile is the lower bracket's column of the last bisection scan.  For
   a pure kernel coupling the scaling symmetry (psi, Phi, E) -> (l^2 psi(l x),
   l^2 Phi(l x), l^2 E) converts the arbitrary-amplitude solution into the
   unit-norm one; with an external potential the launch amplitude is adjusted
@@ -170,92 +172,89 @@ def _scf_state(
 
 def _integrate_batch(
     eps: np.ndarray,
+    k: int,
     alpha: float,
     h: float,
     n_steps: int,
     kappa_sign: float,
     vfun: Callable[[float], float] | None,
     record: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray | None]:
     """RK4 on u'' = 2(P + V - eps)u, (x S)'' = -4 pi u^2 / x, from u(0)=0, u'(0)=alpha.
 
-    All eps candidates integrate in lockstep; diverged columns saturate at a
-    clamp value and stop contributing node crossings.  Returns crossing counts
-    and, when ``record`` is set, the full (x, u, q') history of the first column.
+    All eps candidates integrate in lockstep, each only until it is decided
+    whether u crosses zero more than k times: at its (k+1)-th crossing, or
+    when |u| reaches the clamp value, after which it would stay frozen.
+    Decided columns leave the batch; the loop ends when none is left.  No
+    column's arithmetic depends on the others, so each result matches a
+    full-length integration bit for bit.  Returns whether each column has
+    more than k crossings and, when ``record`` is set, the (u, q') history of
+    every column, shape (2, n_steps + 1, m), held after the decision step at
+    its value there (a clamped column's frozen value).
     """
     m = eps.shape[0]
-    u = np.zeros(m)
-    up = np.full(m, alpha)
-    q = np.zeros(m)   # q = x * (gauged kernel potential) / kappa_sign
-    qp = np.zeros(m)
+    y = np.zeros((4, m))   # rows u, u', q, q' with q = x * (gauged kernel potential) / kappa_sign
+    y[1] = alpha
     crossings = np.zeros(m, dtype=int)
-    active = np.ones(m)   # 1.0 while integrating, 0.0 once a column has diverged
+    above = np.zeros(m, dtype=bool)
+    cols = np.arange(m)   # batch index of each live column
     clamp = 1e30
     has_kernel = kappa_sign != 0.0
+    history = np.zeros((2, n_steps + 1, m)) if record else None
 
-    xs = us = qps = None
-    if record:
-        xs = np.empty(n_steps + 1)
-        us = np.empty(n_steps + 1)
-        qps = np.empty(n_steps + 1)
-        xs[0], us[0], qps[0] = 0.0, 0.0, 0.0
-
-    def rhs(x, u, up, q, qp):
-        # frozen columns get zero derivatives, so their values never overflow
+    def rhs(x: float, y: np.ndarray) -> np.ndarray:
+        u, up, q, qp = y
         if x == 0.0:
-            zero = np.zeros_like(u)
-            return active * up, zero, active * qp, zero
-        pot = (kappa_sign * q / x) if has_kernel else 0.0
+            return np.array([up, np.zeros_like(u), qp, np.zeros_like(u)])
+        # kappa_sign is +-1, so this rounds exactly like (kappa_sign * q) / x
+        pot = q / (kappa_sign * x) if has_kernel else 0.0
         if vfun is not None:
             pot = pot + vfun(x)
-        du = active * up
-        dup = active * 2.0 * (pot - eps) * u
-        if has_kernel:
-            return du, dup, active * qp, active * (-4.0 * math.pi) * u * u / x
-        return du, dup, np.zeros_like(u), np.zeros_like(u)
+        dqp = (-4.0 * math.pi) * u * u / x if has_kernel else np.zeros_like(u)
+        return np.array([up, 2.0 * (pot - eps) * u, qp, dqp])
 
     x = 0.0
     for step in range(n_steps):
-        k1 = rhs(x, u, up, q, qp)
-        k2 = rhs(x + 0.5 * h, u + 0.5 * h * k1[0], up + 0.5 * h * k1[1],
-                 q + 0.5 * h * k1[2], qp + 0.5 * h * k1[3])
-        k3 = rhs(x + 0.5 * h, u + 0.5 * h * k2[0], up + 0.5 * h * k2[1],
-                 q + 0.5 * h * k2[2], qp + 0.5 * h * k2[3])
-        k4 = rhs(x + h, u + h * k3[0], up + h * k3[1], q + h * k3[2], qp + h * k3[3])
-        u_new = u + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        up_new = up + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        q_new = q + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        qp_new = qp + (h / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
-        crossings += ((u * u_new < 0.0) & (active > 0)).astype(int)
-        active *= np.abs(u_new) < clamp
-        u = np.clip(u_new, -clamp, clamp)
-        up = np.clip(up_new, -clamp, clamp)
-        q = np.clip(q_new, -clamp, clamp)
-        qp = np.clip(qp_new, -clamp, clamp)
+        k1 = rhs(x, y)
+        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(x + h, y + h * k3)
+        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x += h
-        if record:
-            xs[step + 1] = x
-            us[step + 1] = u[0]
-            qps[step + 1] = qp[0]
 
-    if record:
-        return crossings, (xs, us, qps)
-    return crossings, None
+        crossings += y[0] * y_new[0] < 0.0
+        y = np.minimum(np.maximum(y_new, -clamp), clamp)   # np.clip, minus its call overhead
+        if record:
+            history[:, step + 1, cols] = y[0::3]
+        live = (np.abs(y_new[0]) < clamp) & (crossings <= k)
+        if not live.all():
+            gone = cols[~live]
+            above[gone] = crossings[~live] > k
+            if record:
+                history[:, step + 2:, gone] = history[:, step + 1, gone][:, None]
+            y, eps, crossings, cols = y[:, live], eps[live], crossings[live], cols[live]
+            if cols.size == 0:
+                break
+    return above, history
 
 
 def _bisect_eigenvalue(
-    integrate: Callable[[np.ndarray], np.ndarray],
+    integrate: Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]],
     k: int,
     lo: float,
     hi: float,
     stages: int = 8,
     batch: int = 33,
-) -> tuple[float, float]:
-    """Narrow [lo, hi] around the k-node eigenvalue by repeated batched scans."""
+) -> tuple[float, float, np.ndarray]:
+    """Narrow [lo, hi] around the k-node eigenvalue by repeated batched scans.
+
+    ``integrate(eps, record)`` tells which eps have more than k crossings.
+    Only the last scan is recorded; its lower-bracket column, integrated at
+    exactly the returned lo, supplies the returned (u, q') history.
+    """
 
     def too_high(e: float) -> bool:
-        return int(integrate(np.array([e]))[0]) > k
+        return bool(integrate(np.array([e]), False)[0][0])
 
     span = max(hi - lo, 1.0)
     for _ in range(80):
@@ -274,15 +273,14 @@ def _bisect_eigenvalue(
     else:
         raise ConvergenceError("could not bracket the eigenvalue from above")
 
-    for _ in range(stages):
+    for stage in range(stages):
         eps = np.linspace(lo, hi, batch)
-        nodes = integrate(eps)
-        above = nodes > k
+        above, history = integrate(eps, stage == stages - 1)
         above[0] = False   # endpoints are certified brackets
         above[-1] = True
         idx = int(np.argmax(above))
         lo, hi = float(eps[idx - 1]), float(eps[idx])
-    return lo, hi
+    return lo, hi, history[:, :, idx - 1]
 
 
 def _shoot_state(
@@ -301,20 +299,16 @@ def _shoot_state(
     n_steps = int(math.ceil(x_max / h))
 
     def solve_at_amplitude(alpha: float):
-        def integrate(eps: np.ndarray) -> np.ndarray:
-            counts, _ = _integrate_batch(eps, alpha, h, n_steps, kappa_sign, vfun)
-            return counts
+        def integrate(eps: np.ndarray, record: bool):
+            return _integrate_batch(eps, k, alpha, h, n_steps, kappa_sign, vfun, record)
 
         v_floor = 0.0
         if vfun is not None:
             v_floor = min(float(vfun(x)) for x in np.linspace(h, x_max, 64))
         lo = min(0.0, 1.05 * v_floor)
-        lo_hi = _bisect_eigenvalue(integrate, k, lo, max(1.0, abs(lo)))
-        eps_star = 0.5 * (lo_hi[0] + lo_hi[1])
-        _, recorded = _integrate_batch(
-            np.array([lo_hi[0]]), alpha, h, n_steps, kappa_sign, vfun, record=True
-        )
-        xs, us, qps = recorded
+        lo, hi, (us, qps) = _bisect_eigenvalue(integrate, k, lo, max(1.0, abs(lo)))
+        eps_star = 0.5 * (lo + hi)
+        xs = np.cumsum(np.r_[0.0, np.full(n_steps, h)])   # x += h, as the integrator steps
         # walk back from the divergent end to the valley where decay turned around
         mag = np.abs(us)
         i_trunc = mag.size - 1
@@ -326,7 +320,7 @@ def _shoot_state(
         norm = 4.0 * math.pi * float(np.trapezoid(us**2, xs))
         p_inf = kappa_sign * float(qps[i_trunc]) if has_kernel else 0.0
         eps_bound = eps_star - p_inf
-        width = lo_hi[1] - lo_hi[0]
+        width = hi - lo
         return eps_bound, norm, xs, us, width
 
     if not has_kernel or vfun is None:

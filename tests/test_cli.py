@@ -191,6 +191,21 @@ def test_sn_ground_scaled_output(tmp_path):
     assert (tmp_path / "sng" / "sn_ground_profiles.csv").exists()
 
 
+def test_sn_ground_both_methods_cross_check_and_rerun(tmp_path):
+    first, second = tmp_path / "run1", tmp_path / "run2"
+    code = main(["sn-ground", "--mass", "1e-17", "--method", "both", "--scale", "sn-natural",
+                 "--output-dir", str(first)])
+    assert code == 0
+    rows = json.loads((first / "sn_ground.json").read_text())["cross_check"]
+    assert len(rows) == 1
+    assert rows[0]["node_count"] == 0
+    assert rows[0]["relative_difference"] < 1e-3
+    code = main(["sn-ground", "--manifest", str(first / "manifest.json"),
+                 "--output-dir", str(second)])
+    assert code == 0
+    assert hashes(first) == hashes(second)
+
+
 def test_parser_covers_all_commands():
     parser = build_parser()
     for command in ("selfenergy", "e-delta", "collapse-time", "feynman-scale",
