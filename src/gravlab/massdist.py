@@ -11,6 +11,9 @@ through the shell theorem.  Energies follow the convention
 so e_delta equals the self energy of the difference density rho_a - rho_b.
 Masses factor out of every integral analytically, which keeps the lambda^2
 mass-scaling law exact in floating point.
+
+scipy is imported inside the functions that call it, so importing this
+module does not load it; ``tests/test_cli.py`` guards that.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator, PPoly
-from scipy.special import erf, gammaincinv
 
 from .errors import CancellationError, DivergentSelfEnergy, NoClosedForm
 from .quantities import CODATA2018, PhysicalConstants
@@ -201,6 +201,8 @@ class Gaussian(MassDistribution):
         return 4.0 * math.pi * r**2 * np.exp(-r**2 / (2.0 * s**2)) / (2.0 * math.pi * s**2) ** 1.5
 
     def unit_potential(self, r):
+        from scipy.special import erf
+
         r = np.asarray(r, dtype=float)
         z = r / (self.width * math.sqrt(2.0))
         limit = math.sqrt(2.0 / math.pi) / self.width
@@ -209,6 +211,8 @@ class Gaussian(MassDistribution):
         return np.where(r > 0, val, limit)
 
     def potential_antiderivative(self, u):
+        from scipy.special import erf
+
         u = np.asarray(u, dtype=float)
         a = 1.0 / (self.width * math.sqrt(2.0))
         return u * erf(a * u) + (np.exp(-((a * u) ** 2)) - 1.0) / (a * math.sqrt(math.pi))
@@ -217,6 +221,8 @@ class Gaussian(MassDistribution):
         return 1.0 / (2.0 * math.sqrt(math.pi) * self.width)
 
     def radius_from_cdf(self, u):
+        from scipy.special import gammaincinv
+
         # radial mass CDF of an isotropic Gaussian is a chi(3) law
         return self.width * np.sqrt(2.0 * gammaincinv(1.5, np.asarray(u, dtype=float)))
 
@@ -306,6 +312,9 @@ class RadialProfile(MassDistribution):
         center: Sequence[float] = _ORIGIN,
         mass: float | None = None,
     ):
+        from scipy.integrate import cumulative_trapezoid
+        from scipy.interpolate import PchipInterpolator
+
         r_arr = np.asarray(r, dtype=float)
         rho_arr = np.asarray(rho, dtype=float)
         if r_arr.ndim != 1 or r_arr.size < 4:
@@ -347,7 +356,7 @@ class RadialProfile(MassDistribution):
         dense = np.linspace(0.0, self._r_max, max(4096, 8 * r_arr.size))
         pot = self.unit_potential(dense)
         self._antideriv_grid = dense
-        self._antideriv_vals = integrate.cumulative_trapezoid(dense * pot, dense, initial=0.0)
+        self._antideriv_vals = cumulative_trapezoid(dense * pot, dense, initial=0.0)
         cdf = np.asarray(self._cum_mass(dense)) / total
         cdf[-1] = 1.0
         keep = np.concatenate(([True], np.diff(cdf) > 0))
@@ -407,8 +416,11 @@ def _check_mass(mass: float) -> None:
         raise ValueError(f"mass must be strictly positive, got {mass}")
 
 
-def _weighted_antiderivative(rho: PchipInterpolator, power: int) -> PPoly:
-    """Exact antiderivative of 4*pi*r^power*rho(r) for a piecewise-cubic rho."""
+def _weighted_antiderivative(rho, power: int):
+    """Exact antiderivative (a ``PPoly``) of 4*pi*r^power*rho(r) for a
+    piecewise-cubic ``PchipInterpolator`` rho."""
+    from scipy.interpolate import PPoly
+
     breaks = rho.x
     coeffs = rho.c  # (4, n_intervals), highest degree first, local variable x = r - break
     n = coeffs.shape[1]
@@ -525,11 +537,13 @@ def _unit_self_quadrature(shape: MassDistribution, rel_tol: float) -> tuple[floa
             )
         return 0.5 * float(shape.unit_potential(delta)), 0.0
 
+    from scipy.integrate import quad
+
     def integrand(r: float) -> float:
         return 0.5 * float(shape.radial_weight(np.array(r))) * float(shape.unit_potential(r))
 
     tail = shape.tail_radius()
-    value, err = integrate.quad(integrand, 0.0, tail, epsrel=rel_tol, limit=200)
+    value, err = quad(integrand, 0.0, tail, epsrel=rel_tol, limit=200)
     return value, err
 
 
@@ -551,6 +565,8 @@ def _unit_mutual_quadrature(
     if s_delta is not None:
         return _shell_averaged_potential(inner, s_delta, d)
 
+    from scipy.integrate import quad
+
     tail = outer.tail_radius()
     s_inner = inner.tail_radius()
     breakpoints = sorted(
@@ -560,7 +576,7 @@ def _unit_mutual_quadrature(
     def integrand(s: float) -> float:
         return float(outer.radial_weight(np.array(s))) * _shell_averaged_potential(inner, s, d)
 
-    value, _ = integrate.quad(
+    value, _ = quad(
         integrand, 0.0, tail, epsrel=rel_tol, limit=400, points=breakpoints or None
     )
     return value
@@ -592,6 +608,8 @@ def _unit_mutual_closed_form(
         return None
 
     if isinstance(d1, Gaussian) and isinstance(d2, Gaussian):
+        from scipy.special import erf
+
         w = math.sqrt(2.0 * (d1.width**2 + d2.width**2))
         if d == 0.0:
             return 2.0 / (math.sqrt(math.pi) * w)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ..errors import NumericalBlowup, StepSizeError
 from ..quantities import CODATA2018, PhysicalConstants
@@ -103,6 +102,8 @@ def evolve(
     potential before and after a predictor step, so a stationary input state
     (whose density does not move) sees an effectively frozen Hamiltonian.
     """
+    from scipy.linalg import solve_banded
+
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     validate_step_size(state, dt, constants, max_phase)

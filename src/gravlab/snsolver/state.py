@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ..errors import GridError, NormalizationError
 from ..quantities import CODATA2018, PhysicalConstants
@@ -188,11 +187,12 @@ def kernel_integral(r: np.ndarray, density_weight: np.ndarray) -> np.ndarray:
     ``r`` must be ascending and strictly positive; the [0, r_1] sliver enters
     with w(0) = 0 (w ~ r^2 at the origin).
     """
-    r0 = np.concatenate(([0.0], r))
+    # cumulative trapezoids, in scipy's cumulative_trapezoid operation order
+    dr = np.diff(np.concatenate(([0.0], r)))
     w0 = np.concatenate(([0.0], density_weight))
-    inner = cumulative_trapezoid(w0, r0)            # int_0^{r_i} w dr', i = 1..n
+    inner = np.cumsum(dr * (w0[1:] + w0[:-1]) / 2.0)   # int_0^{r_i} w dr', i = 1..n
     over_r = np.concatenate(([0.0], density_weight / r))
-    ring = cumulative_trapezoid(over_r, r0)
+    ring = np.cumsum(dr * (over_r[1:] + over_r[:-1]) / 2.0)
     outer = ring[-1] - ring                          # int_{r_i}^{r_max} w/r' dr'
     return inner / r + outer
 

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from ..errors import ConvergenceError, GridError
 from ..quantities import CODATA2018, PhysicalConstants
@@ -104,6 +102,8 @@ def _external_on_grid(external, r: np.ndarray, energy_scale: float) -> np.ndarra
 
 
 def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    from scipy.linalg import eigh_tridiagonal
+
     diag = 1.0 / dx**2 + potential
     off = np.full(x.size - 1, -0.5 / dx**2)
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k))
@@ -334,6 +334,8 @@ def _shoot_state(
             eps_out = eps_bound
             u_out = np.interp(x_out, xs, us, right=0.0)
     else:
+        from scipy.optimize import brentq
+
         # kernel + external: adjust the launch amplitude until the norm is 1
         cache: dict[float, tuple] = {}
 

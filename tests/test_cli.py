@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gravlab
 from gravlab.cli import RunManifest, build_parser, main, run
 from gravlab.errors import ManifestError
 from gravlab.persistence import format_number
@@ -246,3 +249,44 @@ def test_sn_evolve_accepts_initial_state_csv(tmp_path):
     assert bundle.error is None
     assert bundle.summary["norm_drift"] < 1e-10
     assert bundle.summary["sigma0_m"] is None   # width comes from the CSV state
+
+
+# Runs in a fresh interpreter, since pytest's own process has scipy loaded:
+# imports the CLI, runs each argv in turn and reports the scipy modules loaded
+# after each step.
+SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import gravlab.cli
+report = [["import gravlab.cli", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[2]):
+    try:
+        code = gravlab.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    report.append([argv[0], code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_closed_form_commands_start_without_scipy(tmp_path):
+    sphere = ["--shape", "uniform-sphere", "--mass", "1", "--radius", "1"]
+    commands = [
+        ["feynman-scale"],
+        ["e-delta", *sphere, "--separation", "4"],
+        ["collapse-time", *sphere, "--separation", "4"],
+        ["lifetime-sweep", *sphere, "--sweep-kind", "separation", "--values", "2,3,4,6,10"],
+        ["collapse-sim", "--n", "1000", "--rate", "1.0", "--energy-a", "1",
+         "--energy-b", "2", "--interference", "0.25", "--seed", "7"],
+    ]
+    argvs = [["--help"]] + [argv + ["--output-dir", str(tmp_path / argv[0])] for argv in commands]
+    src = str(Path(gravlab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    steps = ["import gravlab.cli"] + [argv[0] for argv in argvs]
+    assert report == [[step, 0, []] for step in steps]

@@ -14,6 +14,7 @@ from gravlab.snsolver import (
     WaveState,
     electrostatic_kernel,
     gravitational_kernel,
+    kernel_integral,
     load_state_csv,
     self_potential,
     validate_grid_resolution,
@@ -123,3 +124,15 @@ def test_state_csv_round_trip(tmp_path):
     loaded = load_state_csv(path, mass=1e-20)
     assert loaded.norm() == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(loaded.psi, state.psi, rtol=1e-6)
+
+
+def test_kernel_integral_matches_scipy_cumulative_trapezoid_bit_for_bit():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(20131105)
+    r = np.cumsum(rng.uniform(0.01, 1.0, size=500))
+    w = rng.uniform(0.0, 3.0, size=r.size)
+    r0 = np.concatenate(([0.0], r))
+    inner = cumulative_trapezoid(np.concatenate(([0.0], w)), r0)
+    ring = cumulative_trapezoid(np.concatenate(([0.0], w / r)), r0)
+    assert np.array_equal(kernel_integral(r, w), inner / r + (ring[-1] - ring))
