@@ -107,3 +107,17 @@ def test_final_step_recorded_with_ragged_stride():
     result = evolve(state, dt, 10, record_every=7)
     assert result.times[-1] == pytest.approx(10 * dt, rel=1e-12)
     assert result.times.size == 3   # t = 0, 7 dt, 10 dt
+
+
+def test_coupled_predictor_corrector_step_is_pinned():
+    # a self-gravitating packet through the predictor-corrector step; values
+    # were computed by this code and pin it against silent changes
+    mass = 1e-17
+    system = ScaleSystem.sn_natural(mass, C)
+    a = system.length_scale
+    grid = RadialGrid.uniform(60.0 * a, 600)
+    state = WaveState.gaussian_packet(grid, 2.0 * a, mass, [gravitational_kernel(mass, C)])
+    dt = 0.9 * suggested_dt(state, C)
+    result = evolve(state, dt, 200, record_every=50)
+    assert result.width[-1] == pytest.approx(5.911264471621955e-07, rel=1e-12)
+    assert result.energy[-1] == pytest.approx(-1.8960687932012198e-39, rel=1e-12)
