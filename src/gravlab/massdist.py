@@ -40,10 +40,6 @@ def _as_center(c: Sequence[float]) -> Center:
     return (x, y, z)
 
 
-def _distance(a: Center, b: Center) -> float:
-    return math.dist(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Shapes
 # ---------------------------------------------------------------------------
@@ -443,15 +439,6 @@ def radial_profile_from_csv(path, center: Sequence[float] = _ORIGIN,
     return RadialProfile(data[:, 0], data[:, 1], center=center, mass=mass)
 
 
-SHAPE_KINDS = {
-    "uniform_sphere": UniformSphere,
-    "spherical_shell": SphericalShell,
-    "gaussian": Gaussian,
-    "point_mass": PointMass,
-    "radial_profile": RadialProfile,
-}
-
-
 def shape_from_dict(payload: dict) -> MassDistribution:
     """Inverse of ``MassDistribution.to_dict`` (used by manifests and digests)."""
     kind = payload.get("kind")
@@ -671,7 +658,7 @@ def mutual_energy(
     Equals G m1 m2 / d for disjoint spherically symmetric bodies, and twice the
     self energy when both arguments are the same distribution.
     """
-    sep = _distance(d1.center, d2.center)
+    sep = math.dist(d1.center, d2.center)
     unit = _unit_mutual(d1, d2, sep, method, rel_tol)
     return constants.G * d1.mass * d2.mass * unit
 

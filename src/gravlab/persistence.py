@@ -55,10 +55,6 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def write_plot_script(path: Path, data_file: str, columns: Sequence[tuple[int, int, str]],
                       xlabel: str, ylabel: str, logy: bool = False) -> Path:
     """Emit a gnuplot-compatible plain-text script next to its CSV.

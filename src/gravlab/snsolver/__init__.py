@@ -1,8 +1,8 @@
 """Self-coupled wave equation: states, stationary solvers, evolution, hydrogen.
 
 scipy is imported inside the functions that call it (the tridiagonal
-eigensolve, the shooting root-finder, the Crank-Nicolson banded solve), so
-importing this package does not load it; ``tests/test_cli.py`` guards that.
+eigensolve, the Crank-Nicolson banded solve), so importing this package
+does not load it; ``tests/test_cli.py`` guards that.
 """
 
 from .evolution import (

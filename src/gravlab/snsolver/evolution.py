@@ -2,8 +2,7 @@
 
 Each step is a Crank-Nicolson solve (exactly unitary for the frozen midpoint
 Hamiltonian); the kernel potential is refreshed with one predictor-corrector
-pass per step, which keeps the scheme second order in dt.  Extra corrector
-passes are available behind ``inner_iterations`` for stiff couplings.
+pass per step, which keeps the scheme second order in dt.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ def evolve(
     *,
     constants: PhysicalConstants = CODATA2018,
     record_every: int = 1,
-    inner_iterations: int = 1,
     max_phase: float = 1.0,
 ) -> EvolutionResult:
     """Advance the state n_steps of size dt, recording norm/energy/width.
@@ -155,13 +153,10 @@ def evolve(
     times[0], (norms[0], energies[0], widths[0]) = 0.0, observables(u, phi)
     rec = 1
     for step in range(1, n_steps + 1):
-        phi_mid = phi
         if kappa != 0.0:
             u_pred = cn_solve(u, vext + phi)
-            for _ in range(inner_iterations):
-                phi_mid = 0.5 * (phi + _kernel_potential(grid, u_pred, kappa, dx))
-                u_pred = cn_solve(u, vext + phi_mid)
-            u = u_pred
+            phi_mid = 0.5 * (phi + _kernel_potential(grid, u_pred, kappa, dx))
+            u = cn_solve(u, vext + phi_mid)
             phi = _kernel_potential(grid, u, kappa, dx)
         else:
             u = cn_solve(u, vext)

@@ -26,6 +26,8 @@ from .state import (
 )
 from .stationary import stationary_states
 
+SCF_MAX_ITER = 400
+
 
 @dataclass(frozen=True)
 class SelfTermEntry:
@@ -75,7 +77,6 @@ def hydrogen_diagnostic(
     n_points: int = 2000,
     constants: PhysicalConstants = CODATA2018,
     scf_tol: float = 1e-8,
-    scf_max_iter: int = 400,
 ) -> HydrogenReport:
     """Ground-state energies with and without kernel self-terms, in eV."""
     a0 = constants.bohr_radius
@@ -84,7 +85,7 @@ def hydrogen_diagnostic(
 
     bare = stationary_states(
         constants.m_e, [], coulomb, n_states=1, grid=grid,
-        tol=scf_tol, max_iter=scf_max_iter,
+        tol=scf_tol, max_iter=SCF_MAX_ITER,
     )[0]
     e0_ev = bare.eigenvalue / EV
 
@@ -111,7 +112,7 @@ def hydrogen_diagnostic(
             # each term is examined alone, against the bare Coulomb problem
             scf = stationary_states(
                 constants.m_e, [term], coulomb, n_states=1, grid=grid,
-                tol=scf_tol, max_iter=scf_max_iter, validate_resolution=False,
+                tol=scf_tol, max_iter=SCF_MAX_ITER, validate_resolution=False,
                 validate_domain=False,
             )[0]
             scf_energy = scf.eigenvalue / EV

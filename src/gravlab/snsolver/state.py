@@ -20,6 +20,7 @@ from ..errors import GridError, NormalizationError
 from ..quantities import CODATA2018, PhysicalConstants
 
 NORM_TOL = 1e-10
+POINTS_PER_LENGTH = 32   # grid points required per kernel characteristic length
 
 
 @dataclass(frozen=True)
@@ -213,19 +214,18 @@ def self_potential(state: WaveState) -> np.ndarray:
 
 def validate_grid_resolution(grid: Grid, mass: float,
                              couplings: Sequence[KernelTerm],
-                             constants: PhysicalConstants = CODATA2018,
-                             points_per_length: int = 32) -> None:
-    """Require >= points_per_length grid points per kernel's characteristic length
+                             constants: PhysicalConstants = CODATA2018) -> None:
+    """Require >= POINTS_PER_LENGTH grid points per kernel's characteristic length
     hbar^2 / (m |kappa|) (the SN-natural length for gravity, Bohr-like otherwise)."""
     for term in couplings:
         if term.strength == 0.0:
             continue
         char = constants.hbar**2 / (mass * abs(term.strength))
-        if grid.spacing > char / points_per_length:
+        if grid.spacing > char / POINTS_PER_LENGTH:
             raise GridError(
                 f"grid spacing {grid.spacing:.3e} m does not resolve the "
                 f"{term.label} kernel length {char:.3e} m "
-                f"(need >= {points_per_length} points per length)"
+                f"(need >= {POINTS_PER_LENGTH} points per length)"
             )
 
 

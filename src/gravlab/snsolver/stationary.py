@@ -11,10 +11,10 @@ Two independent routes are provided and cross-checked against each other:
   eigenvalue until the solution has the requested node count and decays.  Each
   trial eigenvalue is integrated only until its node count is decided, and the
   profile is the lower bracket's column of the last bisection scan.  For
-  a pure kernel coupling the scaling symmetry (psi, Phi, E) -> (l^2 psi(l x),
+  a kernel coupling the scaling symmetry (psi, Phi, E) -> (l^2 psi(l x),
   l^2 Phi(l x), l^2 E) converts the arbitrary-amplitude solution into the
-  unit-norm one; with an external potential the launch amplitude is adjusted
-  instead (slower; SCF is the workhorse there).
+  unit-norm one.  A kernel together with an external potential breaks that
+  symmetry and is solved by SCF only.
 
 Everything is solved in dimensionless form: lengths in hbar^2/(m |kappa|)
 (the natural kernel length), energies in m kappa^2 / hbar^2, which for the
@@ -41,6 +41,8 @@ from .state import (
 )
 
 DEFAULT_TOL = 1e-8
+DAMPING = 0.5        # SCF potential mixing fraction
+AITKEN_START = 10    # SCF iteration after which every third mix is Aitken-extrapolated
 
 
 @dataclass(frozen=True)
@@ -85,17 +87,6 @@ def _make_scales(mass: float, kappa: float, grid: RadialGrid,
     return _Scales(length, energy, 0.0)
 
 
-def _external_on_grid(external, r: np.ndarray, energy_scale: float) -> np.ndarray | None:
-    if external is None:
-        return None
-    if callable(external):
-        return np.asarray(external(r), dtype=float) / energy_scale
-    arr = np.asarray(external, dtype=float)
-    if arr.shape != r.shape:
-        raise ValueError("external_potential array must match the grid")
-    return arr / energy_scale
-
-
 # ---------------------------------------------------------------------------
 # SCF route
 # ---------------------------------------------------------------------------
@@ -130,8 +121,6 @@ def _scf_state(
     k: int,
     tol: float,
     max_iter: int,
-    damping: float,
-    aitken_start: int = 10,
 ) -> tuple[float, np.ndarray, float, list[float]]:
     vt = np.zeros_like(x) if vext is None else vext
     if kappa_sign == 0.0:
@@ -150,9 +139,9 @@ def _scf_state(
         history.append(residual)
         if residual < tol:
             return eps, u, residual, history
-        phi = phi + damping * (phi_new - phi)
+        phi = phi + DAMPING * (phi_new - phi)
         recent.append(phi.copy())
-        if iteration >= aitken_start and len(recent) >= 3 and (iteration - aitken_start) % 3 == 2:
+        if iteration >= AITKEN_START and len(recent) >= 3 and (iteration - AITKEN_START) % 3 == 2:
             p0, p1, p2 = recent[-3], recent[-2], recent[-1]
             denom = p2 - 2.0 * p1 + p0
             safe = np.abs(denom) > 1e-14 * scale
@@ -173,14 +162,13 @@ def _scf_state(
 def _integrate_batch(
     eps: np.ndarray,
     k: int,
-    alpha: float,
     h: float,
     n_steps: int,
     kappa_sign: float,
     vfun: Callable[[float], float] | None,
     record: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """RK4 on u'' = 2(P + V - eps)u, (x S)'' = -4 pi u^2 / x, from u(0)=0, u'(0)=alpha.
+    """RK4 on u'' = 2(P + V - eps)u, (x S)'' = -4 pi u^2 / x, from u(0)=0, u'(0)=1.
 
     All eps candidates integrate in lockstep, each only until it is decided
     whether u crosses zero more than k times: at its (k+1)-th crossing, or
@@ -194,7 +182,7 @@ def _integrate_batch(
     """
     m = eps.shape[0]
     y = np.zeros((4, m))   # rows u, u', q, q' with q = x * (gauged kernel potential) / kappa_sign
-    y[1] = alpha
+    y[1] = 1.0
     crossings = np.zeros(m, dtype=int)
     above = np.zeros(m, dtype=bool)
     cols = np.arange(m)   # batch index of each live column
@@ -290,72 +278,45 @@ def _shoot_state(
     k: int,
     h: float = 0.004,
 ) -> tuple[float, np.ndarray, float]:
-    """Dimensionless eigenvalue and resampled profile for node count k."""
+    """Dimensionless eigenvalue and resampled profile for node count k.
+
+    Takes a kernel (``kappa_sign`` != 0) or an external potential ``vfun``,
+    not both.
+    """
     has_kernel = kappa_sign != 0.0
-    if has_kernel and vfun is None:
+    if has_kernel:
         x_max = 20.0 + 14.0 * k
     else:
         x_max = float(x_out[-1]) + (x_out[1] - x_out[0])
     n_steps = int(math.ceil(x_max / h))
 
-    def solve_at_amplitude(alpha: float):
-        def integrate(eps: np.ndarray, record: bool):
-            return _integrate_batch(eps, k, alpha, h, n_steps, kappa_sign, vfun, record)
+    def integrate(eps: np.ndarray, record: bool):
+        return _integrate_batch(eps, k, h, n_steps, kappa_sign, vfun, record)
 
-        v_floor = 0.0
-        if vfun is not None:
-            v_floor = min(float(vfun(x)) for x in np.linspace(h, x_max, 64))
-        lo = min(0.0, 1.05 * v_floor)
-        lo, hi, (us, qps) = _bisect_eigenvalue(integrate, k, lo, max(1.0, abs(lo)))
-        eps_star = 0.5 * (lo + hi)
-        xs = np.cumsum(np.r_[0.0, np.full(n_steps, h)])   # x += h, as the integrator steps
-        # walk back from the divergent end to the valley where decay turned around
-        mag = np.abs(us)
-        i_trunc = mag.size - 1
-        while i_trunc > 1 and mag[i_trunc - 1] <= mag[i_trunc]:
-            i_trunc -= 1
-        if i_trunc <= 2 or mag[i_trunc] > 1e-2 * mag[:i_trunc].max():
-            raise ConvergenceError("shooting solution has no decaying tail; extend x_max")
-        xs, us = xs[: i_trunc + 1], us[: i_trunc + 1]
+    v_floor = 0.0
+    if vfun is not None:
+        v_floor = min(float(vfun(x)) for x in np.linspace(h, x_max, 64))
+    lo = min(0.0, 1.05 * v_floor)
+    lo, hi, (us, qps) = _bisect_eigenvalue(integrate, k, lo, max(1.0, abs(lo)))
+    xs = np.cumsum(np.r_[0.0, np.full(n_steps, h)])   # x += h, as the integrator steps
+    # walk back from the divergent end to the valley where decay turned around
+    mag = np.abs(us)
+    i_trunc = mag.size - 1
+    while i_trunc > 1 and mag[i_trunc - 1] <= mag[i_trunc]:
+        i_trunc -= 1
+    if i_trunc <= 2 or mag[i_trunc] > 1e-2 * mag[:i_trunc].max():
+        raise ConvergenceError("shooting solution has no decaying tail; extend x_max")
+    xs, us = xs[: i_trunc + 1], us[: i_trunc + 1]
+
+    eps_bound = 0.5 * (lo + hi)
+    if has_kernel:
+        # scaling symmetry: unit norm via psi -> l^2 psi(l x), E -> l^2 E
+        eps_bound -= kappa_sign * float(qps[i_trunc])
         norm = 4.0 * math.pi * float(np.trapezoid(us**2, xs))
-        p_inf = kappa_sign * float(qps[i_trunc]) if has_kernel else 0.0
-        eps_bound = eps_star - p_inf
-        width = hi - lo
-        return eps_bound, norm, xs, us, width
-
-    if not has_kernel or vfun is None:
-        eps_bound, norm, xs, us, width = solve_at_amplitude(1.0)
-        if has_kernel:
-            # scaling symmetry: unit norm via psi -> l^2 psi(l x), E -> l^2 E
-            lam = 1.0 / norm
-            eps_out = eps_bound / norm**2
-            u_out = lam * np.interp(lam * x_out, xs, us, right=0.0)
-        else:
-            eps_out = eps_bound
-            u_out = np.interp(x_out, xs, us, right=0.0)
+        lam = 1.0 / norm
+        eps_out = eps_bound / norm**2
+        u_out = lam * np.interp(lam * x_out, xs, us, right=0.0)
     else:
-        from scipy.optimize import brentq
-
-        # kernel + external: adjust the launch amplitude until the norm is 1
-        cache: dict[float, tuple] = {}
-
-        def norm_defect(log_alpha: float) -> float:
-            sol = solve_at_amplitude(math.exp(log_alpha))
-            cache[log_alpha] = sol
-            return math.log(sol[1])
-
-        lo_a, hi_a = -2.0, 2.0
-        flo, fhi = norm_defect(lo_a), norm_defect(hi_a)
-        for _ in range(40):
-            if flo < 0.0 < fhi or fhi < 0.0 < flo:
-                break
-            lo_a -= 1.0
-            hi_a += 1.0
-            flo, fhi = norm_defect(lo_a), norm_defect(hi_a)
-        else:
-            raise ConvergenceError("could not bracket unit norm in launch amplitude")
-        root = brentq(norm_defect, lo_a, hi_a, xtol=1e-10)
-        eps_bound, norm, xs, us, width = cache.get(root) or solve_at_amplitude(math.exp(root))
         eps_out = eps_bound
         u_out = np.interp(x_out, xs, us, right=0.0)
 
@@ -363,7 +324,7 @@ def _shoot_state(
     u_out = u_out / math.sqrt(dx * float(np.dot(u_out, u_out)))
     # bracket width and eigenvalue in the same (integration) gauge; the ratio
     # is invariant under the norm rescaling
-    residual = width / max(abs(eps_bound), 1e-300)
+    residual = (hi - lo) / max(abs(eps_bound), 1e-300)
     return eps_out, u_out, residual
 
 
@@ -383,7 +344,6 @@ def stationary_states(
     constants: PhysicalConstants = CODATA2018,
     tol: float = DEFAULT_TOL,
     max_iter: int = 500,
-    damping: float = 0.5,
     validate_resolution: bool = True,
     validate_domain: bool = True,
 ) -> list[StationaryState]:
@@ -392,6 +352,9 @@ def stationary_states(
     ``external_potential`` may be None, a callable V(r_meters) -> J, or an
     array sampled on the grid.  Each state is self-consistent with its own
     density (the kernel potential is rebuilt from the state it binds).
+    Shooting interpolates an array potential linearly and clamps it below the
+    first grid point, so pass a potential that is singular at r = 0 as a
+    callable.  A kernel plus an external potential needs ``method="scf"``.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -399,35 +362,30 @@ def stationary_states(
         raise ValueError(f"unknown method {method!r}")
     couplings = tuple(couplings)
     kappa = sum(term.strength for term in couplings)
+    if method == "shooting" and kappa != 0.0 and external_potential is not None:
+        raise ValueError("shooting takes a kernel or an external potential, not both; "
+                         "use method='scf'")
     if validate_resolution:
         validate_grid_resolution(grid, mass, couplings, constants)
 
     scales = _make_scales(mass, kappa, grid, constants)
     x = grid.r / scales.length
     dx = grid.spacing / scales.length
-    if callable(external_potential) or external_potential is None:
-        vext_grid = _external_on_grid(external_potential, grid.r, 1.0)
-        if vext_grid is not None:
-            vext_grid = vext_grid / scales.energy
-    else:
-        vext_grid = _external_on_grid(external_potential, grid.r, scales.energy)
-
+    vext_grid = vfun = None
     if callable(external_potential):
+        vext_grid = np.asarray(external_potential(grid.r), dtype=float) / scales.energy
         vfun = lambda xx: float(external_potential(xx * scales.length)) / scales.energy
-    elif external_potential is None:
-        vfun = None
-    else:
-        varr = vext_grid
-
-        def vfun(xx: float) -> float:
-            return float(np.interp(xx, x, varr))
+    elif external_potential is not None:
+        varr = np.asarray(external_potential, dtype=float)
+        if varr.shape != grid.r.shape:
+            raise ValueError("external_potential array must match the grid")
+        vext_grid = varr / scales.energy
+        vfun = lambda xx: float(np.interp(xx, x, vext_grid))
 
     states: list[StationaryState] = []
     for k in range(n_states):
         if method == "scf":
-            eps, u, residual, _ = _scf_state(
-                x, dx, vext_grid, scales.kappa_sign, k, tol, max_iter, damping
-            )
+            eps, u, residual, _ = _scf_state(x, dx, vext_grid, scales.kappa_sign, k, tol, max_iter)
         else:
             eps, u, residual = _shoot_state(x, vfun, scales.kappa_sign, k)
 
@@ -440,13 +398,9 @@ def stationary_states(
             validate_tail(grid, u / grid.r)
 
         psi = (u / math.sqrt(4.0 * math.pi * scales.length)) / grid.r
-        ext_arr = None
-        if vext_grid is not None:
-            ext_arr = vext_grid * scales.energy
+        ext_arr = None if vext_grid is None else vext_grid * scales.energy
         wave = WaveState.normalized(grid, psi, mass, couplings, ext_arr)
-        states.append(
-            StationaryState(wave, eps * scales.energy, nodes, residual, method)
-        )
+        states.append(StationaryState(wave, eps * scales.energy, nodes, residual, method))
 
     eigenvalues = [s.eigenvalue for s in states]
     if any(e2 <= e1 for e1, e2 in zip(eigenvalues, eigenvalues[1:])):

@@ -164,3 +164,24 @@ def test_repulsive_kernel_with_coulomb_well():
     # binding collapses by an order of magnitude but a weakly bound state remains
     assert bare.eigenvalue < dressed.eigenvalue < 0.0
     assert abs(dressed.eigenvalue) < 0.2 * abs(bare.eigenvalue)
+
+
+def test_shooting_rejects_a_kernel_plus_an_external_potential():
+    a0 = C.bohr_radius
+    grid = RadialGrid.uniform(40.0 * a0, 2000)
+    with pytest.raises(ValueError, match="method='scf'"):
+        stationary_states(C.m_e, [electrostatic_kernel(C)], lambda r: -C.e2_coulomb / r,
+                          n_states=1, grid=grid, method="shooting",
+                          validate_resolution=False, validate_domain=False)
+
+
+def test_array_external_potential_matches_the_callable():
+    a0 = C.bohr_radius
+    grid = RadialGrid.uniform(30.0 * a0, 1500)
+    coulomb = lambda r: -C.e2_coulomb / r
+    from_callable = stationary_states(C.m_e, [], coulomb, n_states=1, grid=grid)[0]
+    from_array = stationary_states(C.m_e, [], coulomb(grid.r), n_states=1, grid=grid)[0]
+    assert from_array.eigenvalue == from_callable.eigenvalue
+    assert np.array_equal(from_array.state.psi, from_callable.state.psi)
+    with pytest.raises(ValueError, match="must match the grid"):
+        stationary_states(C.m_e, [], coulomb(grid.r[:-1]), n_states=1, grid=grid)
