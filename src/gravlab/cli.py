@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import GravlabError, ManifestError
 from .massdist import (
+    DEFAULT_REL_TOL,
     MassDistribution,
     SuperpositionSpec,
     e_delta,
@@ -53,6 +54,7 @@ from .snsolver import (
     stationary_states,
     suggested_dt,
 )
+from .snsolver.stationary import DEFAULT_TOL
 
 OUTPUT_DIR_ENV = "GRAVLAB_OUTPUT_DIR"
 REQUIRED = object()   # the default of a parameter that must be given
@@ -628,8 +630,8 @@ class Command(NamedTuple):
     tolerance: tuple[str, float] | None = None
 
 
-QUADRATURE_TOL = ("quadrature_rel", 1e-6)
-SCF_TOL = ("scf_residual", 1e-8)
+QUADRATURE_TOL = ("quadrature_rel", DEFAULT_REL_TOL)
+SCF_TOL = ("scf_residual", DEFAULT_TOL)
 
 SHAPE = Param("shape", _shape, flags=(
     ("--shape", ("uniform-sphere", "spherical-shell", "gaussian", "point-mass"), ""),

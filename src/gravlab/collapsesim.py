@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -49,6 +50,8 @@ class CollapseModel:
         wa, wb = self.outcome_weights
         if wa < 0.0 or wb < 0.0 or abs(wa + wb - 1.0) > 1e-12:
             raise ValueError(f"outcome weights must be nonnegative and sum to 1, got {self.outcome_weights}")
+        if not all(map(math.isfinite, (*self.branch_energies, self.interference_energy))):
+            raise ValueError("branch and interference energies must be finite")
 
     @property
     def pre_collapse_mean_energy(self) -> float:
@@ -136,7 +139,8 @@ def _trajectory_uniforms(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """
     gen = Generator(Philox(counter=[0, 0, 0, 0], key=[seed, 0]))
     block = gen.random(4 * n).reshape(n, 4)
-    return block[:, 0], block[:, 1]
+    # copies, so the caller does not keep the whole 4n block alive
+    return block[:, 0].copy(), block[:, 1].copy()
 
 
 def simulate(model: CollapseModel, n: int, seed: int) -> TrajectoryEnsemble:
@@ -160,7 +164,7 @@ def simulate(model: CollapseModel, n: int, seed: int) -> TrajectoryEnsemble:
     if any_collapse:
         horizon = 5.0 / model.rate
         grid = np.linspace(0.0, horizon, 51)
-        fractions = np.mean(times[None, :] > grid[:, None], axis=1)
+        fractions = np.array([np.count_nonzero(times > t) for t in grid]) / n
         mean_t = float(np.mean(times))
         median_t = float(np.median(times))
     else:
@@ -169,11 +173,12 @@ def simulate(model: CollapseModel, n: int, seed: int) -> TrajectoryEnsemble:
         mean_t = math.inf
         median_t = math.inf
 
-    freq_b = float(np.count_nonzero(outcomes)) / n
+    n_b = int(np.count_nonzero(outcomes))
+    freq_b = n_b / n
     freqs = (1.0 - freq_b, freq_b)
     ea, eb = model.branch_energies
-    # compensated summation keeps the reduction order-insensitive
-    post_mean = math.fsum(np.where(outcomes == 0, ea, eb).tolist()) / n
+    # the exact sum of n - n_b copies of ea and n_b of eb, rounded once
+    post_mean = float(Fraction(ea) * (n - n_b) + Fraction(eb) * n_b) / n
 
     summary = EnsembleSummary(
         survival_times=grid,

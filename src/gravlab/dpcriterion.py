@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GravlabError
-from .massdist import SuperpositionSpec, e_delta
+from .massdist import DEFAULT_REL_TOL, SuperpositionSpec, e_delta
 from .quantities import CODATA2018, PhysicalConstants
 
 
@@ -43,7 +43,7 @@ def collapse_time(
     spec: SuperpositionSpec,
     prefactor: float = 1.0,
     constants: PhysicalConstants = CODATA2018,
-    rel_tol: float = 1e-6,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> CollapseEstimate:
     """Lifetime of the superposition from the self energy of the branch difference."""
     if not prefactor > 0.0:
@@ -70,7 +70,7 @@ def lifetime_sweep(
     family: Iterable[tuple[float, SuperpositionSpec]] | Sequence[tuple[float, SuperpositionSpec]],
     prefactor: float = 1.0,
     constants: PhysicalConstants = CODATA2018,
-    rel_tol: float = 1e-6,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> list[SweepRow]:
     """Evaluate the criterion over a parameterized family; per-row errors do not
     abort the sweep.  Rows come back ordered by parameter value."""

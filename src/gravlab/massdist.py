@@ -12,6 +12,11 @@ so e_delta equals the self energy of the difference density rho_a - rho_b.
 Masses factor out of every integral analytically, which keeps the lambda^2
 mass-scaling law exact in floating point.
 
+The self energy is half the mutual energy of a shape with itself at zero
+separation, and both go through one dispatch: the closed form unless
+method="quadrature", else radial quadrature.  A closed form of None means
+"no closed form": "analytic" then raises NoClosedForm, "auto" integrates.
+
 scipy is imported inside the functions that call it, so importing this
 module does not load it; ``tests/test_cli.py`` guards that.
 """
@@ -78,9 +83,9 @@ class MassDistribution:
     def potential_antiderivative(self, u: np.ndarray | float) -> np.ndarray | float:
         raise NotImplementedError
 
-    def unit_self_energy(self) -> float:
-        """Self energy / (G m^2); closed form where available."""
-        raise NotImplementedError
+    def unit_self_energy(self) -> float | None:
+        """Self energy / (G m^2) in closed form; None means no closed form."""
+        return None
 
     # inverse of the radial mass CDF, for stratified sampling
     def radius_from_cdf(self, u: np.ndarray) -> np.ndarray:
@@ -274,10 +279,6 @@ class PointMass(MassDistribution):
         return self._ball().potential_antiderivative(u)
 
     def unit_self_energy(self) -> float:
-        if self.is_singular():
-            raise DivergentSelfEnergy(
-                "self energy of an unsmeared point mass diverges; set smearing_length > 0"
-            )
         return 3.0 / (5.0 * self.smearing_length)
 
     def radius_from_cdf(self, u):
@@ -383,10 +384,6 @@ class RadialProfile(MassDistribution):
         inside = np.interp(np.clip(u, 0.0, self._r_max), self._antideriv_grid, self._antideriv_vals)
         # beyond the support, t*phi = 1 exactly
         return np.where(u <= self._r_max, inside, self._antideriv_vals[-1] + (u - self._r_max))
-
-    def unit_self_energy(self) -> float:
-        value, _ = _unit_self_quadrature(self, DEFAULT_REL_TOL)
-        return value
 
     def radius_from_cdf(self, u):
         return np.interp(np.asarray(u, dtype=float), self._cdf_vals, self._cdf_radii)
@@ -515,25 +512,6 @@ def _shell_averaged_potential(shape: MassDistribution, s: float, d: float) -> fl
     return float((hi - lo) / (2.0 * s * d))
 
 
-def _unit_self_quadrature(shape: MassDistribution, rel_tol: float) -> tuple[float, float]:
-    delta = shape.delta_radius()
-    if delta is not None:
-        if delta == 0.0:
-            raise DivergentSelfEnergy(
-                "self energy of an unsmeared point mass diverges; set smearing_length > 0"
-            )
-        return 0.5 * float(shape.unit_potential(delta)), 0.0
-
-    from scipy.integrate import quad
-
-    def integrand(r: float) -> float:
-        return 0.5 * float(shape.radial_weight(np.array(r))) * float(shape.unit_potential(r))
-
-    tail = shape.tail_radius()
-    value, err = quad(integrand, 0.0, tail, epsrel=rel_tol, limit=200)
-    return value, err
-
-
 def _canonical_order(a: MassDistribution, b: MassDistribution):
     """Argument-order-independent role assignment, so mutual(a, b) == mutual(b, a)
     bit-for-bit even on the quadrature path."""
@@ -563,16 +541,20 @@ def _unit_mutual_quadrature(
     def integrand(s: float) -> float:
         return float(outer.radial_weight(np.array(s))) * _shell_averaged_potential(inner, s, d)
 
-    value, _ = quad(
-        integrand, 0.0, tail, epsrel=rel_tol, limit=400, points=breakpoints or None
-    )
+    # epsabs=0: unit energies scale as 1/length, so an absolute floor would
+    # make the accuracy depend on the unit of length
+    value, _ = quad(integrand, 0.0, tail, epsabs=0.0, epsrel=rel_tol, limit=400,
+                    points=breakpoints or None)
     return value
 
 
 def _unit_mutual_closed_form(
     d1: MassDistribution, d2: MassDistribution, d: float
 ) -> float | None:
-    """Known exact cases; None means fall back to quadrature."""
+    """Known exact cases; None means no closed form."""
+    if d1 == d2:  # a shape with itself: twice its self energy
+        unit = d1.unit_self_energy()
+        return None if unit is None else 2.0 * unit
     spheres = []
     for shape in (d1, d2):
         if isinstance(shape, UniformSphere):
@@ -613,7 +595,8 @@ def _unit_mutual(
     d1: MassDistribution, d2: MassDistribution, d: float, method: str, rel_tol: float
 ) -> float:
     if d1.is_singular() and d2.is_singular() and d == 0.0:
-        raise DivergentSelfEnergy("coincident point masses: mutual 1/|x-y| integral diverges")
+        raise DivergentSelfEnergy("coincident unsmeared point masses: the 1/|x-y| "
+                                  "integral diverges; set smearing_length > 0")
     if method != "quadrature":
         closed = _unit_mutual_closed_form(d1, d2, d)
         if closed is not None:
@@ -634,16 +617,9 @@ def self_energy(
     method: str = "auto",
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
-    """Gravitational self energy U = (G/2) * double integral, in joules (>= 0)."""
-    if d.is_singular():
-        raise DivergentSelfEnergy(
-            "self energy of an unsmeared point mass diverges; set smearing_length > 0"
-        )
-    if method == "quadrature":
-        unit, _ = _unit_self_quadrature(d, rel_tol)
-    else:
-        unit = d.unit_self_energy()
-    return constants.G * d.mass**2 * unit
+    """Gravitational self energy U = (G/2) * double integral, in joules (>= 0):
+    half the mutual energy of d with itself at zero separation."""
+    return constants.G * d.mass**2 * (0.5 * _unit_mutual(d, d, 0.0, method, rel_tol))
 
 
 def mutual_energy(
@@ -681,15 +657,11 @@ def e_delta(
         )
     if a == b:
         return 0.0
-    value = (
-        self_energy(a, constants, method, rel_tol)
-        + self_energy(b, constants, method, rel_tol)
-        - mutual_energy(a, b, constants, method, rel_tol)
-    )
+    selves = self_energy(a, constants, method, rel_tol) + self_energy(b, constants, method, rel_tol)
+    value = selves - mutual_energy(a, b, constants, method, rel_tol)
     if value < 0.0:
         # kernel positivity guarantees >= 0; tiny negatives are quadrature roundoff
-        scale = self_energy(a, constants, method, rel_tol) + self_energy(b, constants, method, rel_tol)
-        if abs(value) > 1e-6 * scale:
+        if abs(value) > 1e-6 * selves:
             raise CancellationError(f"e_delta came out negative beyond roundoff: {value!r}")
         value = 0.0
     return value

@@ -24,7 +24,7 @@ from .state import (
     gravitational_kernel,
     kernel_integral,
 )
-from .stationary import stationary_states
+from .stationary import DEFAULT_TOL, stationary_states
 
 SCF_MAX_ITER = 400
 
@@ -76,7 +76,7 @@ def hydrogen_diagnostic(
     r_max_bohr: float = 40.0,
     n_points: int = 2000,
     constants: PhysicalConstants = CODATA2018,
-    scf_tol: float = 1e-8,
+    scf_tol: float = DEFAULT_TOL,
 ) -> HydrogenReport:
     """Ground-state energies with and without kernel self-terms, in eV."""
     a0 = constants.bohr_radius

@@ -290,3 +290,14 @@ def test_closed_form_commands_start_without_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     steps = ["import gravlab.cli"] + [argv[0] for argv in argvs]
     assert report == [[step, 0, []] for step in steps]
+
+
+def test_selfenergy_analytic_on_a_profile_is_no_closed_form(tmp_path):
+    csv = tmp_path / "profile.csv"
+    csv.write_text("".join(f"{0.25 * i!r},1.0\n" for i in range(9)))
+    outdir = tmp_path / "out"
+    code = main(["selfenergy", "--profile-csv", str(csv), "--method", "analytic",
+                 "--output-dir", str(outdir)])
+    assert code == 1
+    bundle = json.loads((outdir / "result_bundle.json").read_text())
+    assert bundle["error"]["type"] == "NoClosedForm"

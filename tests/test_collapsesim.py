@@ -147,3 +147,30 @@ def test_summary_survival_curve_shape():
     assert np.all(np.diff(s.survival_fractions) <= 0.0)
     expected = np.exp(-2.0 * s.survival_times)
     assert np.max(np.abs(s.survival_fractions - expected)) < 0.02
+
+
+def test_model_rejects_non_finite_energies():
+    with pytest.raises(ValueError, match="finite"):
+        CollapseModel(rate=1.0, outcome_weights=(0.5, 0.5), branch_energies=(math.inf, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        CollapseModel(rate=1.0, outcome_weights=(0.5, 0.5), interference_energy=math.nan)
+
+
+@pytest.mark.parametrize("n, seed, weights, energies", [
+    (1, 0, (0.5, 0.5), (1.0, 2.0)),
+    (997, 3, (0.3, 0.7), (0.1, -7.3e-5)),
+    (20_000, 11, (1.0, 0.0), (3.0, 5.0)),
+    (50_001, 42, (0.123, 0.877), (1e-30, 2.5e12)),
+])
+def test_summary_equals_brute_force_formulas(n, seed, weights, energies):
+    model = CollapseModel(rate=1.7, outcome_weights=weights, branch_energies=energies)
+    ens = simulate(model, n, seed)
+    s = ens.summary
+    grid = np.linspace(0.0, 5.0 / model.rate, 51)
+    survival = np.mean(ens.collapse_times[None, :] > grid[:, None], axis=1)
+    assert np.array_equal(s.survival_times, grid)
+    assert np.array_equal(s.survival_fractions, survival)
+    post = math.fsum(np.where(ens.outcomes == 0, *energies).tolist()) / n
+    assert s.mean_post_collapse_energy == post
+    freq_b = float(np.count_nonzero(ens.outcomes)) / n
+    assert s.outcome_frequencies == (1.0 - freq_b, freq_b)

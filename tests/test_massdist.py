@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gravlab.errors import DivergentSelfEnergy
+from gravlab.errors import DivergentSelfEnergy, NoClosedForm
 from gravlab.massdist import (
     Gaussian,
     PointMass,
@@ -217,3 +217,42 @@ def test_shape_round_trips_through_dict():
     for shape in shapes:
         again = shape_from_dict(shape.to_dict())
         assert again == shape
+
+
+# -- one dispatch for self and mutual energies ------------------------------
+
+def _exponential_profile(length: float) -> RadialProfile:
+    # rho ~ exp(-r / length), sampled on 200 points out to 20 lengths
+    r = np.linspace(0.0, 20.0, 200)
+    return RadialProfile(length * r, np.exp(-r) / length**3)
+
+
+def test_profile_self_energy_honours_rel_tol_under_auto():
+    prof = _exponential_profile(1.0)
+    loose = self_energy(prof, rel_tol=1e-3)
+    tight = self_energy(prof, rel_tol=1e-6)
+    assert loose == self_energy(prof, method="quadrature", rel_tol=1e-3)
+    assert tight == self_energy(prof, method="quadrature", rel_tol=1e-6)
+    assert loose != tight
+    assert abs(loose - tight) <= 1e-3 * tight
+
+
+def test_profile_self_energy_has_no_closed_form():
+    with pytest.raises(NoClosedForm):
+        self_energy(_exponential_profile(1.0), method="analytic")
+
+
+def test_profile_quadrature_does_not_depend_on_the_unit_of_length():
+    # unit energies scale as 1/length; an absolute quadrature floor breaks that
+    length = 1e4
+    small, large = _exponential_profile(1.0), _exponential_profile(length)
+    unit_small = self_energy(small) / (G * small.mass**2)
+    unit_large = self_energy(large) / (G * large.mass**2)
+    assert unit_large * length == pytest.approx(unit_small, rel=1e-7)
+
+
+def test_quadrature_self_energies_match_closed_forms():
+    for shape in (SphericalShell(2.0, 0.5), Gaussian(1.5, 0.7),
+                  PointMass(1.0, smearing_length=0.3)):
+        exact = self_energy(shape, method="analytic")
+        assert self_energy(shape, method="quadrature") == pytest.approx(exact, rel=1e-9)
