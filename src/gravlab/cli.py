@@ -50,6 +50,7 @@ from .snsolver import (
     evolve,
     gravitational_kernel,
     hydrogen_diagnostic,
+    kernel_length,
     load_state_csv,
     stationary_states,
     suggested_dt,
@@ -451,7 +452,7 @@ def _sn_grid(p: dict, mass: float, couplings: list[KernelTerm],
         if kappa == 0.0:
             raise ManifestError("natural grid units need a nonzero coupling",
                                 field="parameters.grid.units")
-        r_max *= constants.hbar**2 / (mass * abs(kappa))
+        r_max *= kernel_length(mass, kappa, constants)
     return RadialGrid.uniform(r_max, p["grid.points"])
 
 
@@ -517,7 +518,7 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
             if kappa == 0.0:
                 raise ManifestError("natural sigma0 needs a nonzero coupling",
                                     field="parameters.sigma0_natural")
-            sigma0 = p["sigma0_natural"] * constants.hbar**2 / (mass * abs(kappa))
+            sigma0 = p["sigma0_natural"] * kernel_length(mass, kappa, constants)
         state = WaveState.gaussian_packet(grid, sigma0, mass, couplings)
     dt = p["dt_s"]
     if dt is None:
@@ -579,7 +580,7 @@ def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstan
                                   branch_energies=energies, interference_energy=interference)
         elif p["shape_a"] is not None and p["shape_b"] is not None:
             model = CollapseModel.from_superposition(_superposition(p), energies, interference,
-                                                     p["prefactor"], constants)
+                                                     p["prefactor"], constants, p["tolerance"])
         else:
             raise ManifestError("provide rate_per_s or shape_a/shape_b",
                                 field="parameters.rate_per_s")
@@ -717,7 +718,7 @@ COMMANDS: dict[str, Command] = {
         BRANCHES[1]._replace(default=None, flags=()),
         *AMPLITUDES,
         PREFACTOR,
-    )),
+    ), QUADRATURE_TOL),
 }
 
 

@@ -14,8 +14,6 @@ and independent of evaluation order.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +22,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ProvenanceError
-from .massdist import SuperpositionSpec, e_delta
+from .massdist import DEFAULT_REL_TOL, SuperpositionSpec, e_delta
+from .persistence import json_digest
 from .quantities import CODATA2018, PhysicalConstants
 
 #: Outcome statistics are a modeling choice, not a derived result.
@@ -67,9 +66,11 @@ class CollapseModel:
         interference_energy: float = 0.0,
         prefactor: float = 1.0,
         constants: PhysicalConstants = CODATA2018,
+        rel_tol: float = DEFAULT_REL_TOL,
     ) -> "CollapseModel":
-        """Rate defaults to E_delta / (prefactor * hbar), the criterion's inverse lifetime."""
-        energy = e_delta(spec, constants=constants)
+        """Rate defaults to E_delta / (prefactor * hbar), the criterion's inverse lifetime;
+        ``rel_tol`` is the quadrature tolerance of E_delta."""
+        energy = e_delta(spec, constants=constants, rel_tol=rel_tol)
         return cls(
             rate=energy / (prefactor * constants.hbar),
             outcome_weights=spec.weights,
@@ -79,15 +80,13 @@ class CollapseModel:
         )
 
     def content_digest(self) -> str:
-        payload = {
+        return json_digest({
             "rate": self.rate,
             "weights": list(self.outcome_weights),
             "energies": list(self.branch_energies),
             "interference": self.interference_energy,
             "spec": self.spec_digest,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        })
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ so e_delta equals the self energy of the difference density rho_a - rho_b.
 Masses factor out of every integral analytically, which keeps the lambda^2
 mass-scaling law exact in floating point.
 
-The self energy is half the mutual energy of a shape with itself at zero
-separation, and both go through one dispatch: the closed form unless
-method="quadrature", else radial quadrature.  A closed form of None means
-"no closed form": "analytic" then raises NoClosedForm, "auto" integrates.
+Every self energy, closed-form, quadrature or Monte Carlo, is half the
+mutual energy of a shape with itself at zero separation.  Mutual energies go
+through one dispatch: the closed form unless method="quadrature", else radial
+quadrature.  A closed form of None means "no closed form": "analytic" then
+raises NoClosedForm, "auto" integrates.
 
 scipy is imported inside the functions that call it, so importing this
 module does not load it; ``tests/test_cli.py`` guards that.
@@ -23,8 +24,6 @@ module does not load it; ``tests/test_cli.py`` guards that.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CancellationError, DivergentSelfEnergy, NoClosedForm
+from .persistence import json_digest
 from .quantities import CODATA2018, PhysicalConstants
 
 DEFAULT_REL_TOL = 1e-6
@@ -57,6 +57,8 @@ class MassDistribution:
     potential magnitude; ``potential_antiderivative(u)`` returns
     A(u) = int_0^u t * unit_potential(t) dt, which makes the shell-averaged
     potential (A(d+s) - A(|d-s|)) / (2 s d) exact without inner quadrature.
+    A shape has no self-energy method: every self energy (closed-form,
+    quadrature or Monte Carlo) is half its zero-separation mutual energy.
     """
 
     mass: float
@@ -65,9 +67,6 @@ class MassDistribution:
     # radius beyond which the density vanishes (inf-like cutoff for Gaussians)
     def tail_radius(self) -> float:
         raise NotImplementedError
-
-    def is_singular(self) -> bool:
-        return False
 
     # 4*pi*r^2 * rho(r)/mass, or None for surface/point (delta-like) shapes
     def radial_weight(self, r: np.ndarray) -> np.ndarray | None:
@@ -82,10 +81,6 @@ class MassDistribution:
 
     def potential_antiderivative(self, u: np.ndarray | float) -> np.ndarray | float:
         raise NotImplementedError
-
-    def unit_self_energy(self) -> float | None:
-        """Self energy / (G m^2) in closed form; None means no closed form."""
-        return None
 
     # inverse of the radial mass CDF, for stratified sampling
     def radius_from_cdf(self, u: np.ndarray) -> np.ndarray:
@@ -127,9 +122,6 @@ class UniformSphere(MassDistribution):
         inner = (3.0 * R**2 * u**2 / 2.0 - u**4 / 4.0) / (2.0 * R**3)
         return np.where(u < R, inner, u - 3.0 * R / 8.0)
 
-    def unit_self_energy(self) -> float:
-        return 3.0 / (5.0 * self.radius)
-
     def radius_from_cdf(self, u):
         return self.radius * np.cbrt(u)
 
@@ -168,9 +160,6 @@ class SphericalShell(MassDistribution):
         u = np.asarray(u, dtype=float)
         R = self.radius
         return np.where(u < R, u**2 / (2.0 * R), u - R / 2.0)
-
-    def unit_self_energy(self) -> float:
-        return 1.0 / (2.0 * self.radius)
 
     def radius_from_cdf(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.radius)
@@ -218,9 +207,6 @@ class Gaussian(MassDistribution):
         a = 1.0 / (self.width * math.sqrt(2.0))
         return u * erf(a * u) + (np.exp(-((a * u) ** 2)) - 1.0) / (a * math.sqrt(math.pi))
 
-    def unit_self_energy(self) -> float:
-        return 1.0 / (2.0 * math.sqrt(math.pi) * self.width)
-
     def radius_from_cdf(self, u):
         from scipy.special import gammaincinv
 
@@ -250,9 +236,6 @@ class PointMass(MassDistribution):
             raise ValueError(f"smearing_length must be >= 0, got {self.smearing_length}")
         object.__setattr__(self, "center", _as_center(self.center))
 
-    def is_singular(self) -> bool:
-        return self.smearing_length == 0.0
-
     def _ball(self) -> UniformSphere:
         return UniformSphere(self.mass, self.smearing_length, self.center)
 
@@ -260,32 +243,28 @@ class PointMass(MassDistribution):
         return self.smearing_length
 
     def radial_weight(self, r):
-        if self.is_singular():
+        if self.smearing_length == 0.0:
             return None
         return self._ball().radial_weight(r)
 
     def delta_radius(self) -> float | None:
-        return 0.0 if self.is_singular() else None
+        return 0.0 if self.smearing_length == 0.0 else None
 
     def unit_potential(self, r):
-        if self.is_singular():
+        if self.smearing_length == 0.0:
             r = np.asarray(r, dtype=float)
             return np.divide(1.0, r, out=np.full_like(r, np.inf), where=r > 0)
         return self._ball().unit_potential(r)
 
     def potential_antiderivative(self, u):
-        if self.is_singular():
+        if self.smearing_length == 0.0:
             return np.asarray(u, dtype=float)
         return self._ball().potential_antiderivative(u)
 
-    def unit_self_energy(self) -> float:
-        return 3.0 / (5.0 * self.smearing_length)
-
     def radius_from_cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.is_singular():
-            return np.zeros_like(u)
-        return self.smearing_length * np.cbrt(u)
+        if self.smearing_length == 0.0:
+            return np.zeros_like(np.asarray(u, dtype=float))
+        return self._ball().radius_from_cdf(u)
 
     def to_dict(self) -> dict:
         return {"kind": "point_mass", "mass_kg": self.mass,
@@ -492,8 +471,7 @@ class SuperpositionSpec:
         }
 
     def content_digest(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return json_digest(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -552,30 +530,24 @@ def _unit_mutual_closed_form(
     d1: MassDistribution, d2: MassDistribution, d: float
 ) -> float | None:
     """Known exact cases; None means no closed form."""
-    if d1 == d2:  # a shape with itself: twice its self energy
-        unit = d1.unit_self_energy()
-        return None if unit is None else 2.0 * unit
-    spheres = []
-    for shape in (d1, d2):
-        if isinstance(shape, UniformSphere):
-            spheres.append(shape.radius)
-        elif isinstance(shape, PointMass) and not shape.is_singular():
-            spheres.append(shape.smearing_length)
-        else:
-            spheres = None
-            break
-    if spheres is not None:
-        r1, r2 = spheres
-        if d >= r1 + r2:
+    # disjoint compact supports: plain point-point interaction by the shell theorem
+    if d > 0.0 and d >= d1.tail_radius() + d2.tail_radius():
+        if not isinstance(d1, Gaussian) and not isinstance(d2, Gaussian):
             return 1.0 / d
+    if (isinstance(d1, SphericalShell) and isinstance(d2, SphericalShell)
+            and d <= abs(d1.radius - d2.radius)):  # one shell inside the other
+        return 1.0 / max(d1.radius, d2.radius)
+    # uniform balls: spheres and smeared points, whose tail radius is the ball's
+    balls = [shape.tail_radius() for shape in (d1, d2)
+             if isinstance(shape, (UniformSphere, PointMass)) and shape.tail_radius() > 0.0]
+    if len(balls) == 2:
+        r1, r2 = balls
         if d <= abs(r1 - r2):  # one ball fully inside the other
             big, small = max(r1, r2), min(r1, r2)
             return (3.0 * big**2 - d**2 - 0.6 * small**2) / (2.0 * big**3)
         if r1 == r2:
             eta = d / r1
             return (1.2 - eta**2 / 2.0 + 3.0 * eta**3 / 16.0 - eta**5 / 160.0) / r1
-        return None
-
     if isinstance(d1, Gaussian) and isinstance(d2, Gaussian):
         from scipy.special import erf
 
@@ -583,18 +555,13 @@ def _unit_mutual_closed_form(
         if d == 0.0:
             return 2.0 / (math.sqrt(math.pi) * w)
         return erf(d / w) / d
-
-    # disjoint compact supports: plain point-point interaction by the shell theorem
-    if d > 0.0 and d >= d1.tail_radius() + d2.tail_radius():
-        if not isinstance(d1, (Gaussian,)) and not isinstance(d2, (Gaussian,)):
-            return 1.0 / d
     return None
 
 
 def _unit_mutual(
     d1: MassDistribution, d2: MassDistribution, d: float, method: str, rel_tol: float
 ) -> float:
-    if d1.is_singular() and d2.is_singular() and d == 0.0:
+    if d1.delta_radius() == 0.0 and d2.delta_radius() == 0.0 and d == 0.0:
         raise DivergentSelfEnergy("coincident unsmeared point masses: the 1/|x-y| "
                                   "integral diverges; set smearing_length > 0")
     if method != "quadrature":
@@ -651,7 +618,7 @@ def e_delta(
     for identical branches.
     """
     a, b = spec.branch_a, spec.branch_b
-    if a.is_singular() or b.is_singular():
+    if a.delta_radius() == 0.0 or b.delta_radius() == 0.0:
         raise DivergentSelfEnergy(
             "e_delta requires nonsingular branches; set smearing_length > 0 on point masses"
         )
@@ -700,12 +667,10 @@ def self_energy_mc(
     constants: PhysicalConstants = CODATA2018,
 ) -> tuple[float, float]:
     """Monte Carlo self energy (value, standard_error) in joules."""
-    if d.is_singular():
+    if d.delta_radius() == 0.0:
         raise DivergentSelfEnergy("cannot Monte-Carlo a singular point mass")
-    rng = np.random.default_rng(seed)
-    mean, sem = _mc_double_integral(d, d, n_samples, rng)
-    scale = 0.5 * constants.G * d.mass**2
-    return scale * mean, scale * sem
+    value, sem = mutual_energy_mc(d, d, n_samples, seed, constants)
+    return 0.5 * value, 0.5 * sem
 
 
 def mutual_energy_mc(

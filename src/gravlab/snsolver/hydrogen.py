@@ -26,8 +26,6 @@ from .state import (
 )
 from .stationary import DEFAULT_TOL, stationary_states
 
-SCF_MAX_ITER = 400
-
 
 @dataclass(frozen=True)
 class SelfTermEntry:
@@ -85,7 +83,7 @@ def hydrogen_diagnostic(
 
     bare = stationary_states(
         constants.m_e, [], coulomb, n_states=1, grid=grid,
-        tol=scf_tol, max_iter=SCF_MAX_ITER,
+        tol=scf_tol,
     )[0]
     e0_ev = bare.eigenvalue / EV
 
@@ -112,8 +110,7 @@ def hydrogen_diagnostic(
             # each term is examined alone, against the bare Coulomb problem
             scf = stationary_states(
                 constants.m_e, [term], coulomb, n_states=1, grid=grid,
-                tol=scf_tol, max_iter=SCF_MAX_ITER, validate_resolution=False,
-                validate_domain=False,
+                tol=scf_tol, validate_resolution=False, validate_domain=False,
             )[0]
             scf_energy = scf.eigenvalue / EV
         except ConvergenceError as exc:

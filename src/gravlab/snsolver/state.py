@@ -212,6 +212,13 @@ def self_potential(state: WaveState) -> np.ndarray:
     return kappa * kernel_integral(state.grid.r, weight)
 
 
+def kernel_length(mass: float, kappa: float,
+                  constants: PhysicalConstants = CODATA2018) -> float:
+    """Characteristic length hbar^2 / (m |kappa|) of a kernel of strength kappa:
+    the SN-natural length for gravity, the Bohr radius for the Coulomb kernel."""
+    return constants.hbar**2 / (mass * abs(kappa))
+
+
 def validate_grid_resolution(grid: Grid, mass: float,
                              couplings: Sequence[KernelTerm],
                              constants: PhysicalConstants = CODATA2018) -> None:
@@ -220,7 +227,7 @@ def validate_grid_resolution(grid: Grid, mass: float,
     for term in couplings:
         if term.strength == 0.0:
             continue
-        char = constants.hbar**2 / (mass * abs(term.strength))
+        char = kernel_length(mass, term.strength, constants)
         if grid.spacing > char / POINTS_PER_LENGTH:
             raise GridError(
                 f"grid spacing {grid.spacing:.3e} m does not resolve the "

@@ -36,6 +36,7 @@ from .state import (
     RadialGrid,
     WaveState,
     kernel_integral,
+    kernel_length,
     validate_grid_resolution,
     validate_tail,
 )
@@ -78,7 +79,7 @@ class _Scales:
 def _make_scales(mass: float, kappa: float, grid: RadialGrid,
                  constants: PhysicalConstants) -> _Scales:
     if kappa != 0.0:
-        length = constants.hbar**2 / (mass * abs(kappa))
+        length = kernel_length(mass, kappa, constants)
         energy = mass * kappa**2 / constants.hbar**2
         return _Scales(length, energy, math.copysign(1.0, kappa))
     # no kernel: any scale works; tie it to the grid for conditioning

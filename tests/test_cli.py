@@ -301,3 +301,21 @@ def test_selfenergy_analytic_on_a_profile_is_no_closed_form(tmp_path):
     assert code == 1
     bundle = json.loads((outdir / "result_bundle.json").read_text())
     assert bundle["error"]["type"] == "NoClosedForm"
+
+
+def test_collapse_sim_rate_from_shapes_honours_the_tolerance(tmp_path):
+    r = [i / 39 for i in range(40)]
+    rho = [math.exp(-4.0 * x * x) for x in r]
+    shapes = {f"shape_{b}": {"kind": "radial_profile", "r_m": r, "rho_kg_m3": rho,
+                             "center_m": [x, 0.0, 0.0]} for b, x in (("a", 0.0), ("b", 0.3))}
+    rates = []
+    for tol in (1e-2, 1e-9):
+        tolerances = {"tolerances": {"quadrature_rel": tol}}
+        sim = run(manifest_for("collapse-sim", {"n": 100, **shapes}, tmp_path / f"s{tol}",
+                               **tolerances))
+        lifetime = run(manifest_for("collapse-time", shapes, tmp_path / f"t{tol}", **tolerances))
+        assert sim.error is None and lifetime.error is None
+        rate = sim.summary["model"]["rate_per_s"]
+        assert rate == pytest.approx(1.0 / lifetime.summary["collapse_time_s"], rel=1e-14)
+        rates.append(rate)
+    assert rates[0] != rates[1]

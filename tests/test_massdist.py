@@ -256,3 +256,16 @@ def test_quadrature_self_energies_match_closed_forms():
                   PointMass(1.0, smearing_length=0.3)):
         exact = self_energy(shape, method="analytic")
         assert self_energy(shape, method="quadrature") == pytest.approx(exact, rel=1e-9)
+
+
+def test_shell_inside_shell_has_a_closed_form():
+    # a shell sees a constant potential G m / R anywhere inside another shell
+    outer = SphericalShell(2.0, 2.0)
+    inner = SphericalShell(3.0, 1.0, (0.5, 0.0, 0.0))
+    assert mutual_energy(outer, inner, method="analytic") == G * 2.0 * 3.0 / 2.0
+
+
+def test_self_energy_mc_is_half_the_mutual_estimate():
+    g = Gaussian(3.0, 0.7)
+    value, err = mutual_energy_mc(g, g, n_samples=20_000, seed=11)
+    assert self_energy_mc(g, n_samples=20_000, seed=11) == (0.5 * value, 0.5 * err)
