@@ -41,7 +41,7 @@ from .massdist import (
 from .collapsesim import CollapseModel, energy_ledger, simulate
 from .dpcriterion import collapse_time, feynman_mass_scale, lifetime_sweep
 from .persistence import format_number, sha256_file, write_csv, write_json, write_plot_script
-from .quantities import CODATA2018, PhysicalConstants, scale_system_from_label
+from .quantities import CODATA2018, PhysicalConstants, kernel_length, scale_system_from_label
 from .snsolver import (
     KernelTerm,
     RadialGrid,
@@ -50,7 +50,6 @@ from .snsolver import (
     evolve,
     gravitational_kernel,
     hydrogen_diagnostic,
-    kernel_length,
     load_state_csv,
     stationary_states,
     suggested_dt,

@@ -1,22 +1,20 @@
 """Mass-distribution shapes and the gravitational self/mutual/difference energies.
 
 All shapes are spherically symmetric about their own center, so every double
-integral over the 1/|x-y| kernel reduces to one-dimensional radial quadrature
-through the shell theorem.  Energies follow the convention
+integral over the 1/|x-y| kernel reduces to radial integrals through the
+shell theorem.  Energies follow the convention
 
     U[rho]   = (G/2) * int rho(x) rho(y) / |x-y|      (self energy, >= 0)
     mutual   =  G    * int rho1(x) rho2(y) / |x-y|
-    e_delta  = U[rho_a] + U[rho_b] - mutual(rho_a, rho_b)
-
-so e_delta equals the self energy of the difference density rho_a - rho_b.
-Masses factor out of every integral analytically, which keeps the lambda^2
-mass-scaling law exact in floating point.
+    e_delta  = U[rho_a - rho_b] = U[rho_a] + U[rho_b] - mutual(rho_a, rho_b)
 
 Every self energy, closed-form, quadrature or Monte Carlo, is half the
 mutual energy of a shape with itself at zero separation.  Mutual energies go
-through one dispatch: the closed form unless method="quadrature", else radial
-quadrature.  A closed form of None means "no closed form": "analytic" then
-raises NoClosedForm, "auto" integrates.
+through one dispatch: the closed form unless method="quadrature", else the
+Gauss-law engine, built on each shape's enclosed mass fraction F(r) and
+f(r) = F'(r)/r.  A closed form of None means "no closed form": "analytic"
+then raises NoClosedForm, "auto" integrates.  E_delta is never a difference
+of near-equal energies unless method="analytic" (see ``e_delta``).
 
 scipy is imported inside the functions that call it, so importing this
 module does not load it; ``tests/test_cli.py`` guards that.
@@ -51,14 +49,13 @@ def _as_center(c: Sequence[float]) -> Center:
 
 
 class MassDistribution:
-    """Base interface: radial profile, cumulative mass, and potential per unit mass.
+    """Base interface of a spherically symmetric shape.
 
-    ``unit_potential(r)`` is phi(r)/(G m) with phi the (positive) Newtonian
-    potential magnitude; ``potential_antiderivative(u)`` returns
-    A(u) = int_0^u t * unit_potential(t) dt, which makes the shell-averaged
-    potential (A(d+s) - A(|d-s|)) / (2 s d) exact without inner quadrature.
-    A shape has no self-energy method: every self energy (closed-form,
-    quadrature or Monte Carlo) is half its zero-separation mutual energy.
+    The Gauss-law engine reads ``tail_radius``, ``weight_over_r`` (or
+    ``delta_radius`` for a shell or point), ``enclosed_fraction`` and
+    ``knots``; the Monte Carlo sampler reads ``radius_from_cdf``.  A shape has
+    no energy method: every self energy is half its zero-separation mutual
+    energy, and E_delta is never a difference of near-equal energies.
     """
 
     mass: float
@@ -68,19 +65,21 @@ class MassDistribution:
     def tail_radius(self) -> float:
         raise NotImplementedError
 
-    # 4*pi*r^2 * rho(r)/mass, or None for surface/point (delta-like) shapes
-    def radial_weight(self, r: np.ndarray) -> np.ndarray | None:
+    # f(r) = F'(r)/r = 4*pi*r*rho(r)/mass; delta-like shapes have none
+    def weight_over_r(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # radius of the delta shell for delta-like shapes (0.0 for a point), else None
     def delta_radius(self) -> float | None:
         return None
 
-    def unit_potential(self, r: np.ndarray | float) -> np.ndarray | float:
+    # F(r): fraction of the mass within r of the center
+    def enclosed_fraction(self, r: np.ndarray | float) -> np.ndarray:
         raise NotImplementedError
 
-    def potential_antiderivative(self, u: np.ndarray | float) -> np.ndarray | float:
-        raise NotImplementedError
+    # ascending radii from 0 to tail_radius() between which weight_over_r is smooth
+    def knots(self) -> np.ndarray:
+        return np.array([0.0, self.tail_radius()])
 
     # inverse of the radial mass CDF, for stratified sampling
     def radius_from_cdf(self, u: np.ndarray) -> np.ndarray:
@@ -105,22 +104,12 @@ class UniformSphere(MassDistribution):
     def tail_radius(self) -> float:
         return self.radius
 
-    def radial_weight(self, r):
+    def weight_over_r(self, r):
         r = np.asarray(r, dtype=float)
-        return np.where(r <= self.radius, 3.0 * r**2 / self.radius**3, 0.0)
+        return np.where(r <= self.radius, 3.0 * r / self.radius**3, 0.0)
 
-    def unit_potential(self, r):
-        r = np.asarray(r, dtype=float)
-        R = self.radius
-        inside = (3.0 * R**2 - r**2) / (2.0 * R**3)
-        outside = np.divide(1.0, r, out=np.full_like(r, np.inf), where=r > 0)
-        return np.where(r < R, inside, outside)
-
-    def potential_antiderivative(self, u):
-        u = np.asarray(u, dtype=float)
-        R = self.radius
-        inner = (3.0 * R**2 * u**2 / 2.0 - u**4 / 4.0) / (2.0 * R**3)
-        return np.where(u < R, inner, u - 3.0 * R / 8.0)
+    def enclosed_fraction(self, r):
+        return np.minimum(np.asarray(r, dtype=float) / self.radius, 1.0) ** 3
 
     def radius_from_cdf(self, u):
         return self.radius * np.cbrt(u)
@@ -145,21 +134,11 @@ class SphericalShell(MassDistribution):
     def tail_radius(self) -> float:
         return self.radius
 
-    def radial_weight(self, r):
-        return None
-
     def delta_radius(self) -> float | None:
         return self.radius
 
-    def unit_potential(self, r):
-        r = np.asarray(r, dtype=float)
-        outside = np.divide(1.0, r, out=np.full_like(r, np.inf), where=r > 0)
-        return np.where(r < self.radius, 1.0 / self.radius, outside)
-
-    def potential_antiderivative(self, u):
-        u = np.asarray(u, dtype=float)
-        R = self.radius
-        return np.where(u < R, u**2 / (2.0 * R), u - R / 2.0)
+    def enclosed_fraction(self, r):
+        return np.where(np.asarray(r, dtype=float) >= self.radius, 1.0, 0.0)
 
     def radius_from_cdf(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.radius)
@@ -185,27 +164,20 @@ class Gaussian(MassDistribution):
         # density weight beyond 12 sigma is ~1e-31 of the total; invisible at 1e-6 tolerance
         return 12.0 * self.width
 
-    def radial_weight(self, r):
+    def weight_over_r(self, r):
         r = np.asarray(r, dtype=float)
         s = self.width
-        return 4.0 * math.pi * r**2 * np.exp(-r**2 / (2.0 * s**2)) / (2.0 * math.pi * s**2) ** 1.5
+        return 4.0 * math.pi * r * np.exp(-r**2 / (2.0 * s**2)) / (2.0 * math.pi * s**2) ** 1.5
 
-    def unit_potential(self, r):
-        from scipy.special import erf
+    def enclosed_fraction(self, r):
+        from scipy.special import gammainc
 
-        r = np.asarray(r, dtype=float)
-        z = r / (self.width * math.sqrt(2.0))
-        limit = math.sqrt(2.0 / math.pi) / self.width
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = erf(z) / r
-        return np.where(r > 0, val, limit)
+        # the chi(3) law of radius_from_cdf
+        return gammainc(1.5, np.asarray(r, dtype=float) ** 2 / (2.0 * self.width**2))
 
-    def potential_antiderivative(self, u):
-        from scipy.special import erf
-
-        u = np.asarray(u, dtype=float)
-        a = 1.0 / (self.width * math.sqrt(2.0))
-        return u * erf(a * u) + (np.exp(-((a * u) ** 2)) - 1.0) / (a * math.sqrt(math.pi))
+    def knots(self) -> np.ndarray:
+        # half-sigma panels: 8-point Gauss-Legendre on each is exact to rounding
+        return np.linspace(0.0, self.tail_radius(), 25)
 
     def radius_from_cdf(self, u):
         from scipy.special import gammaincinv
@@ -242,24 +214,16 @@ class PointMass(MassDistribution):
     def tail_radius(self) -> float:
         return self.smearing_length
 
-    def radial_weight(self, r):
-        if self.smearing_length == 0.0:
-            return None
-        return self._ball().radial_weight(r)
+    def weight_over_r(self, r):
+        return self._ball().weight_over_r(r)
 
     def delta_radius(self) -> float | None:
         return 0.0 if self.smearing_length == 0.0 else None
 
-    def unit_potential(self, r):
+    def enclosed_fraction(self, r):
         if self.smearing_length == 0.0:
-            r = np.asarray(r, dtype=float)
-            return np.divide(1.0, r, out=np.full_like(r, np.inf), where=r > 0)
-        return self._ball().unit_potential(r)
-
-    def potential_antiderivative(self, u):
-        if self.smearing_length == 0.0:
-            return np.asarray(u, dtype=float)
-        return self._ball().potential_antiderivative(u)
+            return np.ones_like(np.asarray(r, dtype=float))
+        return self._ball().enclosed_fraction(r)
 
     def radius_from_cdf(self, u):
         if self.smearing_length == 0.0:
@@ -275,10 +239,9 @@ class RadialProfile(MassDistribution):
     """Sampled rho(r) on an ascending grid, interpolated monotone-cubic (PCHIP).
 
     PCHIP stays within the bracketing sample values, so nonnegative samples
-    give a nonnegative density everywhere.  Cumulative mass and the outer
-    potential integral are computed exactly on the piecewise polynomial, so
-    the declared-mass consistency check is limited by the data, not by
-    quadrature noise.
+    give a nonnegative density everywhere.  Cumulative mass is computed
+    exactly on the piecewise polynomial, so the declared-mass consistency
+    check is limited by the data, not by quadrature noise.
     """
 
     def __init__(
@@ -288,7 +251,6 @@ class RadialProfile(MassDistribution):
         center: Sequence[float] = _ORIGIN,
         mass: float | None = None,
     ):
-        from scipy.integrate import cumulative_trapezoid
         from scipy.interpolate import PchipInterpolator
 
         r_arr = np.asarray(r, dtype=float)
@@ -310,9 +272,8 @@ class RadialProfile(MassDistribution):
         self._r_max = float(r_arr[-1])
         self._rho = PchipInterpolator(r_arr, rho_arr, extrapolate=False)
 
-        # exact piecewise-polynomial integrals of 4*pi*r^2*rho and 4*pi*r*rho
-        self._cum_mass = _weighted_antiderivative(self._rho, power=2)
-        cum_ring = _weighted_antiderivative(self._rho, power=1)
+        # exact piecewise-polynomial integral of 4*pi*r^2*rho
+        self._cum_mass = _weighted_antiderivative(self._rho)
         total = float(self._cum_mass(self._r_max))
         if not total > 0.0:
             raise ValueError("profile integrates to zero mass")
@@ -325,14 +286,9 @@ class RadialProfile(MassDistribution):
             )
         self.mass = float(mass)
         self._integral_total = total
-        self._ring_total = float(cum_ring(self._r_max))
-        self._cum_ring = cum_ring
 
-        # dense tables: potential antiderivative and inverse radial CDF
+        # dense table of the inverse radial CDF
         dense = np.linspace(0.0, self._r_max, max(4096, 8 * r_arr.size))
-        pot = self.unit_potential(dense)
-        self._antideriv_grid = dense
-        self._antideriv_vals = cumulative_trapezoid(dense * pot, dense, initial=0.0)
         cdf = np.asarray(self._cum_mass(dense)) / total
         cdf[-1] = 1.0
         keep = np.concatenate(([True], np.diff(cdf) > 0))
@@ -342,27 +298,17 @@ class RadialProfile(MassDistribution):
     def tail_radius(self) -> float:
         return self._r_max
 
-    def radial_weight(self, r):
+    def weight_over_r(self, r):
         r = np.asarray(r, dtype=float)
         rho = np.nan_to_num(self._rho(r), nan=0.0)
-        return 4.0 * math.pi * r**2 * np.clip(rho, 0.0, None) / self._integral_total
+        return 4.0 * math.pi * r * np.clip(rho, 0.0, None) / self._integral_total
 
-    def unit_potential(self, r):
-        r = np.asarray(r, dtype=float)
-        rc = np.clip(r, 0.0, self._r_max)
-        m_in = np.asarray(self._cum_mass(rc), dtype=float)
-        ring_out = self._ring_total - np.asarray(self._cum_ring(rc), dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            phi = np.where(r > 0, m_in / np.maximum(r, 1e-300), 0.0) + ring_out
-        # 4*pi*int rho r dr at r=0 equals the full ring integral
-        phi = np.where(r > 0, phi, self._ring_total)
-        return phi / self._integral_total
+    def enclosed_fraction(self, r):
+        r = np.clip(np.asarray(r, dtype=float), 0.0, self._r_max)
+        return np.asarray(self._cum_mass(r)) / self._integral_total
 
-    def potential_antiderivative(self, u):
-        u = np.asarray(u, dtype=float)
-        inside = np.interp(np.clip(u, 0.0, self._r_max), self._antideriv_grid, self._antideriv_vals)
-        # beyond the support, t*phi = 1 exactly
-        return np.where(u <= self._r_max, inside, self._antideriv_vals[-1] + (u - self._r_max))
+    def knots(self) -> np.ndarray:
+        return self._rho.x
 
     def radius_from_cdf(self, u):
         return np.interp(np.asarray(u, dtype=float), self._cdf_vals, self._cdf_radii)
@@ -388,22 +334,19 @@ def _check_mass(mass: float) -> None:
         raise ValueError(f"mass must be strictly positive, got {mass}")
 
 
-def _weighted_antiderivative(rho, power: int):
-    """Exact antiderivative (a ``PPoly``) of 4*pi*r^power*rho(r) for a
+def _weighted_antiderivative(rho):
+    """Exact antiderivative (a ``PPoly``) of 4*pi*r^2*rho(r) for a
     piecewise-cubic ``PchipInterpolator`` rho."""
     from scipy.interpolate import PPoly
 
-    breaks = rho.x
-    coeffs = rho.c  # (4, n_intervals), highest degree first, local variable x = r - break
-    n = coeffs.shape[1]
-    out = np.zeros((4 + power, n))
-    for i in range(n):
-        local = np.polynomial.polynomial.Polynomial(coeffs[::-1, i])
-        shift = np.polynomial.polynomial.Polynomial([breaks[i], 1.0]) ** power
-        prod = 4.0 * math.pi * (local * shift)
-        c = prod.coef[::-1]  # highest first
-        out[-len(c):, i] = c
-    return PPoly(out, breaks).antiderivative()
+    start = rho.x[:-1]
+    c = rho.c  # (4, n_intervals), highest degree first, local variable x = r - start
+    # r^2 = x^2 + 2*start*x + start^2
+    out = np.zeros((6, c.shape[1]))
+    out[:4] = c
+    out[1:5] += 2.0 * start * c
+    out[2:] += start**2 * c
+    return PPoly(4.0 * math.pi * out, rho.x).antiderivative()
 
 
 def radial_profile_from_csv(path, center: Sequence[float] = _ORIGIN,
@@ -475,79 +418,115 @@ class SuperpositionSpec:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature engines
+# Gauss-law engine
 # ---------------------------------------------------------------------------
+# Split each shape into concentric shells: F(r) is its enclosed mass fraction
+# and f(r) = F'(r)/r.  Two unit shells of radii s and t = s + u, centers d
+# apart, have mutual energy 1/max(s, t) - k(s, u)/(s t) with k >= 0 and k = 0
+# for |u| >= d.  So for unit masses mutual(d) = I0 - B(d), with
+#     I0 = int_0^inf F_a F_b / r^2 dr,   B(d) = int int f_a(s) f_b(s + u) k ds du,
+# and E_delta / G = 1/2 int (m_a F_a - m_b F_b)^2 / r^2 dr + m_a m_b B(d).
 
 
-def _shell_averaged_potential(shape: MassDistribution, s: float, d: float) -> float:
-    """Average of shape's unit potential over a sphere of radius s centered d away."""
-    if d == 0.0:
-        return float(shape.unit_potential(s))
-    if s == 0.0:
-        return float(shape.unit_potential(d))
-    hi = shape.potential_antiderivative(d + s)
-    lo = shape.potential_antiderivative(abs(d - s))
-    return float((hi - lo) / (2.0 * s * d))
+def _adaptive(func, lo: float, hi: float, rel_tol: float, breaks: set[float]) -> float:
+    """int_lo^hi func, split at the breaks inside (lo, hi).
+
+    quad gets rel_tol / 10: its error estimate misses the kinks that profile
+    knots put inside its intervals (it undershot 2.6-fold on a 40-sample
+    profile).  epsabs=0 keeps the accuracy independent of the unit of length."""
+    from scipy.integrate import quad
+
+    points = sorted(p for p in breaks if lo < p < hi) or None
+    epsrel = max(rel_tol / 10.0, 100.0 * np.finfo(float).eps)
+    return quad(func, lo, hi, epsabs=0.0, epsrel=epsrel, limit=400, points=points)[0]
+
+
+def _kernel(s, u, d: float):
+    """k(s, u) for |u| < d."""
+    t = s + u
+    return np.where(s + t >= d, (d - abs(u)) ** 2 / (4.0 * d),
+                    (d - np.maximum(s, t)) * np.minimum(s, t) / d)
 
 
 def _canonical_order(a: MassDistribution, b: MassDistribution):
-    """Argument-order-independent role assignment, so mutual(a, b) == mutual(b, a)
-    bit-for-bit even on the quadrature path."""
-    key = lambda s: (type(s).__name__, s.tail_radius(), s.mass, s.center)
+    """Argument-order-independent role assignment, a shell first, so the band
+    integral is symmetric in (a, b) bit for bit."""
+    key = lambda s: (s.delta_radius() is None, type(s).__name__, s.tail_radius(), s.mass,
+                     s.center)
     return (a, b) if key(a) <= key(b) else (b, a)
 
 
-def _unit_mutual_quadrature(
-    d1: MassDistribution, d2: MassDistribution, d: float, rel_tol: float
-) -> float:
-    """int w_outer(s) * <phi_inner>(s, d) ds with the delta-like shape placed outside."""
-    inner, outer = _canonical_order(d1, d2)
-    if outer.delta_radius() is None and inner.delta_radius() is not None:
-        inner, outer = outer, inner
-    s_delta = outer.delta_radius()
-    if s_delta is not None:
-        return _shell_averaged_potential(inner, s_delta, d)
+def _band_integral(a: MassDistribution, b: MassDistribution, d: float, rel_tol: float) -> float:
+    """B(d) >= 0: adaptive in u; in s, composite 8-point Gauss-Legendre on
+    panels split at the knots, exact for piecewise-polynomial densities."""
+    if d == 0.0:
+        return 0.0
+    a, b = _canonical_order(a, b)
+    ra, rb = a.delta_radius(), b.delta_radius()
+    if ra is not None and rb is not None:  # two shells: a single node
+        return float(_kernel(ra, rb - ra, d)) / (ra * rb) if abs(rb - ra) < d else 0.0
+    sa, sb = a.tail_radius(), b.tail_radius()
+    nodes, weights = np.polynomial.legendre.leggauss(8)
 
-    from scipy.integrate import quad
+    def inner(u: float) -> float:
+        if ra is not None:  # a shell: f_a(s) ds = delta(s - ra) ds / ra
+            s = np.array([ra])
+            w = b.weight_over_r(s + u) / ra
+        else:
+            lo, hi = max(0.0, -u), min(sa, sb - u)
+            knots = np.concatenate((a.knots(), b.knots() - u, [(d - u) / 2.0]))
+            edges = np.concatenate(([lo], np.unique(knots[(knots > lo) & (knots < hi)]), [hi]))
+            half = 0.5 * np.diff(edges)[:, None]
+            s = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
+            w = (half * weights).ravel() * a.weight_over_r(s) * b.weight_over_r(s + u)
+        return float(w @ _kernel(s, u, d))
 
-    tail = outer.tail_radius()
-    s_inner = inner.tail_radius()
-    breakpoints = sorted(
-        {p for p in (abs(d - s_inner), d + s_inner, s_inner) if 0.0 < p < tail}
-    )
+    return _adaptive(inner, max(-d, -sa), min(d, sb), rel_tol, {0.0, sa - sb, sb - sa})
 
-    def integrand(s: float) -> float:
-        return float(outer.radial_weight(np.array(s))) * _shell_averaged_potential(inner, s, d)
 
-    # epsabs=0: unit energies scale as 1/length, so an absolute floor would
-    # make the accuracy depend on the unit of length
-    value, _ = quad(integrand, 0.0, tail, epsabs=0.0, epsrel=rel_tol, limit=400,
-                    points=breakpoints or None)
-    return value
+def _concentric_integral(g, a: MassDistribution, b: MassDistribution, rel_tol: float,
+                         lo: float = 0.0) -> float:
+    """int_lo^inf g(r) / r^2 dr for g built from F_a and F_b, constant past their tails."""
+    inner, outer = sorted((a.tail_radius(), b.tail_radius()))
+    hi = max(outer, lo)
+    return _adaptive(lambda r: g(r) / r**2, lo, hi, rel_tol, {inner}) + g(hi) / hi
+
+
+def _ball_overlap(eta: float) -> float:
+    """R * (6/5 - R * mutual) of two unit balls of radius R whose centers are
+    eta * R apart (eta <= 2): E_delta of equal balls, with no subtraction."""
+    return eta**2 / 2.0 - 3.0 * eta**3 / 16.0 + eta**5 / 160.0
+
+
+def _ball_radii(d1: MassDistribution, d2: MassDistribution) -> list[float]:
+    """Radii of the uniform balls (spheres and smeared points) among d1 and d2."""
+    return [shape.tail_radius() for shape in (d1, d2)
+            if isinstance(shape, (UniformSphere, PointMass)) and shape.tail_radius() > 0.0]
+
+
+def _disjoint(d1: MassDistribution, d2: MassDistribution, d: float) -> bool:
+    """Compact supports that do not overlap: they interact as two points."""
+    return (d > 0.0 and d >= d1.tail_radius() + d2.tail_radius()
+            and not isinstance(d1, Gaussian) and not isinstance(d2, Gaussian))
 
 
 def _unit_mutual_closed_form(
     d1: MassDistribution, d2: MassDistribution, d: float
 ) -> float | None:
     """Known exact cases; None means no closed form."""
-    # disjoint compact supports: plain point-point interaction by the shell theorem
-    if d > 0.0 and d >= d1.tail_radius() + d2.tail_radius():
-        if not isinstance(d1, Gaussian) and not isinstance(d2, Gaussian):
-            return 1.0 / d
+    if _disjoint(d1, d2, d):  # the shell theorem
+        return 1.0 / d
     if (isinstance(d1, SphericalShell) and isinstance(d2, SphericalShell)
             and d <= abs(d1.radius - d2.radius)):  # one shell inside the other
         return 1.0 / max(d1.radius, d2.radius)
-    # uniform balls: spheres and smeared points, whose tail radius is the ball's
-    balls = [shape.tail_radius() for shape in (d1, d2)
-             if isinstance(shape, (UniformSphere, PointMass)) and shape.tail_radius() > 0.0]
+    balls = _ball_radii(d1, d2)
     if len(balls) == 2:
         r1, r2 = balls
         if d <= abs(r1 - r2):  # one ball fully inside the other
             big, small = max(r1, r2), min(r1, r2)
             return (3.0 * big**2 - d**2 - 0.6 * small**2) / (2.0 * big**3)
         if r1 == r2:
-            eta = d / r1
-            return (1.2 - eta**2 / 2.0 + 3.0 * eta**3 / 16.0 - eta**5 / 160.0) / r1
+            return (1.2 - _ball_overlap(d / r1)) / r1
     if isinstance(d1, Gaussian) and isinstance(d2, Gaussian):
         from scipy.special import erf
 
@@ -570,7 +549,11 @@ def _unit_mutual(
             return closed
         if method == "analytic":
             raise NoClosedForm("no closed form for this shape pair; use method='auto'")
-    return _unit_mutual_quadrature(d1, d2, d, rel_tol)
+    product = lambda r: float(d1.enclosed_fraction(r) * d2.enclosed_fraction(r))
+    if 0.0 in (d1.delta_radius(), d2.delta_radius()):
+        # F = 1 for a point, whose mutual energy is the potential int_d^inf F / r^2
+        return _concentric_integral(product, d1, d2, rel_tol, lo=d)
+    return _concentric_integral(product, d1, d2, rel_tol) - _band_integral(d1, d2, d, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -612,10 +595,13 @@ def e_delta(
     method: str = "auto",
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
-    """Self energy of the branch difference density: U[a] + U[b] - mutual(a, b).
+    """Self energy of the branch difference density rho_a - rho_b, in joules.
 
-    Nonnegative by positive-definiteness of the 1/|x-y| kernel; exactly zero
-    for identical branches.
+    Nonnegative, and zero for identical branches.  Disjoint branches take
+    U[a] + U[b] - G m_a m_b / d (at most half the sum is subtracted), equal
+    balls a series in d/R; other pairs, and all under method="quadrature",
+    the Gauss-law sum of two nonnegative terms.  Only method="analytic"
+    subtracts near-equal energies: U[a] + U[b] - mutual from closed forms.
     """
     a, b = spec.branch_a, spec.branch_b
     if a.delta_radius() == 0.0 or b.delta_radius() == 0.0:
@@ -624,14 +610,25 @@ def e_delta(
         )
     if a == b:
         return 0.0
-    selves = self_energy(a, constants, method, rel_tol) + self_energy(b, constants, method, rel_tol)
-    value = selves - mutual_energy(a, b, constants, method, rel_tol)
-    if value < 0.0:
-        # kernel positivity guarantees >= 0; tiny negatives are quadrature roundoff
-        if abs(value) > 1e-6 * selves:
-            raise CancellationError(f"e_delta came out negative beyond roundoff: {value!r}")
-        value = 0.0
-    return value
+    d = math.dist(a.center, b.center)
+    ma, mb = a.mass, b.mass
+    if method != "quadrature":
+        balls = _ball_radii(a, b)
+        if len(balls) == 2 and balls[0] == balls[1] and not _disjoint(a, b, d):
+            overlap = 0.6 * (ma - mb) ** 2 + ma * mb * _ball_overlap(d / balls[0])
+            return constants.G * overlap / balls[0]
+        if method == "analytic" or _disjoint(a, b, d):
+            selves = (self_energy(a, constants, method, rel_tol)
+                      + self_energy(b, constants, method, rel_tol))
+            value = selves - mutual_energy(a, b, constants, method, rel_tol)
+            # kernel positivity guarantees >= 0; tiny negatives are roundoff
+            if value < -1e-6 * selves:
+                raise CancellationError(f"e_delta came out negative beyond roundoff: {value!r}")
+            return max(value, 0.0)
+    concentric = 0.5 * _concentric_integral(
+        lambda r: float(ma * a.enclosed_fraction(r) - mb * b.enclosed_fraction(r)) ** 2,
+        a, b, rel_tol)
+    return constants.G * (concentric + ma * mb * _band_integral(a, b, d, rel_tol))
 
 
 # ---------------------------------------------------------------------------

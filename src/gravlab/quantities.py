@@ -54,7 +54,7 @@ class PhysicalConstants:
     @property
     def bohr_radius(self) -> float:
         """a0 = hbar^2 / (m_e e^2), meters."""
-        return self.hbar**2 / (self.m_e * self.e2_coulomb)
+        return kernel_length(self.m_e, self.e2_coulomb, self)
 
     @property
     def hartree(self) -> float:
@@ -64,6 +64,13 @@ class PhysicalConstants:
 
 #: Module-wide default constants instance.
 CODATA2018 = PhysicalConstants()
+
+
+def kernel_length(mass: float, kappa: float,
+                  constants: PhysicalConstants = CODATA2018) -> float:
+    """Characteristic length hbar^2 / (m |kappa|) of a kernel of strength kappa:
+    the SN-natural length for gravity, the Bohr radius for the Coulomb kernel."""
+    return constants.hbar**2 / (mass * abs(kappa))
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ class ScaleSystem:
             raise ValueError(f"mass_reference must be positive, got {mass}")
         energy = constants.G**2 * mass**5 / constants.hbar**2
         return ScaleSystem(
-            length_scale=constants.hbar**2 / (constants.G * mass**3),
+            length_scale=kernel_length(mass, constants.G * mass**2, constants),
             time_scale=constants.hbar / energy,
             energy_scale=energy,
             mass_reference=mass,

@@ -21,7 +21,6 @@ from .state import (
     electrostatic_kernel,
     gravitational_kernel,
     kernel_integral,
-    kernel_length,
     load_state_csv,
     self_potential,
     validate_grid_resolution,
@@ -45,7 +44,6 @@ __all__ = [
     "gravitational_kernel",
     "hydrogen_diagnostic",
     "kernel_integral",
-    "kernel_length",
     "load_state_csv",
     "rayleigh_quotient",
     "self_potential",

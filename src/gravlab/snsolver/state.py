@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import GridError, NormalizationError
-from ..quantities import CODATA2018, PhysicalConstants
+from ..quantities import CODATA2018, PhysicalConstants, kernel_length
 
 NORM_TOL = 1e-10
 POINTS_PER_LENGTH = 32   # grid points required per kernel characteristic length
@@ -188,7 +188,7 @@ def kernel_integral(r: np.ndarray, density_weight: np.ndarray) -> np.ndarray:
     ``r`` must be ascending and strictly positive; the [0, r_1] sliver enters
     with w(0) = 0 (w ~ r^2 at the origin).
     """
-    # cumulative trapezoids, in scipy's cumulative_trapezoid operation order
+    # cumulative trapezoids, in the operation order of scipy's cumulative trapezoid rule
     dr = np.diff(np.concatenate(([0.0], r)))
     w0 = np.concatenate(([0.0], density_weight))
     inner = np.cumsum(dr * (w0[1:] + w0[:-1]) / 2.0)   # int_0^{r_i} w dr', i = 1..n
@@ -210,13 +210,6 @@ def self_potential(state: WaveState) -> np.ndarray:
         return np.zeros(state.grid.n)
     weight = 4.0 * math.pi * state.grid.r**2 * np.abs(state.psi) ** 2
     return kappa * kernel_integral(state.grid.r, weight)
-
-
-def kernel_length(mass: float, kappa: float,
-                  constants: PhysicalConstants = CODATA2018) -> float:
-    """Characteristic length hbar^2 / (m |kappa|) of a kernel of strength kappa:
-    the SN-natural length for gravity, the Bohr radius for the Coulomb kernel."""
-    return constants.hbar**2 / (mass * abs(kappa))
 
 
 def validate_grid_resolution(grid: Grid, mass: float,

@@ -30,13 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import ConvergenceError, GridError
-from ..quantities import CODATA2018, PhysicalConstants
+from ..quantities import CODATA2018, PhysicalConstants, kernel_length
 from .state import (
     KernelTerm,
     RadialGrid,
     WaveState,
     kernel_integral,
-    kernel_length,
     validate_grid_resolution,
     validate_tail,
 )

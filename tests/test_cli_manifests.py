@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 from gravlab.cli import RunManifest, main
 from gravlab.errors import ManifestError
+from gravlab.massdist import _ball_overlap
+from gravlab.quantities import CODATA2018
 
+G = CODATA2018.G
 SPHERE = {"kind": "uniform_sphere", "mass_kg": 1.0, "radius_m": 1.0}
 SPHERE_AT_4 = dict(SPHERE, center_m=[4.0, 0.0, 0.0])
 SN_GRID = {"points": 200, "r_max": 30.0, "units": "natural"}
@@ -108,8 +111,6 @@ def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, payload, fie
 
 
 FAILED = [
-    # E_delta's negative-roundoff guard: -2.26e-13 J against a true +2.78e-13 J
-    (manifest("e-delta", **NEAR_CONCENTRIC, monte_carlo=False), "CancellationError"),
     (manifest("e-delta", shape_a={"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
               method="analytic"), "NoClosedForm"),
 ]
@@ -124,9 +125,18 @@ def test_compute_errors_exit_1_with_a_bundle(tmp_path, payload, error_type):
     assert [f["name"] for f in bundle["files"]] == ["manifest.json"]
 
 
-def test_sweep_records_a_cancellation_as_a_row_error(tmp_path):
-    # a uniform ball sampled as a radial profile takes the quadrature path,
-    # whose E_delta cancels below zero at d << R
+def test_near_concentric_e_delta_exits_0_with_the_concentric_value(tmp_path):
+    # d = 1e-14 m adds O(d^2) to E_delta(0) = U[ball] + U[shell] - mutual(d = 0)
+    code, outdir = run_manifest(tmp_path, manifest("e-delta", **NEAR_CONCENTRIC,
+                                                   monte_carlo=False))
+    assert code == 0
+    summary = json.loads((outdir / "e_delta.json").read_text())
+    expected = G * (0.6 / 11.0 + 0.5 / 9.0 - 282.0 / 2662.0)
+    assert summary["e_delta_J"] == pytest.approx(expected, rel=1e-9)
+
+
+def test_profile_sweep_is_accurate_at_small_separation(tmp_path):
+    # a uniform ball sampled as a radial profile takes the Gauss-law engine
     rho = 3.0 / (4.0 * math.pi)
     profile = {"kind": "radial_profile", "r_m": [i / 15 for i in range(16)],
                "rho_kg_m3": [rho] * 16, "mass_kg": 1.0}
@@ -134,9 +144,20 @@ def test_sweep_records_a_cancellation_as_a_row_error(tmp_path):
         "lifetime-sweep", shape=profile, sweep={"kind": "separation", "values": [1e-6, 2.0]}))
     assert code == 0
     summary = json.loads((outdir / "lifetime_sweep.json").read_text())
-    assert summary["errors"] == 1
-    assert "negative beyond roundoff" in summary["rows"][0]["error"]
+    assert summary["errors"] == 0
+    assert summary["rows"][0]["E_delta_J"] == pytest.approx(G * _ball_overlap(1e-6), rel=1e-6)
     assert summary["rows"][1]["E_delta_J"] > 0.0
+
+
+def test_sweep_records_divergent_rows_and_exits_0(tmp_path):
+    code, outdir = run_manifest(tmp_path, manifest(
+        "lifetime-sweep", shape={"kind": "point_mass", "mass_kg": 1.0},
+        sweep={"kind": "separation", "values": [1.0, 2.0]}))
+    assert code == 0
+    summary = json.loads((outdir / "lifetime_sweep.json").read_text())
+    assert summary["errors"] == 2
+    assert [row["parameter"] for row in summary["rows"]] == [1.0, 2.0]
+    assert all("smearing_length" in row["error"] for row in summary["rows"])
 
 
 @pytest.mark.parametrize("changes, field", [

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
+from gravlab.dpcriterion import collapse_time
 from gravlab.errors import DivergentSelfEnergy, NoClosedForm
 from gravlab.massdist import (
     Gaussian,
@@ -13,6 +16,7 @@ from gravlab.massdist import (
     SphericalShell,
     SuperpositionSpec,
     UniformSphere,
+    _ball_overlap,
     e_delta,
     e_delta_mc,
     mutual_energy,
@@ -269,3 +273,95 @@ def test_self_energy_mc_is_half_the_mutual_estimate():
     g = Gaussian(3.0, 0.7)
     value, err = mutual_energy_mc(g, g, n_samples=20_000, seed=11)
     assert self_energy_mc(g, n_samples=20_000, seed=11) == (0.5 * value, 0.5 * err)
+
+
+# -- E_delta at d << R: the Gauss-law engine --------------------------------
+
+def _ball_e_delta(radius: float, d: float) -> float:
+    eta = d / radius
+    return _ball_overlap(eta) / radius if eta <= 2.0 else 1.2 / radius - 1.0 / d
+
+
+def _shell_e_delta(radius: float, d: float) -> float:
+    return d / (4.0 * radius**2) if d < 2.0 * radius else 1.0 / radius - 1.0 / d
+
+
+def _gaussian_e_delta(width: float, d: float) -> float:
+    w = 2.0 * width
+    x = d / w
+    if x < 1e-2:
+        return 2.0 / (math.sqrt(math.pi) * w) * (x**2 / 3.0 - x**4 / 10.0 + x**6 / 42.0)
+    return 2.0 / (math.sqrt(math.pi) * w) - math.erf(x) / d
+
+
+def _nested_e_delta(big: float, small: float, d: float) -> float:
+    at_zero = 0.6 / big + 0.6 / small - (3.0 * big**2 - 0.6 * small**2) / (2.0 * big**3)
+    return at_zero + d**2 / (2.0 * big**3)
+
+
+def _uniform_ball_profile(radius: float, center=(0.0, 0.0, 0.0)) -> RadialProfile:
+    rho = 3.0 / (4.0 * math.pi * radius**3)
+    return RadialProfile(np.linspace(0.0, radius, 16), np.full(16, rho), center, mass=1.0)
+
+
+SMALL_D_PAIRS = {
+    "spheres": (lambda c: UniformSphere(1.0, 1.0, c), lambda d: _ball_e_delta(1.0, d)),
+    "smeared points": (lambda c: PointMass(1.0, c, 1.0), lambda d: _ball_e_delta(1.0, d)),
+    "shells": (lambda c: SphericalShell(1.0, 1.0, c), lambda d: _shell_e_delta(1.0, d)),
+    "gaussians": (lambda c: Gaussian(1.0, 1.0, c), lambda d: _gaussian_e_delta(1.0, d)),
+    "profiles": (lambda c: _uniform_ball_profile(1.0, c), lambda d: _ball_e_delta(1.0, d)),
+}
+SEPARATIONS = [10.0 ** (k / 2.0) for k in range(-24, 3)]  # 1e-12 ... 10, half decades
+
+
+def _check_small_d(spec: SuperpositionSpec, expected: float, method: str) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value = e_delta(spec, method=method, rel_tol=1e-10)
+        assert value == pytest.approx(G * expected, rel=1e-8)
+        if method == "auto":
+            assert math.isfinite(collapse_time(spec, rel_tol=1e-10).collapse_time)
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+@pytest.mark.parametrize("pair", sorted(SMALL_D_PAIRS))
+def test_e_delta_is_accurate_from_d_over_r_1e_minus_12_to_10(pair, method):
+    make, unit_e_delta = SMALL_D_PAIRS[pair]
+    for d in SEPARATIONS:
+        spec = SuperpositionSpec(make((0.0, 0.0, 0.0)), make((d, 0.0, 0.0)))
+        _check_small_d(spec, unit_e_delta(d), method)
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_e_delta_of_a_sphere_and_a_smeared_point_of_the_same_radius(method):
+    for d in SEPARATIONS:
+        spec = SuperpositionSpec(UniformSphere(1.0, 1.0), PointMass(1.0, (d, 0.0, 0.0), 1.0))
+        _check_small_d(spec, _ball_e_delta(1.0, d), method)
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+def test_e_delta_of_nested_balls_grows_as_d_squared(method):
+    # the small ball stays inside the big one: E(0) + G m^2 d^2 / (2 R_big^3)
+    for d in [x for x in SEPARATIONS if x <= 0.5]:
+        spec = SuperpositionSpec(UniformSphere(1.0, 1.0), UniformSphere(1.0, 0.5, (d, 0.0, 0.0)))
+        _check_small_d(spec, _nested_e_delta(1.0, 0.5, d), method)
+
+
+def test_exponential_profile_self_energy_splits_at_the_samples():
+    # per-interval Gauss-Legendre on the sample knots gives 0.156250121063792
+    prof = _exponential_profile(1.0)
+    unit = self_energy(prof, rel_tol=1e-8) / (G * prof.mass**2)
+    assert unit == pytest.approx(0.156250121063792, rel=5e-8)
+
+
+def test_profile_mass_antiderivative_matches_the_per_interval_polynomials():
+    r = np.linspace(0.0, 3.0, 25)
+    prof = RadialProfile(r, np.exp(-r) * (1.0 + np.sin(3.0 * r) ** 2))
+    rho = prof._rho
+    expected = [0.0]
+    for i in range(r.size - 1):
+        local = np.polynomial.Polynomial(rho.c[::-1, i])
+        shift = np.polynomial.Polynomial([r[i], 1.0]) ** 2
+        piece = (4.0 * math.pi * local * shift).integ()
+        expected.append(expected[-1] + piece(r[i + 1] - r[i]))
+    assert prof._cum_mass(r) == pytest.approx(expected, rel=1e-13, abs=1e-15)
