@@ -508,7 +508,6 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
             state = load_state_csv(p["initial_state_csv"], mass, couplings)
         except (OSError, ValueError) as exc:
             raise ManifestError(str(exc), field="parameters.initial_state_csv") from exc
-        grid = state.grid
         sigma0 = None
     else:
         grid = _sn_grid(p, mass, couplings, constants)
@@ -539,8 +538,9 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
         "initial_width_m": float(result.width[0]),
     }
     if p["compare_free"] and kappa != 0.0:
-        free_state = WaveState.gaussian_packet(grid, sigma0, mass)
-        free = evolve(free_state, dt, n_steps, constants=constants, record_every=record_every)
+        # the same initial state, evolved without the kernel
+        free = evolve(WaveState(state.grid, state.psi, mass), dt, n_steps,
+                      constants=constants, record_every=record_every)
         header.append("free_width_m")
         columns.append(free.width)
         curves.append((1, 5, "free width"))
@@ -766,7 +766,8 @@ def run(manifest: RunManifest) -> ResultBundle:
         error = None
     except ManifestError:
         raise
-    except GravlabError as exc:
+    except (GravlabError, ArithmeticError) as exc:
+        # overflow or division by zero on an extreme but valid input
         error = {"type": type(exc).__name__, "message": str(exc)}
         summary, lines, table = {}, [f"error: {error['type']}: {error['message']}"], None
 

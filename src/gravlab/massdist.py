@@ -23,6 +23,7 @@ module does not load it; ``tests/test_cli.py`` guards that.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -428,24 +429,32 @@ class SuperpositionSpec:
 # and E_delta / G = 1/2 int (m_a F_a - m_b F_b)^2 / r^2 dr + m_a m_b B(d).
 
 
-def _adaptive(func, lo: float, hi: float, rel_tol: float, breaks: set[float]) -> float:
+def _adaptive(func, lo: float, hi: float, rel_tol: float, breaks: set[float],
+              noise: float = 0.0) -> float:
     """int_lo^hi func, split at the breaks inside (lo, hi).
 
     quad gets rel_tol / 10: its error estimate misses the kinks that profile
     knots put inside its intervals (it undershot 2.6-fold on a 40-sample
-    profile).  epsabs=0 keeps the accuracy independent of the unit of length."""
-    from scipy.integrate import quad
+    profile).  epsabs=0 keeps the accuracy independent of the unit of length.
+    ``noise`` is the rounding level of the integral: quad's warning that it
+    missed rel_tol is kept only for an error estimate above it."""
+    from scipy.integrate import IntegrationWarning, quad
 
     points = sorted(p for p in breaks if lo < p < hi) or None
     epsrel = max(rel_tol / 10.0, 100.0 * np.finfo(float).eps)
-    return quad(func, lo, hi, epsabs=0.0, epsrel=epsrel, limit=400, points=points)[0]
+    value, error, _, *failure = quad(func, lo, hi, epsabs=0.0, epsrel=epsrel, limit=400,
+                                     points=points, full_output=1)
+    if failure and error > noise:
+        warnings.warn(failure[0], IntegrationWarning, stacklevel=2)
+    return value
 
 
 def _kernel(s, u, d: float):
     """k(s, u) for |u| < d."""
     t = s + u
+    # min(s, t) < d/2 where the second form applies; the clamp keeps it finite elsewhere
     return np.where(s + t >= d, (d - abs(u)) ** 2 / (4.0 * d),
-                    (d - np.maximum(s, t)) * np.minimum(s, t) / d)
+                    (d - np.maximum(s, t)) * np.minimum(np.minimum(s, t), d) / d)
 
 
 def _canonical_order(a: MassDistribution, b: MassDistribution):
@@ -485,11 +494,11 @@ def _band_integral(a: MassDistribution, b: MassDistribution, d: float, rel_tol: 
 
 
 def _concentric_integral(g, a: MassDistribution, b: MassDistribution, rel_tol: float,
-                         lo: float = 0.0) -> float:
+                         lo: float = 0.0, noise: float = 0.0) -> float:
     """int_lo^inf g(r) / r^2 dr for g built from F_a and F_b, constant past their tails."""
     inner, outer = sorted((a.tail_radius(), b.tail_radius()))
     hi = max(outer, lo)
-    return _adaptive(lambda r: g(r) / r**2, lo, hi, rel_tol, {inner}) + g(hi) / hi
+    return _adaptive(lambda r: g(r) / r**2, lo, hi, rel_tol, {inner}, noise) + g(hi) / hi
 
 
 def _ball_overlap(eta: float) -> float:
@@ -625,9 +634,11 @@ def e_delta(
             if value < -1e-6 * selves:
                 raise CancellationError(f"e_delta came out negative beyond roundoff: {value!r}")
             return max(value, 0.0)
+    # F_a - F_b of near-equal shapes rounds at eps times the self-energy scale
+    noise = np.finfo(float).eps * (ma + mb) ** 2 / max(a.tail_radius(), b.tail_radius())
     concentric = 0.5 * _concentric_integral(
         lambda r: float(ma * a.enclosed_fraction(r) - mb * b.enclosed_fraction(r)) ** 2,
-        a, b, rel_tol)
+        a, b, rel_tol, noise=noise)
     return constants.G * (concentric + ma * mb * _band_integral(a, b, d, rel_tol))
 
 

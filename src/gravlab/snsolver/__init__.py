@@ -14,7 +14,6 @@ from .evolution import (
 )
 from .hydrogen import HydrogenReport, SelfTermEntry, hydrogen_diagnostic
 from .state import (
-    CartesianGrid,
     KernelTerm,
     RadialGrid,
     WaveState,
@@ -29,7 +28,6 @@ from .state import (
 from .stationary import StationaryState, count_nodes, rayleigh_quotient, stationary_states
 
 __all__ = [
-    "CartesianGrid",
     "EvolutionResult",
     "HydrogenReport",
     "KernelTerm",

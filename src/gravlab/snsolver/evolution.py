@@ -14,7 +14,9 @@ import numpy as np
 
 from ..errors import NumericalBlowup, StepSizeError
 from ..quantities import CODATA2018, PhysicalConstants
-from .state import Grid, WaveState, kernel_integral
+from .state import WaveState, dirichlet_kinetic_sum, kernel_potential, self_potential
+
+MAX_PHASE = 1.0   # rad: the largest rotation of the fastest grid mode per step
 
 
 @dataclass(frozen=True)
@@ -40,45 +42,25 @@ def free_gaussian_width_squared(sigma0: float, mass: float, t: float,
     return sigma0**2 * (1.0 + (constants.hbar * t / (2.0 * mass * sigma0**2)) ** 2)
 
 
-def _amplitude(state: WaveState) -> tuple[np.ndarray, np.ndarray, float]:
-    """The evolved amplitude: u = sqrt(4 pi) r psi on radial grids, psi itself in 1-D."""
-    grid = state.grid
-    if grid.kind == "radial":
-        return np.sqrt(4.0 * math.pi) * grid.r * state.psi, grid.r, grid.spacing
-    return state.psi.copy(), grid.x, grid.spacing
-
-
-def _kernel_potential(state_grid: Grid, u: np.ndarray, kappa: float, dx: float) -> np.ndarray:
-    """Self-interaction potential of amplitude u (J); zero without couplings."""
-    if kappa == 0.0 or state_grid.kind != "radial":
-        return np.zeros(u.size)
-    weight = np.abs(u) ** 2
-    norm = dx * float(np.sum(weight))
-    return kappa * kernel_integral(state_grid.r, weight / norm)
-
-
-def suggested_dt(state: WaveState, constants: PhysicalConstants = CODATA2018,
-                 max_phase: float = 1.0) -> float:
+def suggested_dt(state: WaveState, constants: PhysicalConstants = CODATA2018) -> float:
     """Largest dt the stability validator accepts for this state and grid."""
     e_grid = constants.hbar**2 / (2.0 * state.mass * state.grid.spacing**2)
     if state.external_potential is not None:
         e_grid += float(np.max(np.abs(state.external_potential)))
-    u, _, dx = _amplitude(state)
-    e_grid += float(np.max(np.abs(_kernel_potential(state.grid, u, state.kappa_total, dx))))
-    return max_phase * constants.hbar / e_grid
+    e_grid += float(np.max(np.abs(self_potential(state))))
+    return MAX_PHASE * constants.hbar / e_grid
 
 
 def validate_step_size(state: WaveState, dt: float,
-                       constants: PhysicalConstants = CODATA2018,
-                       max_phase: float = 1.0) -> None:
-    """Reject steps rotating the fastest grid mode by more than ``max_phase`` rad.
+                       constants: PhysicalConstants = CODATA2018) -> None:
+    """Reject steps rotating the fastest grid mode by more than MAX_PHASE rad.
 
     Crank-Nicolson is unconditionally stable, so this is an accuracy guard:
     phase errors grow as (E dt / hbar)^3 per step.
     """
     if not dt > 0.0:
         raise StepSizeError(f"dt must be positive, got {dt}")
-    dt_max = suggested_dt(state, constants, max_phase)
+    dt_max = suggested_dt(state, constants)
     if dt > dt_max:
         raise StepSizeError(
             f"dt = {dt:.3e} s exceeds the accuracy bound {dt_max:.3e} s for this grid"
@@ -92,7 +74,6 @@ def evolve(
     *,
     constants: PhysicalConstants = CODATA2018,
     record_every: int = 1,
-    max_phase: float = 1.0,
 ) -> EvolutionResult:
     """Advance the state n_steps of size dt, recording norm/energy/width.
 
@@ -104,10 +85,11 @@ def evolve(
 
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    validate_step_size(state, dt, constants, max_phase)
+    validate_step_size(state, dt, constants)
 
     grid = state.grid
-    u, coord, dx = _amplitude(state)
+    u = state.amplitude()
+    dx = grid.spacing
     kappa = state.kappa_total
     vext = state.external_potential
     if vext is None:
@@ -133,14 +115,9 @@ def evolve(
     def observables(u_now: np.ndarray, phi_now: np.ndarray) -> tuple[float, float, float]:
         dens = np.abs(u_now) ** 2
         norm = dx * float(np.sum(dens))
-        edges = np.concatenate(([u_now[0]], np.diff(u_now), [-u_now[-1]]))
-        kinetic = kin * dx * float(np.sum(np.abs(edges) ** 2))
+        kinetic = kin * dx * dirichlet_kinetic_sum(u_now)
         potential = dx * float(np.sum((vext + 0.5 * phi_now) * dens))
-        if grid.kind == "radial":
-            second = dx * float(np.sum(coord**2 * dens))
-        else:
-            mean = dx * float(np.sum(coord * dens)) / norm
-            second = dx * float(np.sum((coord - mean) ** 2 * dens))
+        second = dx * float(np.sum(grid.r**2 * dens))
         return norm, (kinetic + potential) / norm, math.sqrt(second / norm)
 
     n_records = n_steps // record_every + 2   # initial point + possibly ragged end
@@ -149,15 +126,15 @@ def evolve(
     energies = np.empty(n_records)
     widths = np.empty(n_records)
 
-    phi = _kernel_potential(grid, u, kappa, dx)
+    phi = kernel_potential(grid, u, kappa)
     times[0], (norms[0], energies[0], widths[0]) = 0.0, observables(u, phi)
     rec = 1
     for step in range(1, n_steps + 1):
         if kappa != 0.0:
             u_pred = cn_solve(u, vext + phi)
-            phi_mid = 0.5 * (phi + _kernel_potential(grid, u_pred, kappa, dx))
+            phi_mid = 0.5 * (phi + kernel_potential(grid, u_pred, kappa))
             u = cn_solve(u, vext + phi_mid)
-            phi = _kernel_potential(grid, u, kappa, dx)
+            phi = kernel_potential(grid, u, kappa)
         else:
             u = cn_solve(u, vext)
         if not np.all(np.isfinite(u.view(float))):
@@ -167,10 +144,7 @@ def evolve(
             norms[rec], energies[rec], widths[rec] = observables(u, phi)
             rec += 1
 
-    if grid.kind == "radial":
-        psi = u / (np.sqrt(4.0 * math.pi) * grid.r)
-    else:
-        psi = u
+    psi = u / (np.sqrt(4.0 * math.pi) * grid.r)
     final = WaveState.normalized(grid, psi, state.mass, state.self_coupling,
                                  state.external_potential)
     return EvolutionResult(times[:rec], norms[:rec], energies[:rec], widths[:rec],

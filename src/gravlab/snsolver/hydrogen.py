@@ -10,7 +10,6 @@ of magnitude down.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .state import (
     electrostatic_kernel,
     gravitational_kernel,
     kernel_integral,
+    radial_density,
 )
 from .stationary import DEFAULT_TOL, stationary_states
 
@@ -88,9 +88,8 @@ def hydrogen_diagnostic(
     e0_ev = bare.eigenvalue / EV
 
     # expectation values on the unperturbed orbital
-    u = math.sqrt(4.0 * math.pi) * grid.r * np.abs(bare.state.psi)
     dr = grid.spacing
-    weight = u**2 / (dr * float(np.sum(u**2)))   # normalized radial density, 1/m
+    weight = radial_density(grid, bare.state.amplitude())
     coulomb_exp = dr * float(np.sum(coulomb(grid.r) * weight))
     # <S> with S the unit-strength kernel integral; (5/8)/a0 on the exact 1s
     kernel_exp = dr * float(np.sum(kernel_integral(grid.r, weight) * weight))

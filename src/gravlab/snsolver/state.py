@@ -1,11 +1,11 @@
-"""Wavefunction state, grids, kernel couplings, and the self-interaction potential.
+"""Wavefunction states, which are s-waves on a uniform radial grid, kernel
+couplings, and the discrete radial formulas the solvers share: the amplitude
+u = sqrt(4 pi) r psi, its kernel potential and the Dirichlet kinetic sum.
 
 The self-interaction is a sum of kernel terms kappa_k * int |psi(x')|^2/|x-x'| d^3x'
 with signed strengths in J*m: kappa = -G m^2 reproduces the gravitational
 coupling, kappa = +e^2 the electrostatic objection, and both share one code
-path because the kernel integral is identical.  Kernel terms are only defined
-on radial grids (the integral is intrinsically three-dimensional); 1-D
-Cartesian grids serve free/external-potential evolution.
+path because the kernel integral is identical.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from ..errors import GridError, NormalizationError
 from ..quantities import CODATA2018, PhysicalConstants, kernel_length
 
 NORM_TOL = 1e-10
+TAIL_TOL = 1e-8          # largest |psi(r_max)| / max|psi| a solved state may have
 POINTS_PER_LENGTH = 32   # grid points required per kernel characteristic length
 
 
@@ -40,16 +41,13 @@ def gravitational_kernel(mass: float, constants: PhysicalConstants = CODATA2018)
     return KernelTerm(-constants.G * mass**2, "gravity")
 
 
-def electrostatic_kernel(constants: PhysicalConstants = CODATA2018,
-                         charge_factor: float = 1.0) -> KernelTerm:
+def electrostatic_kernel(constants: PhysicalConstants = CODATA2018) -> KernelTerm:
     """kappa = +e^2/(4 pi eps0) for a unit charge (repulsive)."""
-    return KernelTerm(constants.e2_coulomb * charge_factor**2, "electrostatic")
+    return KernelTerm(constants.e2_coulomb, "electrostatic")
 
 
 class RadialGrid:
     """Uniform radial grid r_i = i*dr, i = 1..n, with Dirichlet walls at 0 and r_max."""
-
-    kind = "radial"
 
     def __init__(self, r: np.ndarray):
         r = np.asarray(r, dtype=float)
@@ -79,53 +77,23 @@ class RadialGrid:
         return float(self.r[-1]) + self.spacing
 
 
-class CartesianGrid:
-    """Uniform 1-D grid with Dirichlet walls one spacing beyond both ends."""
-
-    kind = "cartesian"
-
-    def __init__(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size < 8:
-            raise GridError("cartesian grid needs at least 8 points")
-        steps = np.diff(x)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise GridError("cartesian grid must be uniform and increasing")
-        self.x = x
-        self.spacing = float(steps[0])
-
-    @classmethod
-    def centered(cls, half_width: float, n: int) -> "CartesianGrid":
-        return cls(np.linspace(-half_width, half_width, n))
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-
-Grid = RadialGrid | CartesianGrid
-
-
-def _norm_squared(grid: Grid, psi: np.ndarray) -> float:
-    """int |psi|^2 d^3x on a radial grid (4 pi r^2 measure), or int |psi|^2 dx in 1-D."""
-    density = np.abs(psi) ** 2
-    if grid.kind == "radial":
-        u2 = 4.0 * math.pi * grid.r**2 * density
-        # the [0, r_1] sliver integrates r^2*|psi|^2 ~ 0 at the origin
-        return float(np.trapezoid(np.concatenate(([0.0], u2)), np.concatenate(([0.0], grid.r))))
-    return float(np.trapezoid(density, grid.x))
+def _norm_squared(grid: RadialGrid, psi: np.ndarray) -> float:
+    """int |psi|^2 d^3x = int 4 pi r^2 |psi|^2 dr."""
+    u2 = 4.0 * math.pi * grid.r**2 * np.abs(psi) ** 2
+    # the [0, r_1] sliver integrates r^2*|psi|^2 ~ 0 at the origin
+    return float(np.trapezoid(np.concatenate(([0.0], u2)), np.concatenate(([0.0], grid.r))))
 
 
 @dataclass(frozen=True)
 class WaveState:
-    """A normalized wavefunction on a grid, with mass and coupling metadata.
+    """A normalized wavefunction on a radial grid, with mass and coupling metadata.
 
     ``psi`` holds the full wavefunction value (no spherical-harmonic factor);
-    on radial grids the norm is int 4 pi r^2 |psi|^2 dr = 1.
+    the norm is int 4 pi r^2 |psi|^2 dr = 1.
     ``external_potential`` is sampled on the grid in joules (None means free).
     """
 
-    grid: Grid
+    grid: RadialGrid
     psi: np.ndarray
     mass: float
     self_coupling: tuple[KernelTerm, ...] = ()
@@ -140,8 +108,6 @@ class WaveState:
         if not np.all(np.isfinite(psi.view(float))):
             raise NormalizationError("psi contains non-finite values")
         object.__setattr__(self, "psi", psi)
-        if self.self_coupling and self.grid.kind != "radial":
-            raise GridError("self-interaction kernels require a radial grid")
         if self.external_potential is not None:
             v = np.asarray(self.external_potential, dtype=float)
             if v.shape != (self.grid.n,):
@@ -154,12 +120,16 @@ class WaveState:
     def norm(self) -> float:
         return _norm_squared(self.grid, self.psi)
 
+    def amplitude(self) -> np.ndarray:
+        """The radial amplitude u = sqrt(4 pi) r psi, which the solvers evolve."""
+        return np.sqrt(4.0 * math.pi) * self.grid.r * self.psi
+
     @property
     def kappa_total(self) -> float:
         return sum(term.strength for term in self.self_coupling)
 
     @staticmethod
-    def normalized(grid: Grid, psi: np.ndarray, mass: float,
+    def normalized(grid: RadialGrid, psi: np.ndarray, mass: float,
                    self_coupling: Sequence[KernelTerm] = (),
                    external_potential: np.ndarray | None = None) -> "WaveState":
         psi = np.asarray(psi, dtype=complex)
@@ -170,14 +140,11 @@ class WaveState:
                          external_potential)
 
     @staticmethod
-    def gaussian_packet(grid: Grid, sigma: float, mass: float,
-                        self_coupling: Sequence[KernelTerm] = (),
-                        external_potential: np.ndarray | None = None,
-                        center: float = 0.0) -> "WaveState":
+    def gaussian_packet(grid: RadialGrid, sigma: float, mass: float,
+                        self_coupling: Sequence[KernelTerm] = ()) -> "WaveState":
         """Packet whose position density has standard deviation sigma per axis."""
-        coord = grid.r if grid.kind == "radial" else grid.x
-        psi = np.exp(-((coord - center) ** 2) / (4.0 * sigma**2)).astype(complex)
-        return WaveState.normalized(grid, psi, mass, self_coupling, external_potential)
+        psi = np.exp(-(grid.r**2) / (4.0 * sigma**2)).astype(complex)
+        return WaveState.normalized(grid, psi, mass, self_coupling)
 
 
 def kernel_integral(r: np.ndarray, density_weight: np.ndarray) -> np.ndarray:
@@ -198,21 +165,31 @@ def kernel_integral(r: np.ndarray, density_weight: np.ndarray) -> np.ndarray:
     return inner / r + outer
 
 
+def radial_density(grid: RadialGrid, u: np.ndarray) -> np.ndarray:
+    """|u|^2 / (dr sum |u|^2): the radial probability density of amplitude u, in 1/m."""
+    weight = np.abs(u) ** 2
+    return weight / (grid.spacing * float(np.sum(weight)))
+
+
+def kernel_potential(grid: RadialGrid, u: np.ndarray, kappa: float) -> np.ndarray:
+    """kappa S(r) for the density of amplitude u, in joules; zero without coupling."""
+    if kappa == 0.0:
+        return np.zeros(u.size)
+    return kappa * kernel_integral(grid.r, radial_density(grid, u))
+
+
+def dirichlet_kinetic_sum(u: np.ndarray) -> float:
+    """sum_i |u_{i+1} - u_i|^2 over the n + 1 grid edges, with u = 0 at both walls."""
+    edges = np.concatenate(([u[0]], np.diff(u), [-u[-1]]))
+    return float(np.sum(np.abs(edges) ** 2))
+
+
 def self_potential(state: WaveState) -> np.ndarray:
     """Total self-interaction potential sum_k kappa_k S(r) on the grid, in joules."""
-    norm = state.norm()
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NormalizationError(f"self_potential needs a normalized state (norm={norm!r})")
-    if state.grid.kind != "radial":
-        raise GridError("self_potential is defined on radial grids")
-    kappa = state.kappa_total
-    if kappa == 0.0:
-        return np.zeros(state.grid.n)
-    weight = 4.0 * math.pi * state.grid.r**2 * np.abs(state.psi) ** 2
-    return kappa * kernel_integral(state.grid.r, weight)
+    return kernel_potential(state.grid, state.amplitude(), state.kappa_total)
 
 
-def validate_grid_resolution(grid: Grid, mass: float,
+def validate_grid_resolution(grid: RadialGrid, mass: float,
                              couplings: Sequence[KernelTerm],
                              constants: PhysicalConstants = CODATA2018) -> None:
     """Require >= POINTS_PER_LENGTH grid points per kernel's characteristic length
@@ -229,23 +206,21 @@ def validate_grid_resolution(grid: Grid, mass: float,
             )
 
 
-def validate_tail(grid: RadialGrid, psi: np.ndarray, threshold: float = 1e-8) -> None:
+def validate_tail(psi: np.ndarray) -> None:
     """The domain is certified a posteriori: |psi(r_max)| must be negligible."""
     peak = float(np.max(np.abs(psi)))
     edge = float(np.abs(psi[-1]))
-    if edge > threshold * peak:
+    if edge > TAIL_TOL * peak:
         raise GridError(
-            f"|psi(r_max)| / max|psi| = {edge / peak:.3e} exceeds {threshold:.0e}; "
+            f"|psi(r_max)| / max|psi| = {edge / peak:.3e} exceeds {TAIL_TOL:.0e}; "
             "extend r_max"
         )
 
 
-def load_state_csv(path, mass: float, self_coupling: Sequence[KernelTerm] = (),
-                   external_potential: np.ndarray | None = None) -> WaveState:
+def load_state_csv(path, mass: float, self_coupling: Sequence[KernelTerm] = ()) -> WaveState:
     """Read (r, Re psi, Im psi) columns into a normalized radial WaveState."""
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if data.shape[1] < 3:
         raise ValueError(f"{path}: expected three columns (r, Re psi, Im psi)")
     grid = RadialGrid(data[:, 0])
-    return WaveState.normalized(grid, data[:, 1] + 1j * data[:, 2], mass,
-                                self_coupling, external_potential)
+    return WaveState.normalized(grid, data[:, 1] + 1j * data[:, 2], mass, self_coupling)

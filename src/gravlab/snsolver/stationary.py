@@ -29,13 +29,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConvergenceError, GridError
+from ..errors import ConvergenceError
 from ..quantities import CODATA2018, PhysicalConstants, kernel_length
 from .state import (
     KernelTerm,
     RadialGrid,
     WaveState,
+    dirichlet_kinetic_sum,
     kernel_integral,
+    self_potential,
     validate_grid_resolution,
     validate_tail,
 )
@@ -56,10 +58,10 @@ class StationaryState:
     method: str = "scf"
 
 
-def count_nodes(u: np.ndarray, floor: float = 1e-7) -> int:
-    """Sign changes of the radial profile, ignoring the sub-threshold tail."""
+def count_nodes(u: np.ndarray) -> int:
+    """Sign changes of the radial profile, ignoring the tail below 1e-7 of its peak."""
     mag = np.abs(u)
-    significant = u[mag > floor * float(mag.max())]
+    significant = u[mag > 1e-7 * float(mag.max())]
     return int(np.count_nonzero(significant[:-1] * significant[1:] < 0.0))
 
 
@@ -395,7 +397,7 @@ def stationary_states(
                 f"state targeted {k} nodes but converged with {nodes}; refine the grid"
             )
         if validate_domain:
-            validate_tail(grid, u / grid.r)
+            validate_tail(u / grid.r)
 
         psi = (u / math.sqrt(4.0 * math.pi * scales.length)) / grid.r
         ext_arr = None if vext_grid is None else vext_grid * scales.energy
@@ -410,19 +412,12 @@ def stationary_states(
 
 def rayleigh_quotient(state: WaveState, constants: PhysicalConstants = CODATA2018) -> float:
     """<u|H[Phi[state]]|u> / <u|u> for the discrete radial Hamiltonian, in joules."""
-    from .state import self_potential
-
-    grid = state.grid
-    if grid.kind != "radial":
-        raise GridError("rayleigh_quotient expects a radial state")
-    u = np.sqrt(4.0 * math.pi) * grid.r * state.psi
-    dr = grid.spacing
+    u = state.amplitude()
     potential = self_potential(state)
     if state.external_potential is not None:
         potential = potential + state.external_potential
-    kin_scale = constants.hbar**2 / (2.0 * state.mass * dr**2)
-    edges = np.concatenate(([u[0]], np.diff(u), [-u[-1]]))
-    kinetic = kin_scale * float(np.sum(np.abs(edges) ** 2))
+    kin_scale = constants.hbar**2 / (2.0 * state.mass * state.grid.spacing**2)
+    kinetic = kin_scale * dirichlet_kinetic_sum(u)
     pot = float(np.sum(potential * np.abs(u) ** 2))
     norm = float(np.sum(np.abs(u) ** 2))
     return (kinetic + pot) / norm

@@ -28,7 +28,6 @@ from gravlab.massdist import (
 )
 from gravlab.quantities import CODATA2018, ScaleSystem
 from gravlab.snsolver import (
-    CartesianGrid,
     RadialGrid,
     WaveState,
     evolve,
@@ -173,11 +172,12 @@ def test_criterion_6_evolution_sanity():
     t0 = time.time()
     mass, sigma0 = 1e-20, 1e-6
     t_final = 2.0 * mass * sigma0**2 / C.hbar
-    grid = CartesianGrid.centered(14.0 * sigma0, 1024)
+    grid = RadialGrid.uniform(14.0 * sigma0, 512)
     packet = WaveState.gaussian_packet(grid, sigma0, mass)
     result = evolve(packet, t_final / 1500, 1500, record_every=250)
     for i in range(1, result.times.size):
-        expected = free_gaussian_width_squared(sigma0, mass, float(result.times[i]), C)
+        # an s-wave Gaussian spreads isotropically: <r^2> = 3 sigma^2(t)
+        expected = 3.0 * free_gaussian_width_squared(sigma0, mass, float(result.times[i]), C)
         assert abs(result.width[i] ** 2 / expected - 1.0) < 5e-3
     assert abs(result.norm[-1] - 1.0) < 1e-8
     assert abs(result.energy[-1] / result.energy[0] - 1.0) < 1e-5

@@ -251,6 +251,25 @@ def test_sn_evolve_accepts_initial_state_csv(tmp_path):
     assert bundle.summary["sigma0_m"] is None   # width comes from the CSV state
 
 
+def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):
+    import numpy as np
+
+    r = np.linspace(1e-9, 400e-9, 400)
+    psi = np.exp(-((r - 1e-7) ** 2) / (2.0 * (4e-8) ** 2))
+    csv_path = tmp_path / "initial.csv"
+    np.savetxt(csv_path, np.column_stack([r, psi, np.zeros_like(r)]), delimiter=",")
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"command": "sn-evolve", "parameters": {
+        "mass_kg": 1e-17, "initial_state_csv": str(csv_path), "couplings": ["gravity"],
+        "n_steps": 50, "compare_free": True}}))
+    outdir = tmp_path / "out"
+    assert main(["sn-evolve", "--manifest", str(source), "--output-dir", str(outdir)]) == 0
+    summary = json.loads((outdir / "sn_evolve.json").read_text())
+    assert summary["final_free_width_m"] > 0.0
+    rows = np.loadtxt(outdir / "sn_evolve.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[0, 4] == rows[0, 3]   # the free run starts from the loaded state
+
+
 # Runs in a fresh interpreter, since pytest's own process has scipy loaded:
 # imports the CLI, runs each argv in turn and reports the scipy modules loaded
 # after each step.

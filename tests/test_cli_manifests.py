@@ -111,12 +111,24 @@ def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, payload, fie
 
 
 FAILED = [
-    (manifest("e-delta", shape_a={"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
-              method="analytic"), "NoClosedForm"),
+    pytest.param(manifest("e-delta", shape_a={"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
+                          method="analytic"), "NoClosedForm", id="NoClosedForm"),
+    # finite, in-range inputs whose numerics overflow or divide by zero
+    pytest.param(manifest("selfenergy", shape={"kind": "gaussian", "mass_kg": 1.0,
+                                               "width_m": 1e300}),
+                 "OverflowError", id="selfenergy:width_m=1e300"),
+    pytest.param(manifest("e-delta", shape_a=dict(SPHERE, radius_m=1e-300)),
+                 "ZeroDivisionError", id="e-delta:radius_m=1e-300"),
+    pytest.param(manifest("sn-ground", mass_kg=1e300), "OverflowError",
+                 id="sn-ground:mass_kg=1e300"),
+    pytest.param(manifest("sn-evolve", sigma0_natural=1e300), "OverflowError",
+                 id="sn-evolve:sigma0_natural=1e300"),
+    pytest.param(manifest("hydrogen-shift", r_max_bohr=1e-300), "ZeroDivisionError",
+                 id="hydrogen-shift:r_max_bohr=1e-300"),
 ]
 
 
-@pytest.mark.parametrize("payload, error_type", FAILED, ids=[t for _, t in FAILED])
+@pytest.mark.parametrize("payload, error_type", FAILED)
 def test_compute_errors_exit_1_with_a_bundle(tmp_path, payload, error_type):
     code, outdir = run_manifest(tmp_path, payload)
     assert code == 1

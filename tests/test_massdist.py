@@ -365,3 +365,15 @@ def test_profile_mass_antiderivative_matches_the_per_interval_polynomials():
         piece = (4.0 * math.pi * local * shift).integ()
         expected.append(expected[-1] + piece(r[i + 1] - r[i]))
     assert prof._cum_mass(r) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+
+def test_e_delta_raises_no_warning_at_the_rounding_limits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # concentric balls one ulp apart in radius: F_a - F_b is rounding noise
+        a, b = UniformSphere(1.0, 0.05), UniformSphere(1.0, math.nextafter(0.05, 1.0))
+        assert 0.0 <= e_delta(SuperpositionSpec(a, b)) <= 1e-14 * self_energy(a)
+        # a subnormal separation gives the concentric value
+        spec = SuperpositionSpec(UniformSphere(1.0, 1.0),
+                                 UniformSphere(1.0, 0.5, (1e-311, 0.0, 0.0)))
+        assert e_delta(spec) == pytest.approx(G * _nested_e_delta(1.0, 0.5, 0.0), rel=1e-8)

@@ -8,7 +8,6 @@ import pytest
 from gravlab.errors import GridError, NormalizationError
 from gravlab.quantities import CODATA2018
 from gravlab.snsolver import (
-    CartesianGrid,
     KernelTerm,
     RadialGrid,
     WaveState,
@@ -70,12 +69,6 @@ def test_non_normalized_state_rejected():
         WaveState.normalized(grid, np.zeros(100), 1e-20)
 
 
-def test_couplings_require_radial_grid():
-    grid = CartesianGrid.centered(5.0, 128)
-    with pytest.raises(GridError):
-        WaveState.gaussian_packet(grid, 1.0, 1e-20, [gravitational_kernel(1e-20)])
-
-
 def test_grid_resolution_validator():
     c = CODATA2018
     mass = 1e-17
@@ -91,17 +84,18 @@ def test_tail_validator():
     grid = RadialGrid.uniform(10.0, 200)
     psi = np.exp(-grid.r)
     with pytest.raises(GridError, match="extend r_max"):
-        validate_tail(grid, psi, threshold=1e-8)
-    validate_tail(grid, np.exp(-5.0 * grid.r), threshold=1e-8)
+        validate_tail(psi)
+    validate_tail(np.exp(-5.0 * grid.r))
 
 
 def test_gaussian_packet_width():
-    grid = CartesianGrid.centered(12.0, 1024)
+    # sigma per axis: <r^2> = 3 sigma^2
+    grid = RadialGrid.uniform(12.0, 1024)
     state = WaveState.gaussian_packet(grid, 1.5, 1e-20)
-    x = grid.x
-    density = np.abs(state.psi) ** 2
-    var = float(np.trapezoid(x**2 * density, x))
-    assert var == pytest.approx(1.5**2, rel=1e-6)
+    r = grid.r
+    weight = 4.0 * math.pi * r**2 * np.abs(state.psi) ** 2
+    second = float(np.trapezoid(r**2 * weight, r))
+    assert second == pytest.approx(3.0 * 1.5**2, rel=1e-6)
 
 
 def test_kernel_strength_signs():
