@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -58,6 +59,7 @@ from .snsolver.stationary import DEFAULT_TOL
 
 OUTPUT_DIR_ENV = "GRAVLAB_OUTPUT_DIR"
 REQUIRED = object()   # the default of a parameter that must be given
+COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +71,9 @@ class Param(NamedTuple):
     """One settable value: its dotted path in the manifest, its kind (float,
     int, bool, str, list, dict, or a function (value, field) -> value that
     checks and converts a compound value), its default (a None default makes
-    it optional), its check (a tuple of choices or a bound such as "> 0") and
-    its flags.  A flag is a name that sets the value as given, or a (name,
+    it optional), its check (a tuple of choices, or bounds such as "> 0" or
+    ">= 1, <= 1e8"; an array size is bounded so that numpy can allocate it)
+    and its flags.  A flag is a name that sets the value as given, or a (name,
     argparse type or choices, help) triple whose values from_flags(target,
     *values) turns into the value to store in the dict ``target`` (None: keep).
     """
@@ -120,9 +123,10 @@ def _checked(row: Param, value, field: str):
         if value not in row.check:
             raise ManifestError(f"must be one of {', '.join(row.check)}", field=field)
     elif row.check:
-        op, bound = row.check.split()
-        if not (value > float(bound) if op == ">" else value >= float(bound)):
-            raise ManifestError(f"must be {row.check}", field=field)
+        for clause in row.check.split(", "):
+            op, bound = clause.split()
+            if not COMPARISONS[op](value, float(bound)):
+                raise ManifestError(f"must be {row.check}", field=field)
     return value
 
 
@@ -474,6 +478,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
                 "eigenvalue": {"J": s.eigenvalue, "scaled": s.eigenvalue / system.energy_scale,
                                "scale_system": system.label},
                 "residual": s.residual,
+                "iterations": s.iterations,
                 "method": s.method,
             }
             for s in primary
@@ -640,7 +645,7 @@ SHAPE = Param("shape", _shape, flags=(
 ), from_flags=_shape_from_flags)
 ENERGY_METHOD = Param("method", str, "auto", ("auto", "analytic", "quadrature"))
 MONTE_CARLO = (Param("monte_carlo", bool, False, flags=("--monte-carlo",)),
-               Param("mc_samples", int, 200_000, ">= 2", flags=("--mc-samples",)))
+               Param("mc_samples", int, 200_000, ">= 2, <= 1e8", flags=("--mc-samples",)))
 AMPLITUDES = (Param("amp_a", _pair, [math.sqrt(0.5), 0.0]),
               Param("amp_b", _pair, [math.sqrt(0.5), 0.0]))
 BRANCHES = (SHAPE._replace(path="shape_a"),
@@ -652,7 +657,7 @@ SN_MASS = Param("mass_kg", float, check="> 0", flags=("--mass",), help="kg")
 COUPLINGS = Param("couplings", _couplings, ["gravity"])
 GRID = (Param("grid.r_max", float, 60.0, "> 0", flags=("--r-max",),
               help="domain size, in kernel natural lengths unless grid.units is si"),
-        Param("grid.points", int, 2400, ">= 8", flags=("--points",)),
+        Param("grid.points", int, 2400, ">= 8, <= 1e7", flags=("--points",)),
         Param("grid.units", str, "natural", ("natural", "si")))
 SN_METHOD = Param("method", str, "scf", ("scf", "shooting", "both"), flags=("--method",))
 N_STATES = Param("n_states", int, 1, ">= 1")
@@ -689,7 +694,7 @@ COMMANDS: dict[str, Command] = {
         COUPLINGS._replace(from_flags=lambda params, on: ["gravity"] if on else [], flags=(
             ("--gravity", bool, "include the attractive kernel coupling"),)),
         *GRID,
-        Param("n_steps", int, 1000, ">= 1", flags=("--n-steps",)),
+        Param("n_steps", int, 1000, ">= 1, <= 1e7", flags=("--n-steps",)),
         Param("record_every", int, None, ">= 1"),   # null: n_steps // 200, at least 1
         Param("initial_state_csv", str, None),
         Param("sigma0_m", float, None, "> 0"),
@@ -703,10 +708,10 @@ COMMANDS: dict[str, Command] = {
         Param("electrostatic", bool, True, flags=("--electrostatic",)),
         Param("gravitational", bool, True, flags=("--gravitational",)),
         Param("r_max_bohr", float, 40.0, "> 0", flags=("--r-max-bohr",)),
-        Param("points", int, 2000, ">= 8", flags=("--points",)),
+        Param("points", int, 2000, ">= 8, <= 1e7", flags=("--points",)),
     ), SCF_TOL),
     "collapse-sim": Command(_cmd_collapse_sim, "stochastic collapse trajectories", (
-        Param("n", int, 100_000, ">= 1", flags=("--n",)),
+        Param("n", int, 100_000, ">= 1, <= 1e8", flags=("--n",)),
         Param("rate_per_s", float, None, ">= 0", flags=("--rate",), help="1/s"),
         Param("weights", _pair, [0.5, 0.5], from_flags=lambda params, wa: [wa, 1.0 - wa],
               flags=(("--weight-a", float, "outcome weight of branch a"),)),

@@ -144,8 +144,7 @@ def evolve(
             norms[rec], energies[rec], widths[rec] = observables(u, phi)
             rec += 1
 
-    psi = u / (np.sqrt(4.0 * math.pi) * grid.r)
-    final = WaveState.normalized(grid, psi, state.mass, state.self_coupling,
-                                 state.external_potential)
+    final = WaveState.from_amplitude(grid, u, state.mass, state.self_coupling,
+                                     state.external_potential)
     return EvolutionResult(times[:rec], norms[:rec], energies[:rec], widths[:rec],
                            final, dt, n_steps)

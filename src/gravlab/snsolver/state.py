@@ -124,6 +124,14 @@ class WaveState:
         """The radial amplitude u = sqrt(4 pi) r psi, which the solvers evolve."""
         return np.sqrt(4.0 * math.pi) * self.grid.r * self.psi
 
+    @staticmethod
+    def from_amplitude(grid: RadialGrid, u: np.ndarray, mass: float,
+                       self_coupling: Sequence[KernelTerm] = (),
+                       external_potential: np.ndarray | None = None) -> "WaveState":
+        """The normalized state psi = u / (sqrt(4 pi) r) of a radial amplitude u of any norm."""
+        return WaveState.normalized(grid, u / (np.sqrt(4.0 * math.pi) * grid.r), mass,
+                                    self_coupling, external_potential)
+
     @property
     def kappa_total(self) -> float:
         return sum(term.strength for term in self.self_coupling)

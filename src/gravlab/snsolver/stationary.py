@@ -2,10 +2,11 @@
 
 Two independent routes are provided and cross-checked against each other:
 
-* ``method="scf"``: damped self-consistent field iteration: solve the linear
+* ``method="scf"``: self-consistent field iteration: solve the linear
   tridiagonal eigenproblem in a frozen potential, rebuild the kernel potential
-  from the resulting density, mix with damping (Aitken-accelerated after a
-  warm-up), repeat until the potential reproduces itself.
+  from the resulting density, Anderson-mix it with the last few iterates
+  (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)), repeat until the
+  potential reproduces itself.
 * ``method="shooting"``: integrate the coupled ODE pair (radial wave equation
   plus the radial equation for the kernel potential) outward and bisect on the
   eigenvalue until the solution has the requested node count and decays.  Each
@@ -44,7 +45,7 @@ from .state import (
 
 DEFAULT_TOL = 1e-8
 DAMPING = 0.5        # SCF potential mixing fraction
-AITKEN_START = 10    # SCF iteration after which every third mix is Aitken-extrapolated
+ANDERSON_DEPTH = 5   # SCF iterates whose defect differences the Anderson step combines
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,7 @@ class StationaryState:
     node_count: int
     residual: float          # dimensionless self-consistency defect
     method: str = "scf"
+    iterations: int | None = None   # SCF eigensolves; None for shooting
 
 
 def count_nodes(u: np.ndarray) -> int:
@@ -99,13 +101,13 @@ def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int) -> tupl
 
     diag = 1.0 / dx**2 + potential
     off = np.full(x.size - 1, -0.5 / dx**2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k))
-    u = vecs[:, k]
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
+    u = vecs[:, 0]
     u = u / math.sqrt(dx * float(np.dot(u, u)))
     first = np.nonzero(np.abs(u) > 0.01 * np.abs(u).max())[0][0]
     if u[first] < 0:
         u = -u
-    return float(vals[k]), u
+    return float(vals[0]), u
 
 
 def _gaussian_kernel_seed(x: np.ndarray, width: float) -> np.ndarray:
@@ -123,32 +125,26 @@ def _scf_state(
     k: int,
     tol: float,
     max_iter: int,
-) -> tuple[float, np.ndarray, float, list[float]]:
+) -> tuple[float, np.ndarray, float, int]:
     vt = np.zeros_like(x) if vext is None else vext
-    if kappa_sign == 0.0:
-        eps, u = _eigensolve(x, dx, vt, k)
-        return eps, u, 0.0, []
-
+    # without a kernel (kappa_sign 0) phi stays 0 and the first eigensolve has residual 0
     phi = kappa_sign * _gaussian_kernel_seed(x, 2.0) if vext is None else np.zeros_like(x)
     history: list[float] = []
-    recent: list[np.ndarray] = []
-    eps, u = 0.0, np.zeros_like(x)
-    for iteration in range(max_iter):
+    recent: list[tuple[np.ndarray, np.ndarray]] = []   # (phi, defect) of the last iterates
+    for _ in range(max_iter):
         eps, u = _eigensolve(x, dx, vt + phi, k)
         phi_new = kappa_sign * kernel_integral(x, u * u)
-        scale = float(np.abs(phi_new).max()) + 1e-300
-        residual = float(np.abs(phi_new - phi).max()) / scale
+        defect = phi_new - phi
+        residual = float(np.abs(defect).max()) / (float(np.abs(phi_new).max()) + 1e-300)
         history.append(residual)
         if residual < tol:
-            return eps, u, residual, history
-        phi = phi + DAMPING * (phi_new - phi)
-        recent.append(phi.copy())
-        if iteration >= AITKEN_START and len(recent) >= 3 and (iteration - AITKEN_START) % 3 == 2:
-            p0, p1, p2 = recent[-3], recent[-2], recent[-1]
-            denom = p2 - 2.0 * p1 + p0
-            safe = np.abs(denom) > 1e-14 * scale
-            phi = np.where(safe, p2 - (p2 - p1) ** 2 / np.where(safe, denom, 1.0), p2)
-            recent.clear()
+            return eps, u, residual, len(history)
+        recent = recent[-ANDERSON_DEPTH:] + [(phi, defect)]
+        phi = phi + DAMPING * defect
+        if len(recent) > 1:
+            d_phi, d_defect = np.diff(recent, axis=0).transpose(1, 2, 0)
+            gamma = np.linalg.lstsq(d_defect, defect, rcond=None)[0]
+            phi = phi - (d_phi + DAMPING * d_defect) @ gamma
     raise ConvergenceError(
         f"SCF did not reach residual {tol:g} in {max_iter} iterations "
         f"(last residual {history[-1]:.3e})",
@@ -386,8 +382,10 @@ def stationary_states(
 
     states: list[StationaryState] = []
     for k in range(n_states):
+        iterations = None
         if method == "scf":
-            eps, u, residual, _ = _scf_state(x, dx, vext_grid, scales.kappa_sign, k, tol, max_iter)
+            eps, u, residual, iterations = _scf_state(x, dx, vext_grid, scales.kappa_sign, k,
+                                                      tol, max_iter)
         else:
             eps, u, residual = _shoot_state(x, vfun, scales.kappa_sign, k)
 
@@ -399,10 +397,10 @@ def stationary_states(
         if validate_domain:
             validate_tail(u / grid.r)
 
-        psi = (u / math.sqrt(4.0 * math.pi * scales.length)) / grid.r
         ext_arr = None if vext_grid is None else vext_grid * scales.energy
-        wave = WaveState.normalized(grid, psi, mass, couplings, ext_arr)
-        states.append(StationaryState(wave, eps * scales.energy, nodes, residual, method))
+        wave = WaveState.from_amplitude(grid, u, mass, couplings, ext_arr)
+        states.append(StationaryState(wave, eps * scales.energy, nodes, residual, method,
+                                      iterations))
 
     eigenvalues = [s.eigenvalue for s in states]
     if any(e2 <= e1 for e1, e2 in zip(eigenvalues, eigenvalues[1:])):

@@ -194,6 +194,19 @@ def test_sn_ground_scaled_output(tmp_path):
     assert (tmp_path / "sng" / "sn_ground_profiles.csv").exists()
 
 
+def test_sn_states_record_the_scf_iteration_count(tmp_path):
+    counts = {}
+    for method in ("scf", "shooting"):
+        run(manifest_for("sn-ground", {
+            "mass_kg": 1e-17, "method": method,
+            "grid": {"r_max": 50.0, "points": 1600, "units": "natural"},
+        }, tmp_path / method))
+        summary = json.loads((tmp_path / method / "sn_ground.json").read_text())
+        counts[method] = summary["states"][0]["iterations"]
+    assert isinstance(counts["scf"], int) and 1 < counts["scf"] <= 25
+    assert counts["shooting"] is None
+
+
 def test_sn_ground_both_methods_cross_check_and_rerun(tmp_path):
     first, second = tmp_path / "run1", tmp_path / "run2"
     code = main(["sn-ground", "--mass", "1e-17", "--method", "both", "--scale", "sn-natural",

@@ -246,3 +246,22 @@ def test_fuzzed_manifests_end_in_exit_0_1_or_2(tmp_path_factory, case):
         assert not outdir.exists()
     else:
         assert (outdir / "result_bundle.json").exists()
+
+
+SIZES = [("collapse-sim", "n"), ("selfenergy", "mc_samples"), ("e-delta", "mc_samples"),
+         ("hydrogen-shift", "points"), ("sn-evolve", "n_steps"), ("sn-ground", "grid.points"),
+         ("sn-spectrum", "grid.points"), ("sn-evolve", "grid.points")]
+
+
+@pytest.mark.parametrize("command, path", SIZES, ids=[f"{c}:{p}" for c, p in SIZES])
+def test_sizes_numpy_cannot_allocate_exit_2(tmp_path, capsys, command, path):
+    payload = manifest(command)
+    *groups, name = path.split(".")
+    node = payload["parameters"]
+    for key in groups:
+        node = node[key]
+    node[name] = 1e300
+    code, outdir = run_manifest(tmp_path, payload)
+    assert code == 2
+    assert f"parameters.{path}:" in capsys.readouterr().err
+    assert not outdir.exists()

@@ -59,6 +59,34 @@ def test_scf_and_shooting_agree_for_three_node_counts():
     assert values[0] == pytest.approx(GROUND_EIGENVALUE, abs=5e-4)
 
 
+def test_anderson_scf_converges_in_few_iterations_to_the_tight_solve():
+    a, _ = natural_scales()
+    grid = RadialGrid.uniform(250.0 * a, 8000)
+    kernel = [gravitational_kernel(MASS, C)]
+    states = stationary_states(MASS, kernel, n_states=3, grid=grid)
+    tight = stationary_states(MASS, kernel, n_states=3, grid=grid, tol=1e-12)
+    for state, reference in zip(states, tight):
+        assert state.iterations <= 25
+        assert state.residual < 1e-8
+        assert state.eigenvalue == pytest.approx(reference.eigenvalue, rel=2e-8)
+
+
+def test_five_node_state():
+    # the 5-node state reaches r ~ 350 natural lengths, so r_max = 600
+    a, e_scale = natural_scales()
+    grid = RadialGrid.uniform(600.0 * a, 19200)
+    state = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=6, grid=grid)[5]
+    assert state.node_count == 5
+    assert state.eigenvalue / e_scale == pytest.approx(-0.0028738563, rel=1e-7)
+
+
+def test_a_linear_problem_takes_one_eigensolve():
+    grid = RadialGrid.uniform(30.0 * C.bohr_radius, 1500)
+    state = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1, grid=grid)[0]
+    assert state.iterations == 1
+    assert state.residual == 0.0
+
+
 def test_rayleigh_quotient_consistency():
     states = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=ground_grid(), tol=1e-9)
