@@ -125,7 +125,8 @@ def _checked(row: Param, value, field: str):
     elif row.check:
         for clause in row.check.split(", "):
             op, bound = clause.split()
-            if not COMPARISONS[op](value, float(bound)):
+            # an integral bound is compared exactly: float("9223372036854775807") is 2**63
+            if not COMPARISONS[op](value, int(bound) if bound.isdigit() else float(bound)):
                 raise ManifestError(f"must be {row.check}", field=field)
     return value
 
@@ -291,7 +292,8 @@ def _energies_from_flags(params, energy_a, energy_b):
 MANIFEST_FIELDS = (
     Param("output_dir", str, None, flags=("--output-dir",)),
     Param("scale_system", str, "si", ("si", "sn-natural", "atomic"), flags=("--scale",)),
-    Param("seed", int, 0, ">= 0", flags=("--seed",)),
+    # the Philox key takes an int64: from 2**63 on, seeds alias or overflow
+    Param("seed", int, 0, ">= 0, <= 9223372036854775807", flags=("--seed",)),
     Param("tolerances", dict, {}, flags=(
         ("--tolerance", float, "primary tolerance (quadrature or SCF residual)"),),
         from_flags=lambda payload, tolerance: {
@@ -479,6 +481,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
                                "scale_system": system.label},
                 "residual": s.residual,
                 "iterations": s.iterations,
+                "discretization_error": s.discretization_error,
                 "method": s.method,
             }
             for s in primary
@@ -487,6 +490,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     if len(methods) == 2:
         summary["cross_check"] = [
             {"node_count": s1.node_count, "scf_J": s1.eigenvalue, "shooting_J": s2.eigenvalue,
+             "shooting_discretization_error_J": s2.discretization_error,
              "relative_difference": abs(s1.eigenvalue - s2.eigenvalue) / abs(s1.eigenvalue)}
             for s1, s2 in zip(results["scf"], results["shooting"])
         ]

@@ -8,14 +8,20 @@ Two independent routes are provided and cross-checked against each other:
   (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)), repeat until the
   potential reproduces itself.
 * ``method="shooting"``: integrate the coupled ODE pair (radial wave equation
-  plus the radial equation for the kernel potential) outward and bisect on the
-  eigenvalue until the solution has the requested node count and decays.  Each
-  trial eigenvalue is integrated only until its node count is decided, and the
-  profile is the lower bracket's column of the last bisection scan.  For
-  a kernel coupling the scaling symmetry (psi, Phi, E) -> (l^2 psi(l x),
-  l^2 Phi(l x), l^2 E) converts the arbitrary-amplitude solution into the
-  unit-norm one.  A kernel together with an external potential breaks that
-  symmetry and is solved by SCF only.
+  plus the radial equation for the kernel potential) outward by RK4 and bisect
+  on the eigenvalue until the solution has the requested node count and
+  decays.  Each trial eigenvalue is integrated only until its node count is
+  decided, and the profile is the lower bracket's column of the last bisection
+  scan.  For a kernel coupling the scaling symmetry (psi, Phi, E) ->
+  (l^2 psi(l x), l^2 Phi(l x), l^2 E) converts the arbitrary-amplitude
+  solution into the unit-norm one.  A kernel together with an external
+  potential breaks that symmetry and is solved by SCF only.  Each state is
+  solved at RK4 steps h and 2h: eps_h + (eps_h - eps_2h)/15 cancels the h^4
+  error (Richardson, Phil. Trans. R. Soc. A 210, 307 (1911)), |eps_h -
+  eps_2h|/15 is the discretization error and the profile is the h solve's.  A
+  kernel problem, smooth at the origin, takes h = 0.016; an external potential
+  takes h = 0.004, because a Coulomb cusp at r = 0 breaks the clean h^4 series
+  (hydrogen would land 1e-6 off at 0.016).
 
 Everything is solved in dimensionless form: lengths in hbar^2/(m |kappa|)
 (the natural kernel length), energies in m kappa^2 / hbar^2, which for the
@@ -46,6 +52,8 @@ from .state import (
 DEFAULT_TOL = 1e-8
 DAMPING = 0.5        # SCF potential mixing fraction
 ANDERSON_DEPTH = 5   # SCF iterates whose defect differences the Anderson step combines
+SHOOTING_STEP = 0.016            # RK4 step h of a kernel problem, solved at h and 2h
+SHOOTING_STEP_EXTERNAL = 0.004   # h with an external potential (a Coulomb cusp at r = 0)
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,7 @@ class StationaryState:
     residual: float          # dimensionless self-consistency defect
     method: str = "scf"
     iterations: int | None = None   # SCF eigensolves; None for shooting
+    discretization_error: float | None = None   # J; shooting's Richardson bar, None for SCF
 
 
 def count_nodes(u: np.ndarray) -> int:
@@ -179,46 +188,65 @@ def _integrate_batch(
     its value there (a clamped column's frozen value).
     """
     m = eps.shape[0]
-    y = np.zeros((4, m))   # rows u, u', q, q' with q = x * (gauged kernel potential) / kappa_sign
-    y[1] = 1.0
+    # buf[i] holds RK4 stage i's state (u, q, u', q') in rows 0-3, q = x * (gauged kernel
+    # potential) / kappa_sign, and rhs writes (u'', q'') into rows 4-5: rows 2-5 are k_i
+    buf = np.zeros((4, 6, m))
+    buf[0, 2] = 1.0
     crossings = np.zeros(m, dtype=int)
     above = np.zeros(m, dtype=bool)
     cols = np.arange(m)   # batch index of each live column
-    clamp = 1e30
     has_kernel = kappa_sign != 0.0
     history = np.zeros((2, n_steps + 1, m)) if record else None
+    # 0-d arrays, which numpy applies faster than Python floats
+    half_h, full_h, sixth_h, two, zero, four_pi, lo, clamp = map(
+        np.array, (0.5 * h, h, h / 6.0, 2.0, 0.0, -4.0 * math.pi, -1e30, 1e30))
 
-    def rhs(x: float, y: np.ndarray) -> np.ndarray:
-        u, up, q, qp = y
+    def rhs(x: float, view: tuple) -> None:
+        # u'' = (2 (pot - eps)) u and q'' = ((-4 pi) u) u / x, rounded in this order;
+        # kappa_sign is +-1, so q / (kappa_sign x) rounds exactly like (kappa_sign q) / x
+        _, _, u, q, upp, qpp, pp = view
         if x == 0.0:
-            return np.array([up, np.zeros_like(u), qp, np.zeros_like(u)])
-        # kappa_sign is +-1, so this rounds exactly like (kappa_sign * q) / x
-        pot = q / (kappa_sign * x) if has_kernel else 0.0
-        if vfun is not None:
-            pot = pot + vfun(x)
-        dqp = (-4.0 * math.pi) * u * u / x if has_kernel else np.zeros_like(u)
-        return np.array([up, 2.0 * (pot - eps) * u, qp, dqp])
+            pp.fill(0.0)
+            return
+        if has_kernel:
+            np.divide(q, kappa_sign * x, upp)
+            np.multiply(u, four_pi, qpp)
+        else:   # q'' = 0, so q and q' stay 0
+            upp.fill(0.0 if vfun is None else vfun(x))
+            qpp.fill(0.0)
+        np.subtract(upp, eps, upp)
+        np.multiply(upp, two, upp)
+        np.multiply(pp, u, pp)
+        if has_kernel:
+            np.divide(qpp, x, qpp)
 
     x = 0.0
     for step in range(n_steps):
-        k1 = rhs(x, y)
-        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(x + h, y + h * k3)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step == 0 or cols.size < m:   # views made once per buffer, not per step
+            m = cols.size
+            view = [(b[:4], b[2:], b[0], b[1], b[4], b[5], b[4:]) for b in buf]
+            (y, k1, u, *_), (_, k2, *_), (_, k3, *_), (_, k4, *_) = view
+        rhs(x, view[0])
+        for i, c, dx in ((1, half_h, 0.5 * h), (2, half_h, 0.5 * h), (3, full_h, h)):
+            np.add(np.multiply(view[i - 1][1], c, view[i][0]), y, view[i][0])
+            rhs(x + dx, view[i])
+        np.multiply(buf[1:3, 2:], two, buf[1:3, 2:])   # y + h/6 (k1 + 2 k2 + 2 k3 + k4)
+        for term in (k1, k3, k4):
+            np.add(k2, term, k2)
+        y_new = np.add(y, np.multiply(k2, sixth_h, k2), k2)
         x += h
 
-        crossings += y[0] * y_new[0] < 0.0
-        y = np.minimum(np.maximum(y_new, -clamp), clamp)   # np.clip, minus its call overhead
+        crossings += np.multiply(u, y_new[0]) < zero
+        np.minimum(np.maximum(y_new, lo, out=y), clamp, out=y)   # np.clip, minus its call overhead
         if record:
             history[:, step + 1, cols] = y[0::3]
         live = (np.abs(y_new[0]) < clamp) & (crossings <= k)
-        if not live.all():
+        if np.count_nonzero(live) < live.size:
             gone = cols[~live]
             above[gone] = crossings[~live] > k
             if record:
                 history[:, step + 2:, gone] = history[:, step + 1, gone][:, None]
-            y, eps, crossings, cols = y[:, live], eps[live], crossings[live], cols[live]
+            buf, eps, crossings, cols = buf[:, :, live], eps[live], crossings[live], cols[live]
             if cols.size == 0:
                 break
     return above, history
@@ -269,14 +297,14 @@ def _bisect_eigenvalue(
     return lo, hi, history[:, :, idx - 1]
 
 
-def _shoot_state(
+def _shoot_at_step(
     x_out: np.ndarray,
     vfun: Callable[[float], float] | None,
     kappa_sign: float,
     k: int,
-    h: float = 0.004,
+    h: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Dimensionless eigenvalue and resampled profile for node count k.
+    """Dimensionless eigenvalue, resampled profile and residual for node count k at step h.
 
     Takes a kernel (``kappa_sign`` != 0) or an external potential ``vfun``,
     not both.
@@ -324,6 +352,17 @@ def _shoot_state(
     # is invariant under the norm rescaling
     residual = (hi - lo) / max(abs(eps_bound), 1e-300)
     return eps_out, u_out, residual
+
+
+def _shoot_state(x_out: np.ndarray, vfun: Callable[[float], float] | None, kappa_sign: float,
+                 k: int) -> tuple[float, np.ndarray, float, float]:
+    """Eigenvalue Richardson-combined from the solves at h and 2h, the h solve's
+    profile, the larger bracket residual and |eps_h - eps_2h| / 15 (dimensionless)."""
+    h = SHOOTING_STEP if kappa_sign != 0.0 else SHOOTING_STEP_EXTERNAL
+    eps_h, u_out, residual_h = _shoot_at_step(x_out, vfun, kappa_sign, k, h)
+    eps_2h, _, residual_2h = _shoot_at_step(x_out, vfun, kappa_sign, k, 2.0 * h)
+    correction = (eps_h - eps_2h) / 15.0
+    return eps_h + correction, u_out, max(residual_h, residual_2h), abs(correction)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +421,13 @@ def stationary_states(
 
     states: list[StationaryState] = []
     for k in range(n_states):
-        iterations = None
+        iterations = error = None
         if method == "scf":
             eps, u, residual, iterations = _scf_state(x, dx, vext_grid, scales.kappa_sign, k,
                                                       tol, max_iter)
         else:
-            eps, u, residual = _shoot_state(x, vfun, scales.kappa_sign, k)
+            eps, u, residual, error = _shoot_state(x, vfun, scales.kappa_sign, k)
+            error *= scales.energy
 
         nodes = count_nodes(u)
         if nodes != k:
@@ -400,7 +440,7 @@ def stationary_states(
         ext_arr = None if vext_grid is None else vext_grid * scales.energy
         wave = WaveState.from_amplitude(grid, u, mass, couplings, ext_arr)
         states.append(StationaryState(wave, eps * scales.energy, nodes, residual, method,
-                                      iterations))
+                                      iterations, error))
 
     eigenvalues = [s.eigenvalue for s in states]
     if any(e2 <= e1 for e1, e2 in zip(eigenvalues, eigenvalues[1:])):

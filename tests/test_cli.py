@@ -222,6 +222,23 @@ def test_sn_ground_both_methods_cross_check_and_rerun(tmp_path):
     assert hashes(first) == hashes(second)
 
 
+def test_sn_states_record_the_shooting_discretization_error(tmp_path):
+    summaries = {}
+    for method in ("both", "shooting"):
+        run(manifest_for("sn-ground", {
+            "mass_kg": 1e-17, "method": method,
+            "grid": {"r_max": 50.0, "points": 1600, "units": "natural"},
+        }, tmp_path / method))
+        summaries[method] = json.loads((tmp_path / method / "sn_ground.json").read_text())
+    # under "both" the listed states are SCF's, which carry no bar yet
+    assert summaries["both"]["states"][0]["discretization_error"] is None
+    row = summaries["both"]["cross_check"][0]
+    shooting = summaries["shooting"]["states"][0]
+    assert row["shooting_J"] == shooting["eigenvalue"]["J"]
+    assert row["shooting_discretization_error_J"] == shooting["discretization_error"]
+    assert 0.0 < shooting["discretization_error"] < 1e-7 * abs(row["shooting_J"])
+
+
 def test_parser_covers_all_commands():
     parser = build_parser()
     for command in ("selfenergy", "e-delta", "collapse-time", "feynman-scale",

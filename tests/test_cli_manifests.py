@@ -265,3 +265,19 @@ def test_sizes_numpy_cannot_allocate_exit_2(tmp_path, capsys, command, path):
     assert code == 2
     assert f"parameters.{path}:" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**63 + 5, 2**64 - 1, 2**64])
+def test_seeds_past_the_philox_key_exit_2(tmp_path, capsys, seed):
+    # Philox(key=[seed, 0]) needs an int64: from 2**63 on seeds alias each other
+    # (2**64 - 1 becomes seed 0's stream) and 2**64 overflows
+    code, outdir = run_manifest(tmp_path, {**manifest("collapse-sim"), "seed": seed})
+    assert code == 2
+    assert "seed:" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_the_largest_seed_runs(tmp_path):
+    code, outdir = run_manifest(tmp_path, {**manifest("collapse-sim"), "seed": 2**63 - 1})
+    assert code == 0
+    assert json.loads((outdir / "manifest.json").read_text())["seed"] == 2**63 - 1

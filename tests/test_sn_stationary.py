@@ -15,6 +15,7 @@ from gravlab.snsolver import (
     rayleigh_quotient,
     stationary_states,
 )
+from gravlab.snsolver.stationary import _integrate_batch, _make_scales, _shoot_at_step
 
 C = CODATA2018
 MASS = 1e-17  # kg; any value works, the problem is solved in natural units
@@ -149,16 +150,119 @@ def test_shooting_handles_linear_problem():
 
 def test_shooting_results_are_pinned():
     # the bisection decides each trial eigenvalue by its node count; a wrong
-    # decision moves the result by at least one bracket width, far past rel=1e-12
+    # decision moves the result by at least one bracket width, far past rel=1e-12.
+    # Pinned from the Richardson-combined route: the ground value is 4.0e-10
+    # relative from the h -> 0 limit -0.16276920783267, hydrogen 2.3e-9 Ha from -0.5 Ha
     _, e_scale = natural_scales()
     ground = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=ground_grid(), method="shooting")[0]
-    assert ground.eigenvalue / e_scale == pytest.approx(-0.16276920777870146, rel=1e-12)
-    assert ground.residual == pytest.approx(1.4825373411267212e-12, rel=1e-12)
+    assert ground.eigenvalue / e_scale == pytest.approx(-0.16276920776760564, rel=1e-12)
+    assert ground.residual == pytest.approx(1.4825373224124275e-12, rel=1e-12)
     grid = RadialGrid.uniform(30.0 * C.bohr_radius, 1500)
     hydrogen = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1,
                                  grid=grid, method="shooting")[0]
-    assert hydrogen.eigenvalue == pytest.approx(-2.179872332535048e-18, rel=1e-12)
+    assert hydrogen.eigenvalue == pytest.approx(-2.1798723511201054e-18, rel=1e-12)
+
+
+# the h -> 0 limit of the shooting eigenvalue for node counts 0, 1 and 2 (SN
+# units), Richardson-combined from RK4 at h = 0.002 and 0.004
+SHOOTING_LIMITS = (-0.16276920783267, -0.03079653748015, -0.01252610090697)
+
+
+def single_step_shooting(mass, couplings, potential, grid, h):
+    """Eigenvalue (J) and residual of the shooting solve at the one step h,
+    set up as ``stationary_states`` sets it up."""
+    scales = _make_scales(mass, sum(term.strength for term in couplings), grid, C)
+    vfun = None
+    if potential is not None:
+        vfun = lambda xx: float(potential(xx * scales.length)) / scales.energy
+    eps, _, residual = _shoot_at_step(grid.r / scales.length, vfun, scales.kappa_sign, 0, h)
+    return eps * scales.energy, residual
+
+
+def test_single_step_shooting_keeps_the_integrators_arithmetic():
+    # the values the shooting route gave when it ran at the single step h = 0.004
+    _, e_scale = natural_scales()
+    ground, residual = single_step_shooting(MASS, [gravitational_kernel(MASS, C)], None,
+                                            ground_grid(), 0.004)
+    assert ground / e_scale == pytest.approx(-0.16276920777870146, rel=1e-12)
+    assert residual == pytest.approx(1.4825373411267212e-12, rel=1e-12)
+    hydrogen, _ = single_step_shooting(C.m_e, [], lambda r: -C.e2_coulomb / r,
+                                       RadialGrid.uniform(30.0 * C.bohr_radius, 1500), 0.004)
+    assert hydrogen == pytest.approx(-2.179872332535048e-18, rel=1e-12)
+
+
+def reference_integrate_batch(eps, k, h, n_steps, kappa_sign, vfun):
+    """``_integrate_batch`` written with a fresh array per RK4 stage: the
+    reference the in-place integrator must match bit for bit."""
+    m = eps.shape[0]
+    y = np.zeros((4, m))   # rows u, u', q, q'
+    y[1] = 1.0
+    crossings = np.zeros(m, dtype=int)
+    above = np.zeros(m, dtype=bool)
+    cols = np.arange(m)
+    history = np.zeros((2, n_steps + 1, m))
+
+    def rhs(x, y):
+        u, up, q, qp = y
+        if x == 0.0:
+            return np.array([up, np.zeros_like(u), qp, np.zeros_like(u)])
+        pot = q / (kappa_sign * x) if kappa_sign != 0.0 else 0.0
+        if vfun is not None:
+            pot = pot + vfun(x)
+        dqp = (-4.0 * math.pi) * u * u / x if kappa_sign != 0.0 else np.zeros_like(u)
+        return np.array([up, 2.0 * (pot - eps) * u, qp, dqp])
+
+    x = 0.0
+    for step in range(n_steps):
+        k1 = rhs(x, y)
+        k2 = rhs(x + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(x + h, y + h * k3)
+        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x += h
+        crossings += y[0] * y_new[0] < 0.0
+        y = np.clip(y_new, -1e30, 1e30)
+        history[:, step + 1, cols] = y[0::3]
+        live = (np.abs(y_new[0]) < 1e30) & (crossings <= k)
+        if not live.all():
+            gone = cols[~live]
+            above[gone] = crossings[~live] > k
+            history[:, step + 2:, gone] = history[:, step + 1, gone][:, None]
+            y, eps, crossings, cols = y[:, live], eps[live], crossings[live], cols[live]
+            if cols.size == 0:
+                break
+    return above, history
+
+
+@pytest.mark.parametrize("kappa_sign, vfun, eps", [
+    (-1.0, None, np.linspace(0.0, 8.0, 9)),   # kernel, in the u'(0) = 1 gauge
+    (0.0, lambda x: -1.0 / x, np.linspace(-0.6, -0.01, 9)),   # a Coulomb well
+])
+def test_in_place_rk4_matches_the_allocating_reference(kappa_sign, vfun, eps):
+    above, history = _integrate_batch(eps, 1, 0.016, 2000, kappa_sign, vfun, record=True)
+    ref_above, ref_history = reference_integrate_batch(eps, 1, 0.016, 2000, kappa_sign, vfun)
+    assert 0 < np.count_nonzero(above) < eps.size
+    assert np.array_equal(above, ref_above)
+    assert np.array_equal(history, ref_history)
+
+
+def test_shooting_is_within_1e_9_of_the_step_limit_and_inside_its_bar():
+    a, e_scale = natural_scales()
+    grid = RadialGrid.uniform(250.0 * a, 8000)
+    states = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=3, grid=grid,
+                               method="shooting")
+    for state, limit in zip(states, SHOOTING_LIMITS):
+        error = abs(state.eigenvalue / e_scale - limit)
+        assert error < 1e-9 * abs(limit)
+        assert state.discretization_error / e_scale >= error
+        assert state.discretization_error < 1e-7 * abs(state.eigenvalue)
+    hydrogen = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1,
+                                 grid=RadialGrid.uniform(30.0 * C.bohr_radius, 1500),
+                                 method="shooting")[0]
+    error = abs(hydrogen.eigenvalue / C.hartree + 0.5)
+    assert error < 5e-9
+    assert hydrogen.discretization_error / C.hartree >= error
 
 
 def test_node_counting():
