@@ -649,7 +649,7 @@ SHAPE = Param("shape", _shape, flags=(
 ), from_flags=_shape_from_flags)
 ENERGY_METHOD = Param("method", str, "auto", ("auto", "analytic", "quadrature"))
 MONTE_CARLO = (Param("monte_carlo", bool, False, flags=("--monte-carlo",)),
-               Param("mc_samples", int, 200_000, ">= 2, <= 1e8", flags=("--mc-samples",)))
+               Param("mc_samples", int, 200_000, ">= 20, <= 1e8", flags=("--mc-samples",)))
 AMPLITUDES = (Param("amp_a", _pair, [math.sqrt(0.5), 0.0]),
               Param("amp_b", _pair, [math.sqrt(0.5), 0.0]))
 BRANCHES = (SHAPE._replace(path="shape_a"),

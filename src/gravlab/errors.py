@@ -7,10 +7,6 @@ class GravlabError(Exception):
     """Base class for all gravlab errors."""
 
 
-class DimensionError(GravlabError):
-    """A quantity carries the wrong dimension tag for the requested operation."""
-
-
 class DivergentSelfEnergy(GravlabError):
     """The 1/|x-y| kernel diverges for the given configuration.
 

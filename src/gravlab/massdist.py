@@ -54,7 +54,7 @@ class MassDistribution:
 
     The Gauss-law engine reads ``tail_radius``, ``weight_over_r`` (or
     ``delta_radius`` for a shell or point), ``enclosed_fraction`` and
-    ``knots``; the Monte Carlo sampler reads ``radius_from_cdf``.  A shape has
+    ``knots``; the field-energy Monte Carlo reads F and the knots.  A shape has
     no energy method: every self energy is half its zero-separation mutual
     energy, and E_delta is never a difference of near-equal energies.
     """
@@ -82,10 +82,6 @@ class MassDistribution:
     def knots(self) -> np.ndarray:
         return np.array([0.0, self.tail_radius()])
 
-    # inverse of the radial mass CDF, for stratified sampling
-    def radius_from_cdf(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -112,9 +108,6 @@ class UniformSphere(MassDistribution):
     def enclosed_fraction(self, r):
         return np.minimum(np.asarray(r, dtype=float) / self.radius, 1.0) ** 3
 
-    def radius_from_cdf(self, u):
-        return self.radius * np.cbrt(u)
-
     def to_dict(self) -> dict:
         return {"kind": "uniform_sphere", "mass_kg": self.mass, "radius_m": self.radius,
                 "center_m": list(self.center)}
@@ -140,9 +133,6 @@ class SphericalShell(MassDistribution):
 
     def enclosed_fraction(self, r):
         return np.where(np.asarray(r, dtype=float) >= self.radius, 1.0, 0.0)
-
-    def radius_from_cdf(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.radius)
 
     def to_dict(self) -> dict:
         return {"kind": "spherical_shell", "mass_kg": self.mass, "radius_m": self.radius,
@@ -173,18 +163,12 @@ class Gaussian(MassDistribution):
     def enclosed_fraction(self, r):
         from scipy.special import gammainc
 
-        # the chi(3) law of radius_from_cdf
+        # the radial mass CDF of an isotropic Gaussian is a chi(3) law
         return gammainc(1.5, np.asarray(r, dtype=float) ** 2 / (2.0 * self.width**2))
 
     def knots(self) -> np.ndarray:
         # half-sigma panels: 8-point Gauss-Legendre on each is exact to rounding
         return np.linspace(0.0, self.tail_radius(), 25)
-
-    def radius_from_cdf(self, u):
-        from scipy.special import gammaincinv
-
-        # radial mass CDF of an isotropic Gaussian is a chi(3) law
-        return self.width * np.sqrt(2.0 * gammaincinv(1.5, np.asarray(u, dtype=float)))
 
     def to_dict(self) -> dict:
         return {"kind": "gaussian", "mass_kg": self.mass, "width_m": self.width,
@@ -225,11 +209,6 @@ class PointMass(MassDistribution):
         if self.smearing_length == 0.0:
             return np.ones_like(np.asarray(r, dtype=float))
         return self._ball().enclosed_fraction(r)
-
-    def radius_from_cdf(self, u):
-        if self.smearing_length == 0.0:
-            return np.zeros_like(np.asarray(u, dtype=float))
-        return self._ball().radius_from_cdf(u)
 
     def to_dict(self) -> dict:
         return {"kind": "point_mass", "mass_kg": self.mass,
@@ -288,14 +267,6 @@ class RadialProfile(MassDistribution):
         self.mass = float(mass)
         self._integral_total = total
 
-        # dense table of the inverse radial CDF
-        dense = np.linspace(0.0, self._r_max, max(4096, 8 * r_arr.size))
-        cdf = np.asarray(self._cum_mass(dense)) / total
-        cdf[-1] = 1.0
-        keep = np.concatenate(([True], np.diff(cdf) > 0))
-        self._cdf_vals = cdf[keep]
-        self._cdf_radii = dense[keep]
-
     def tail_radius(self) -> float:
         return self._r_max
 
@@ -310,9 +281,6 @@ class RadialProfile(MassDistribution):
 
     def knots(self) -> np.ndarray:
         return self._rho.x
-
-    def radius_from_cdf(self, u):
-        return np.interp(np.asarray(u, dtype=float), self._cdf_vals, self._cdf_radii)
 
     def to_dict(self) -> dict:
         r = self._rho.x
@@ -643,66 +611,83 @@ def e_delta(
 
 
 # ---------------------------------------------------------------------------
-# Stratified Monte Carlo cross-check (6-D double integral)
+# Field-energy Monte Carlo cross-check
 # ---------------------------------------------------------------------------
+# Gauss's law gives each field per unit G from F: g = m F(r) rhat / r^2, so
+# mutual = (G/4pi) int g_a.g_b d^3x and E_delta = (G/8pi) int |g_a - g_b|^2 (Penrose 1996).
+# Strata of fixed counts round each center: a ball out to the shape's first knot
+# holding 99% of its mass, a 1/r^4 tail past it and, for centers d > 0 apart, a layer
+# |r - R| < d round each shell, where F jumps.  Mixture weights keep overlaps unbiased.
 
 
-def _sample_points(shape: MassDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n points from shape's normalized density, stratified in the radial CDF."""
-    u = (rng.permutation(n) + rng.random(n)) / n
-    radii = shape.radius_from_cdf(u)
-    direction = rng.normal(size=(n, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    return np.asarray(shape.center) + radii[:, None] * direction
+def _field_energy_mc(a: MassDistribution, b: MassDistribution, n: int, seed: int,
+                     integrand) -> tuple[float, float]:
+    """(1/4pi) int integrand(g_a, g_b) d^3x and its standard error, from the
+    per-stratum variances; integrand maps two (k, 3) fields to k values."""
+    if a.delta_radius() == 0.0 or b.delta_radius() == 0.0:
+        raise DivergentSelfEnergy("unsmeared point mass: set smearing_length > 0")
+    d = math.dist(a.center, b.center)
+    shapes = (a,) if a == b else (a, b)  # one field when a == b
+    reach = [s.knots()[np.argmax(s.enclosed_fraction(s.knots()) >= 0.99)] for s in shapes]
+    r0 = float(max(reach))  # the unit of length of the points xi below
+    centers = [np.subtract(s.center, a.center) / r0 for s in shapes]
+    # (center index, inner radius, outer radius): balls and tails, then shell layers
+    strata = [(k, lo, hi) for k, rk in enumerate(reach)
+              for lo, hi in ((0.0, rk / r0), (rk / r0, math.inf))]
+    strata += [(k, max(s.delta_radius() - d, 0.0) / r0, (s.delta_radius() + d) / r0)
+               for k, s in enumerate(shapes) if d > 0.0 and s.delta_radius() is not None]
+    layers = [n // 10] * (len(strata) - 2 * len(shapes))
+    per_shape = (n - sum(layers)) // len(shapes)  # 3/4 in its ball, 1/4 in its tail
+    counts = [per_shape - per_shape // 4, per_shape // 4] * len(shapes) + layers
+    counts[0] += n - sum(counts)
+    if min(counts) < 2:
+        raise ValueError(f"n_samples = {n} leaves a stratum with fewer than 2 points")
+
+    def density(rho, lo, hi):  # 4pi q of one stratum at distance rho from its center
+        q = lo / np.maximum(rho, lo) ** 4 if hi == math.inf else 3.0 / (hi**3 - lo**3)
+        return np.where((rho >= lo) & (rho <= hi), q, 0.0)
+
+    rng = np.random.default_rng(seed)
+    block = 32_768  # points evaluated at once, so memory does not grow with n
+    value = variance = 0.0
+    for (k, lo, hi), count in zip(strata, counts):
+        blocks = []  # (size, mean, squared deviations) of each block
+        for start in range(0, count, block):
+            size = min(block, count - start)
+            u = 1.0 - rng.random(size)  # in (0, 1]: no point lands on a center
+            rho = lo / u if hi == math.inf else np.cbrt(lo**3 + u * (hi**3 - lo**3))
+            direction = rng.normal(size=(size, 3))
+            xi = centers[k] + (rho / np.linalg.norm(direction, axis=1))[:, None] * direction
+            r = [np.linalg.norm(xi - c, axis=1) for c in centers]
+            g = [(s.mass * s.enclosed_fraction(r0 * rs) / rs**3)[:, None] * (xi - c)
+                 for s, rs, c in zip(shapes, r, centers)]
+            y = count * integrand(g[0], g[-1]) / sum(
+                m * density(r[j], inner, outer) for (j, inner, outer), m in zip(strata, counts))
+            blocks.append((size, np.mean(y), np.sum((y - np.mean(y)) ** 2)))
+        sizes, means, m2 = np.array(blocks).T  # pooled: no sum of squares is subtracted
+        mean = float(sizes @ means) / count
+        value += mean
+        variance += float(m2.sum() + sizes @ (means - mean) ** 2) / (count - 1) / count
+    return value / r0, math.sqrt(variance) / r0
 
 
-def _mc_double_integral(
-    d1: MassDistribution, d2: MassDistribution, n: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Unit-mass estimate of the 1/|x-y| double integral with its standard error."""
-    x = _sample_points(d1, n, rng)
-    y = _sample_points(d2, n, rng)
-    inv = 1.0 / np.linalg.norm(x - y, axis=1)
-    mean = float(np.mean(inv))
-    sem = float(np.std(inv, ddof=1) / math.sqrt(n))
-    return mean, sem
-
-
-def self_energy_mc(
-    d: MassDistribution,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    constants: PhysicalConstants = CODATA2018,
-) -> tuple[float, float]:
+def self_energy_mc(d: MassDistribution, n_samples: int = 200_000, seed: int = 0,
+                   constants: PhysicalConstants = CODATA2018) -> tuple[float, float]:
     """Monte Carlo self energy (value, standard_error) in joules."""
-    if d.delta_radius() == 0.0:
-        raise DivergentSelfEnergy("cannot Monte-Carlo a singular point mass")
     value, sem = mutual_energy_mc(d, d, n_samples, seed, constants)
     return 0.5 * value, 0.5 * sem
 
 
-def mutual_energy_mc(
-    d1: MassDistribution,
-    d2: MassDistribution,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    constants: PhysicalConstants = CODATA2018,
-) -> tuple[float, float]:
+def mutual_energy_mc(d1: MassDistribution, d2: MassDistribution, n_samples: int = 200_000,
+                     seed: int = 0, constants: PhysicalConstants = CODATA2018
+                     ) -> tuple[float, float]:
     """Monte Carlo mutual energy (value, standard_error) in joules."""
-    rng = np.random.default_rng(seed)
-    mean, sem = _mc_double_integral(d1, d2, n_samples, rng)
-    scale = constants.G * d1.mass * d2.mass
-    return scale * mean, scale * sem
+    return _field_energy_mc(d1, d2, n_samples, seed,
+                            lambda ga, gb: constants.G * np.sum(ga * gb, axis=1))
 
 
-def e_delta_mc(
-    spec: SuperpositionSpec,
-    n_samples: int = 200_000,
-    seed: int = 0,
-    constants: PhysicalConstants = CODATA2018,
-) -> tuple[float, float]:
-    """Monte Carlo e_delta (value, standard_error); errors add in quadrature."""
-    ua, sa = self_energy_mc(spec.branch_a, n_samples, seed, constants)
-    ub, sb = self_energy_mc(spec.branch_b, n_samples, seed + 1, constants)
-    um, sm = mutual_energy_mc(spec.branch_a, spec.branch_b, n_samples, seed + 2, constants)
-    return ua + ub - um, math.sqrt(sa**2 + sb**2 + sm**2)
+def e_delta_mc(spec: SuperpositionSpec, n_samples: int = 200_000, seed: int = 0,
+               constants: PhysicalConstants = CODATA2018) -> tuple[float, float]:
+    """Monte Carlo e_delta (value, standard_error) in joules, from the field difference."""
+    return _field_energy_mc(spec.branch_a, spec.branch_b, n_samples, seed,
+                            lambda ga, gb: 0.5 * constants.G * np.sum((ga - gb) ** 2, axis=1))

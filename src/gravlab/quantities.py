@@ -1,18 +1,15 @@
-"""Physical constants, unit scale systems, and dimension-tagged rescaling.
+"""Physical constants and unit scale systems.
 
 Every solver module consumes these: constants are CODATA 2018 by default and
-immutable; a ScaleSystem maps the five dimensions this package needs (mass,
-length, time, energy, action) onto physical SI scales.  The SN-NATURAL system
-makes the self-gravitating wavefunction problem parameter-free; ATOMIC is the
-usual Bohr/Hartree system.
+immutable; a ScaleSystem gives the SI length, time, energy and reference mass
+of one system unit.  The SN-NATURAL system makes the self-gravitating
+wavefunction problem parameter-free; ATOMIC is the usual Bohr/Hartree system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-
-from .errors import DimensionError
+from dataclasses import dataclass, replace
 
 # Exact SI defining constants (2019 redefinition) used to derive defaults.
 _PLANCK_H = 6.62607015e-34        # J s, exact
@@ -21,8 +18,6 @@ _EPSILON_0 = 8.8541878128e-12     # F/m, CODATA 2018
 
 #: Joules per electronvolt.
 EV = _E_CHARGE * 1.0
-
-DIMENSIONS = ("mass", "length", "time", "energy", "action")
 
 
 @dataclass(frozen=True)
@@ -74,23 +69,10 @@ def kernel_length(mass: float, kappa: float,
 
 
 @dataclass(frozen=True)
-class Quantity:
-    """A number with a dimension tag ("mass", "length", "time", "energy", "action")."""
-
-    value: float
-    dim: str = field(default="energy")
-
-    def __post_init__(self) -> None:
-        if self.dim not in DIMENSIONS:
-            raise DimensionError(f"unknown dimension tag {self.dim!r}; expected one of {DIMENSIONS}")
-
-
-@dataclass(frozen=True)
 class ScaleSystem:
     """Mapping from a unit system's base scales to SI.
 
     One system unit of length equals ``length_scale`` meters, and so on.
-    The action scale is derived (energy_scale * time_scale).
     """
 
     length_scale: float
@@ -98,19 +80,6 @@ class ScaleSystem:
     energy_scale: float
     mass_reference: float
     label: str
-
-    def scale_of(self, dim: str) -> float:
-        if dim == "mass":
-            return self.mass_reference
-        if dim == "length":
-            return self.length_scale
-        if dim == "time":
-            return self.time_scale
-        if dim == "energy":
-            return self.energy_scale
-        if dim == "action":
-            return self.energy_scale * self.time_scale
-        raise DimensionError(f"unknown dimension tag {dim!r}; expected one of {DIMENSIONS}")
 
     @staticmethod
     def si() -> "ScaleSystem":
@@ -145,16 +114,6 @@ class ScaleSystem:
             mass_reference=constants.m_e,
             label="ATOMIC",
         )
-
-
-def rescale(quantity: Quantity, from_system: ScaleSystem, to_system: ScaleSystem) -> Quantity:
-    """Express ``quantity`` (given in ``from_system`` units) in ``to_system`` units.
-
-    Both systems must be built from the same constants; the conversion goes
-    through SI, so the round trip reproduces the input to ~1e-16 relative.
-    """
-    si_value = quantity.value * from_system.scale_of(quantity.dim)
-    return Quantity(si_value / to_system.scale_of(quantity.dim), quantity.dim)
 
 
 def scale_system_from_label(

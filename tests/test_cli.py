@@ -327,12 +327,15 @@ def test_closed_form_commands_start_without_scipy(tmp_path):
     commands = [
         ["feynman-scale"],
         ["e-delta", *sphere, "--separation", "4"],
+        ["e-delta", *sphere, "--separation", "4", "--monte-carlo"],
+        ["selfenergy", *sphere, "--monte-carlo"],
         ["collapse-time", *sphere, "--separation", "4"],
         ["lifetime-sweep", *sphere, "--sweep-kind", "separation", "--values", "2,3,4,6,10"],
         ["collapse-sim", "--n", "1000", "--rate", "1.0", "--energy-a", "1",
          "--energy-b", "2", "--interference", "0.25", "--seed", "7"],
     ]
-    argvs = [["--help"]] + [argv + ["--output-dir", str(tmp_path / argv[0])] for argv in commands]
+    argvs = [["--help"]] + [argv + ["--output-dir", str(tmp_path / str(i))]
+                            for i, argv in enumerate(commands)]
     src = str(Path(gravlab.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, json.dumps(argvs)],
                           capture_output=True, text=True, check=True)

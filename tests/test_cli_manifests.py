@@ -281,3 +281,22 @@ def test_the_largest_seed_runs(tmp_path):
     code, outdir = run_manifest(tmp_path, {**manifest("collapse-sim"), "seed": 2**63 - 1})
     assert code == 0
     assert json.loads((outdir / "manifest.json").read_text())["seed"] == 2**63 - 1
+
+
+@pytest.mark.parametrize("samples", [2, 19])
+def test_too_few_mc_samples_for_every_stratum_exit_2(tmp_path, capsys, samples):
+    # two displaced shells make six strata, two of n // 10; each needs at least 2 samples
+    code, outdir = run_manifest(tmp_path, manifest("selfenergy", mc_samples=samples))
+    assert code == 2
+    assert "parameters.mc_samples:" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_the_fewest_mc_samples_run_on_two_displaced_shells(tmp_path):
+    shell = {"kind": "spherical_shell", "mass_kg": 1.0, "radius_m": 1.0}
+    payload = manifest("e-delta", shape_a=shell, shape_b=dict(shell, center_m=[0.1, 0.0, 0.0]),
+                       mc_samples=20)
+    code, outdir = run_manifest(tmp_path, payload)  # any warning fails this test
+    assert code == 0
+    summary = json.loads((outdir / "e_delta.json").read_text())
+    assert math.isfinite(summary["monte_carlo_J"]) and summary["monte_carlo_stderr_J"] > 0.0

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+import gravlab
 from gravlab.dpcriterion import collapse_time
 from gravlab.errors import DivergentSelfEnergy, NoClosedForm
 from gravlab.massdist import (
@@ -41,7 +45,7 @@ def test_uniform_sphere_self_energy_analytic():
 
 
 def test_sphere_self_energy_against_monte_carlo():
-    # independent 6-D double-integral oracle
+    # independent oracle: Monte Carlo over the squared Gauss-law field in 3-D
     value, err = self_energy_mc(UniformSphere(1.0, 1.0), n_samples=200_000, seed=42)
     assert abs(value - 3.0 * G / 5.0) < 3.0 * err
 
@@ -273,6 +277,81 @@ def test_self_energy_mc_is_half_the_mutual_estimate():
     g = Gaussian(3.0, 0.7)
     value, err = mutual_energy_mc(g, g, n_samples=20_000, seed=11)
     assert self_energy_mc(g, n_samples=20_000, seed=11) == (0.5 * value, 0.5 * err)
+
+
+# -- the field-energy Monte Carlo --------------------------------------------
+
+def _profile(center=(0.0, 0.0, 0.0)) -> RadialProfile:
+    r = np.linspace(0.0, 1.0, 16)
+    return RadialProfile(r, np.exp(-4.0 * r * r) * (1.2 - r), center)
+
+
+MC_SHAPES = {
+    "sphere": lambda c: UniformSphere(1.0, 1.0, c),
+    "shell": lambda c: SphericalShell(1.0, 1.0, c),
+    "gaussian": lambda c: Gaussian(1.0, 1.0, c),
+    "profile": _profile,
+    "point": lambda c: PointMass(1.0, c, smearing_length=1.0),
+}
+MC_ETAS = (1e4, 100.0, 10.0, 4.0, 1.0, 1e-2, 1e-4, 1e-6, 1e-8)
+MC_MIXED = {
+    "sphere-11-around-shell-9": (UniformSphere(1.0, 11.0), SphericalShell(1.0, 9.0)),
+    "sphere-shell-1e-6": (UniformSphere(1.0, 1.0), SphericalShell(1.0, 1.0, (1e-6, 0, 0))),
+    "shells-1-1.5-1e-6": (SphericalShell(1.0, 1.0), SphericalShell(1.0, 1.5, (1e-6, 0, 0))),
+    "gaussian-sphere-0.3": (Gaussian(1.0, 0.3), UniformSphere(1.0, 1.0, (0.3, 0, 0))),
+    "profile-gaussian-1e-8": (_profile(), Gaussian(_profile().mass, 0.3, (1e-8, 0, 0))),
+    "point-shell-2": (PointMass(1.0, smearing_length=0.5), SphericalShell(1.0, 1.0, (2, 0, 0))),
+}
+MC_PAIRS = {f"{name}-{eta:g}": (make((0.0, 0.0, 0.0)), make((eta, 0.0, 0.0)))
+            for name, make in MC_SHAPES.items() if name != "point" for eta in MC_ETAS}
+
+
+def _assert_mc_agrees(mc: float, err: float, exact: float) -> None:
+    assert err <= 2e-2 * exact
+    # a shell's self energy has zero variance: rounding sets its floor
+    assert abs(mc - exact) <= 4.0 * err + 1e-12 * exact
+
+
+@pytest.mark.parametrize("pair", [*MC_PAIRS.values(), *MC_MIXED.values()],
+                         ids=[*MC_PAIRS, *MC_MIXED])
+def test_field_energy_mc_e_delta_is_within_4_se_at_every_separation(pair):
+    spec = SuperpositionSpec(*pair)
+    _assert_mc_agrees(*e_delta_mc(spec, n_samples=200_000, seed=1), e_delta(spec))
+
+
+@pytest.mark.parametrize("name", MC_SHAPES)
+def test_field_energy_mc_self_energy_is_within_4_se(name):
+    shape = MC_SHAPES[name]((0.5, -1.0, 2.0))
+    _assert_mc_agrees(*self_energy_mc(shape, n_samples=200_000, seed=1), self_energy(shape))
+
+
+def test_field_energy_mc_of_identical_branches_is_exactly_zero():
+    spec = SuperpositionSpec(_profile(), _profile())
+    assert e_delta_mc(spec, n_samples=1000, seed=3) == (0.0, 0.0)
+
+
+def test_field_energy_mc_rejects_an_unsmeared_point():
+    with pytest.raises(DivergentSelfEnergy, match="set smearing_length > 0"):
+        mutual_energy_mc(PointMass(1.0), UniformSphere(1.0, 1.0, (3.0, 0.0, 0.0)))
+
+
+MC_MEMORY_PROBE = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from gravlab.massdist import Gaussian, self_energy_mc
+peaks = []
+for n in (200_000, 2_000_000):
+    self_energy_mc(Gaussian(1.0, 1.0), n_samples=n, seed=1)
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peaks[1] - peaks[0])
+"""
+
+
+def test_field_energy_mc_memory_does_not_grow_with_the_sample_count():
+    src = str(Path(gravlab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", MC_MEMORY_PROBE, src],
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout.split()[-1]) <= 16 * 1024  # ru_maxrss is in KiB on Linux
 
 
 # -- E_delta at d << R: the Gauss-law engine --------------------------------
