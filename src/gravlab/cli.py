@@ -42,7 +42,7 @@ from .massdist import (
 from .collapsesim import CollapseModel, energy_ledger, simulate
 from .dpcriterion import collapse_time, feynman_mass_scale, lifetime_sweep
 from .persistence import format_number, sha256_file, write_csv, write_json, write_plot_script
-from .quantities import CODATA2018, PhysicalConstants, kernel_length, scale_system_from_label
+from .quantities import CODATA2018, ENERGY_SCALES, PhysicalConstants, kernel_length
 from .snsolver import (
     KernelTerm,
     RadialGrid,
@@ -291,7 +291,7 @@ def _energies_from_flags(params, energy_a, energy_b):
 
 MANIFEST_FIELDS = (
     Param("output_dir", str, None, flags=("--output-dir",)),
-    Param("scale_system", str, "si", ("si", "sn-natural", "atomic"), flags=("--scale",)),
+    Param("scale_system", str, "si", tuple(ENERGY_SCALES), flags=("--scale",)),
     # the Philox key takes an int64: from 2**63 on, seeds alias or overflow
     Param("seed", int, 0, ">= 0, <= 9223372036854775807", flags=("--seed",)),
     Param("tolerances", dict, {}, flags=(
@@ -469,7 +469,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     results = {m: stationary_states(mass, couplings, None, p["n_states"], grid=grid, method=m,
                                     constants=constants, tol=p["tolerance"]) for m in methods}
     primary = results[methods[0]]
-    system = scale_system_from_label(manifest.scale_system, mass, constants)
+    scale = ENERGY_SCALES[manifest.scale_system](mass, constants)
 
     summary: dict[str, Any] = {
         "mass_kg": mass,
@@ -477,8 +477,8 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
         "states": [
             {
                 "node_count": s.node_count,
-                "eigenvalue": {"J": s.eigenvalue, "scaled": s.eigenvalue / system.energy_scale,
-                               "scale_system": system.label},
+                "eigenvalue": {"J": s.eigenvalue, "scaled": s.eigenvalue / scale,
+                               "scale_system": manifest.scale_system.upper()},
                 "residual": s.residual,
                 "iterations": s.iterations,
                 "discretization_error": s.discretization_error,
@@ -501,7 +501,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
                   "r (m)", "psi")
     lines = [
         f"state {s.node_count} nodes: {format_number(s.eigenvalue)} J "
-        f"({format_number(s.eigenvalue / system.energy_scale)} {manifest.scale_system})"
+        f"({format_number(s.eigenvalue / scale)} {manifest.scale_system})"
         for s in primary
     ]
     return summary, lines, table

@@ -20,7 +20,7 @@ class NormalizationError(GravlabError):
 
 
 class CancellationError(GravlabError):
-    """A difference of nearly equal energies came out negative beyond roundoff."""
+    """A difference of nearly equal energies rounds beyond the tolerance."""
 
 
 class NoClosedForm(GravlabError):

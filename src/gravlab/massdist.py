@@ -578,7 +578,8 @@ def e_delta(
     U[a] + U[b] - G m_a m_b / d (at most half the sum is subtracted), equal
     balls a series in d/R; other pairs, and all under method="quadrature",
     the Gauss-law sum of two nonnegative terms.  Only method="analytic"
-    subtracts near-equal energies: U[a] + U[b] - mutual from closed forms.
+    subtracts near-equal energies: U[a] + U[b] - mutual from closed forms, and
+    it raises CancellationError when their rounding exceeds rel_tol of the value.
     """
     a, b = spec.branch_a, spec.branch_b
     if a.delta_radius() == 0.0 or b.delta_radius() == 0.0:
@@ -598,10 +599,13 @@ def e_delta(
             selves = (self_energy(a, constants, method, rel_tol)
                       + self_energy(b, constants, method, rel_tol))
             value = selves - mutual_energy(a, b, constants, method, rel_tol)
-            # kernel positivity guarantees >= 0; tiny negatives are roundoff
-            if value < -1e-6 * selves:
-                raise CancellationError(f"e_delta came out negative beyond roundoff: {value!r}")
-            return max(value, 0.0)
+            # the difference rounds at eps * selves; kernel positivity makes the
+            # true value > 0, so a negative one fails this test too
+            if np.finfo(float).eps * selves > rel_tol * value:
+                raise CancellationError(
+                    f"e_delta = {value:.6e} J is U_a + U_b - mutual with U_a + U_b = "
+                    f"{selves:.6e} J: rounding exceeds rel_tol = {rel_tol:g}; use method='auto'")
+            return value
     # F_a - F_b of near-equal shapes rounds at eps times the self-energy scale
     noise = np.finfo(float).eps * (ma + mb) ** 2 / max(a.tail_radius(), b.tail_radius())
     concentric = 0.5 * _concentric_integral(
@@ -613,21 +617,21 @@ def e_delta(
 # ---------------------------------------------------------------------------
 # Field-energy Monte Carlo cross-check
 # ---------------------------------------------------------------------------
-# Gauss's law gives each field per unit G from F: g = m F(r) rhat / r^2, so
-# mutual = (G/4pi) int g_a.g_b d^3x and E_delta = (G/8pi) int |g_a - g_b|^2 (Penrose 1996).
+# Gauss's law gives each field per unit G from F: g = m F(r) rhat / r^2, and
+# E_delta = (G/8pi) int |g_a - g_b|^2 d^3x (Penrose 1996).
 # Strata of fixed counts round each center: a ball out to the shape's first knot
 # holding 99% of its mass, a 1/r^4 tail past it and, for centers d > 0 apart, a layer
 # |r - R| < d round each shell, where F jumps.  Mixture weights keep overlaps unbiased.
 
 
-def _field_energy_mc(a: MassDistribution, b: MassDistribution, n: int, seed: int,
-                     integrand) -> tuple[float, float]:
-    """(1/4pi) int integrand(g_a, g_b) d^3x and its standard error, from the
-    per-stratum variances; integrand maps two (k, 3) fields to k values."""
-    if a.delta_radius() == 0.0 or b.delta_radius() == 0.0:
+def _field_energy_mc(a: MassDistribution, b: MassDistribution | None, n: int, seed: int,
+                     constants: PhysicalConstants) -> tuple[float, float]:
+    """(G/8pi) int |g_a - g_b|^2 d^3x and its standard error, from the
+    per-stratum variances; b = None takes g_b = 0, the self energy of a."""
+    shapes = (a,) if b is None or a == b else (a, b)  # one field when a == b
+    if any(s.delta_radius() == 0.0 for s in shapes):
         raise DivergentSelfEnergy("unsmeared point mass: set smearing_length > 0")
-    d = math.dist(a.center, b.center)
-    shapes = (a,) if a == b else (a, b)  # one field when a == b
+    d = math.dist(a.center, shapes[-1].center)
     reach = [s.knots()[np.argmax(s.enclosed_fraction(s.knots()) >= 0.99)] for s in shapes]
     r0 = float(max(reach))  # the unit of length of the points xi below
     centers = [np.subtract(s.center, a.center) / r0 for s in shapes]
@@ -661,7 +665,8 @@ def _field_energy_mc(a: MassDistribution, b: MassDistribution, n: int, seed: int
             r = [np.linalg.norm(xi - c, axis=1) for c in centers]
             g = [(s.mass * s.enclosed_fraction(r0 * rs) / rs**3)[:, None] * (xi - c)
                  for s, rs, c in zip(shapes, r, centers)]
-            y = count * integrand(g[0], g[-1]) / sum(
+            field = g[0] if b is None else g[0] - g[-1]
+            y = count * (0.5 * constants.G * np.sum(field**2, axis=1)) / sum(
                 m * density(r[j], inner, outer) for (j, inner, outer), m in zip(strata, counts))
             blocks.append((size, np.mean(y), np.sum((y - np.mean(y)) ** 2)))
         sizes, means, m2 = np.array(blocks).T  # pooled: no sum of squares is subtracted
@@ -673,21 +678,11 @@ def _field_energy_mc(a: MassDistribution, b: MassDistribution, n: int, seed: int
 
 def self_energy_mc(d: MassDistribution, n_samples: int = 200_000, seed: int = 0,
                    constants: PhysicalConstants = CODATA2018) -> tuple[float, float]:
-    """Monte Carlo self energy (value, standard_error) in joules."""
-    value, sem = mutual_energy_mc(d, d, n_samples, seed, constants)
-    return 0.5 * value, 0.5 * sem
-
-
-def mutual_energy_mc(d1: MassDistribution, d2: MassDistribution, n_samples: int = 200_000,
-                     seed: int = 0, constants: PhysicalConstants = CODATA2018
-                     ) -> tuple[float, float]:
-    """Monte Carlo mutual energy (value, standard_error) in joules."""
-    return _field_energy_mc(d1, d2, n_samples, seed,
-                            lambda ga, gb: constants.G * np.sum(ga * gb, axis=1))
+    """Monte Carlo self energy (value, standard_error) in joules, from the field."""
+    return _field_energy_mc(d, None, n_samples, seed, constants)
 
 
 def e_delta_mc(spec: SuperpositionSpec, n_samples: int = 200_000, seed: int = 0,
                constants: PhysicalConstants = CODATA2018) -> tuple[float, float]:
     """Monte Carlo e_delta (value, standard_error) in joules, from the field difference."""
-    return _field_energy_mc(spec.branch_a, spec.branch_b, n_samples, seed,
-                            lambda ga, gb: 0.5 * constants.G * np.sum((ga - gb) ** 2, axis=1))
+    return _field_energy_mc(spec.branch_a, spec.branch_b, n_samples, seed, constants)

@@ -1,15 +1,14 @@
-"""Physical constants and unit scale systems.
+"""Physical constants and the energy scales eigenvalues are reported in.
 
 Every solver module consumes these: constants are CODATA 2018 by default and
-immutable; a ScaleSystem gives the SI length, time, energy and reference mass
-of one system unit.  The SN-NATURAL system makes the self-gravitating
-wavefunction problem parameter-free; ATOMIC is the usual Bohr/Hartree system.
+immutable.  ENERGY_SCALES gives the joules per unit energy of each scale
+system that ``--scale`` names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # Exact SI defining constants (2019 redefinition) used to derive defaults.
 _PLANCK_H = 6.62607015e-34        # J s, exact
@@ -35,13 +34,13 @@ class PhysicalConstants:
     m_e: float = 9.1093837015e-31               # kg
 
     def __post_init__(self) -> None:
-        for name in ("hbar", "G", "c", "e2_coulomb", "m_e"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"constant {name} must be strictly positive, got {value!r}")
+                raise ValueError(f"constant {field.name} must be strictly positive, got {value!r}")
 
     def with_overrides(self, **overrides: float) -> "PhysicalConstants":
-        unknown = set(overrides) - {"hbar", "G", "c", "e2_coulomb", "m_e"}
+        unknown = set(overrides) - {field.name for field in fields(self)}
         if unknown:
             raise ValueError(f"unknown constants: {sorted(unknown)}")
         return replace(self, **overrides)
@@ -68,65 +67,12 @@ def kernel_length(mass: float, kappa: float,
     return constants.hbar**2 / (mass * abs(kappa))
 
 
-@dataclass(frozen=True)
-class ScaleSystem:
-    """Mapping from a unit system's base scales to SI.
-
-    One system unit of length equals ``length_scale`` meters, and so on.
-    """
-
-    length_scale: float
-    time_scale: float
-    energy_scale: float
-    mass_reference: float
-    label: str
-
-    @staticmethod
-    def si() -> "ScaleSystem":
-        return ScaleSystem(1.0, 1.0, 1.0, 1.0, "SI")
-
-    @staticmethod
-    def sn_natural(mass: float, constants: PhysicalConstants = CODATA2018) -> "ScaleSystem":
-        """Natural units of the self-gravitating problem for reference mass ``mass``.
-
-        length = hbar^2/(G m^3), energy = G^2 m^5 / hbar^2, time = hbar/energy,
-        so the dimensionless gravitational problem carries no free parameter.
-        """
-        if not mass > 0.0:
-            raise ValueError(f"mass_reference must be positive, got {mass}")
-        energy = constants.G**2 * mass**5 / constants.hbar**2
-        return ScaleSystem(
-            length_scale=kernel_length(mass, constants.G * mass**2, constants),
-            time_scale=constants.hbar / energy,
-            energy_scale=energy,
-            mass_reference=mass,
-            label="SN-NATURAL",
-        )
-
-    @staticmethod
-    def atomic(constants: PhysicalConstants = CODATA2018) -> "ScaleSystem":
-        """Bohr radius / Hartree units with the electron as reference mass."""
-        hartree = constants.hartree
-        return ScaleSystem(
-            length_scale=constants.bohr_radius,
-            time_scale=constants.hbar / hartree,
-            energy_scale=hartree,
-            mass_reference=constants.m_e,
-            label="ATOMIC",
-        )
-
-
-def scale_system_from_label(
-    label: str, mass_reference: float | None = None, constants: PhysicalConstants = CODATA2018
-) -> ScaleSystem:
-    """Build the named system; ``mass_reference`` is required for sn-natural."""
-    key = label.strip().lower()
-    if key == "si":
-        return ScaleSystem.si()
-    if key == "atomic":
-        return ScaleSystem.atomic(constants)
-    if key == "sn-natural":
-        if mass_reference is None:
-            raise ValueError("sn-natural scale system needs a reference mass")
-        return ScaleSystem.sn_natural(mass_reference, constants)
-    raise ValueError(f"unknown scale system {label!r}; expected si, sn-natural, or atomic")
+#: Joules per unit energy of each scale system the CLI reports eigenvalues in,
+#: from the reference mass and the constants.  SN-natural units, energy
+#: G^2 m^5 / hbar^2 and length hbar^2 / (G m^3), make the self-gravitating
+#: problem parameter-free; atomic units are Hartree units.
+ENERGY_SCALES = {
+    "si": lambda mass, constants: 1.0,
+    "sn-natural": lambda mass, constants: constants.G**2 * mass**5 / constants.hbar**2,
+    "atomic": lambda mass, constants: constants.hartree,
+}

@@ -386,12 +386,10 @@ def stationary_states(
 ) -> list[StationaryState]:
     """First ``n_states`` stationary states, ordered by node count 0..n_states-1.
 
-    ``external_potential`` may be None, a callable V(r_meters) -> J, or an
-    array sampled on the grid.  Each state is self-consistent with its own
-    density (the kernel potential is rebuilt from the state it binds).
-    Shooting interpolates an array potential linearly and clamps it below the
-    first grid point, so pass a potential that is singular at r = 0 as a
-    callable.  A kernel plus an external potential needs ``method="scf"``.
+    ``external_potential`` may be None or a callable V(r_meters) -> J.  Each
+    state is self-consistent with its own density (the kernel potential is
+    rebuilt from the state it binds).  A kernel plus an external potential
+    needs ``method="scf"``.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -409,15 +407,9 @@ def stationary_states(
     x = grid.r / scales.length
     dx = grid.spacing / scales.length
     vext_grid = vfun = None
-    if callable(external_potential):
+    if external_potential is not None:
         vext_grid = np.asarray(external_potential(grid.r), dtype=float) / scales.energy
         vfun = lambda xx: float(external_potential(xx * scales.length)) / scales.energy
-    elif external_potential is not None:
-        varr = np.asarray(external_potential, dtype=float)
-        if varr.shape != grid.r.shape:
-            raise ValueError("external_potential array must match the grid")
-        vext_grid = varr / scales.energy
-        vfun = lambda xx: float(np.interp(xx, x, vext_grid))
 
     states: list[StationaryState] = []
     for k in range(n_states):

@@ -26,7 +26,7 @@ from gravlab.massdist import (
     e_delta,
     e_delta_mc,
 )
-from gravlab.quantities import CODATA2018, ScaleSystem
+from gravlab.quantities import CODATA2018, ENERGY_SCALES, kernel_length
 from gravlab.snsolver import (
     RadialGrid,
     WaveState,
@@ -125,19 +125,19 @@ def _dilate(shape, s):
 
 
 MASS = 1e-17
-NATURAL = ScaleSystem.sn_natural(MASS, C)
+NATURAL_LENGTH = kernel_length(MASS, C.G * MASS**2, C)
 
 
 def test_criterion_4_sn_ground_state_two_methods():
     t0 = time.time()
-    grid = RadialGrid.uniform(50.0 * NATURAL.length_scale, 2000)
+    grid = RadialGrid.uniform(50.0 * NATURAL_LENGTH, 2000)
     kernel = [gravitational_kernel(MASS, C)]
     scf = stationary_states(MASS, kernel, n_states=1, grid=grid)[0]
     shoot = stationary_states(MASS, kernel, n_states=1, grid=grid,
                               method="shooting")[0]
     rel = abs(scf.eigenvalue - shoot.eigenvalue) / abs(scf.eigenvalue)
     assert rel < 1e-3
-    eps0 = scf.eigenvalue / NATURAL.energy_scale
+    eps0 = scf.eigenvalue / ENERGY_SCALES["sn-natural"](MASS, C)
     # frozen by the two-method agreement above; -0.1628 rounds to -0.163
     assert eps0 == pytest.approx(-0.16277, abs=5e-4)
     assert round(eps0, 3) == -0.163
@@ -145,7 +145,7 @@ def test_criterion_4_sn_ground_state_two_methods():
     # grid refinement: successive changes shrink ~4x (second order)
     values = []
     for n in (800, 1600, 3200):
-        g = RadialGrid.uniform(50.0 * NATURAL.length_scale, n)
+        g = RadialGrid.uniform(50.0 * NATURAL_LENGTH, n)
         values.append(stationary_states(MASS, kernel, n_states=1, grid=g,
                                         validate_resolution=False)[0].eigenvalue)
     ratio = abs(values[1] - values[0]) / abs(values[2] - values[1])
@@ -158,11 +158,10 @@ def test_criterion_5_sn_mass_scaling_law():
     t0 = time.time()
     spectra = {}
     for mass, n in ((MASS, 4000), (2.0 * MASS, 4400)):
-        system = ScaleSystem.sn_natural(mass, C)
-        grid = RadialGrid.uniform(125.0 * system.length_scale, n)
+        grid = RadialGrid.uniform(125.0 * kernel_length(mass, C.G * mass**2, C), n)
         states = stationary_states(mass, [gravitational_kernel(mass, C)],
                                    n_states=2, grid=grid)
-        spectra[mass] = [s.eigenvalue / system.energy_scale for s in states]
+        spectra[mass] = [s.eigenvalue / ENERGY_SCALES["sn-natural"](mass, C) for s in states]
     for e1, e2 in zip(spectra[MASS], spectra[2.0 * MASS]):
         assert abs(e1 / e2 - 1.0) < 1e-3
     report(5, "spectra at m and 2m agree after SN-natural rescaling within 0.1%", t0)
@@ -182,7 +181,7 @@ def test_criterion_6_evolution_sanity():
     assert abs(result.norm[-1] - 1.0) < 1e-8
     assert abs(result.energy[-1] / result.energy[0] - 1.0) < 1e-5
 
-    rgrid = RadialGrid.uniform(50.0 * NATURAL.length_scale, 2000)
+    rgrid = RadialGrid.uniform(50.0 * NATURAL_LENGTH, 2000)
     ground = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=rgrid)[0]
     stationary = evolve(ground.state, 0.9 * suggested_dt(ground.state, C), 1000,

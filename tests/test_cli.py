@@ -12,6 +12,7 @@ import gravlab
 from gravlab.cli import RunManifest, build_parser, main, run
 from gravlab.errors import ManifestError
 from gravlab.persistence import format_number
+from gravlab.quantities import CODATA2018
 
 
 def manifest_for(command: str, parameters: dict, outdir: Path, **extra) -> RunManifest:
@@ -192,6 +193,20 @@ def test_sn_ground_scaled_output(tmp_path):
     state = bundle.summary["states"][0]
     assert state["eigenvalue"]["scaled"] == pytest.approx(-0.16277, abs=5e-4)
     assert (tmp_path / "sng" / "sn_ground_profiles.csv").exists()
+
+
+@pytest.mark.parametrize("scale_system", ["si", "sn-natural", "atomic"])
+def test_sn_ground_reports_the_eigenvalue_in_the_chosen_scale(tmp_path, scale_system):
+    mass, c = 1e-17, CODATA2018
+    energy_scale = {"si": 1.0, "sn-natural": c.G**2 * mass**5 / c.hbar**2,
+                    "atomic": c.hartree}[scale_system]
+    run(manifest_for("sn-ground", {
+        "mass_kg": mass,
+        "grid": {"r_max": 50.0, "points": 1600, "units": "natural"},
+    }, tmp_path, scale_system=scale_system))
+    eigenvalue = json.loads((tmp_path / "sn_ground.json").read_text())["states"][0]["eigenvalue"]
+    assert eigenvalue["scale_system"] == scale_system.upper()
+    assert eigenvalue["scaled"] == eigenvalue["J"] / energy_scale
 
 
 def test_sn_states_record_the_scf_iteration_count(tmp_path):

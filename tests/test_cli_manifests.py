@@ -21,6 +21,7 @@ from gravlab.quantities import CODATA2018
 G = CODATA2018.G
 SPHERE = {"kind": "uniform_sphere", "mass_kg": 1.0, "radius_m": 1.0}
 SPHERE_AT_4 = dict(SPHERE, center_m=[4.0, 0.0, 0.0])
+GAUSSIAN = {"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0}
 SN_GRID = {"points": 200, "r_max": 30.0, "units": "natural"}
 
 # one valid, cheap manifest per command; at 200 points the Schrodinger-Newton
@@ -113,6 +114,10 @@ def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, payload, fie
 FAILED = [
     pytest.param(manifest("e-delta", shape_a={"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
                           method="analytic"), "NoClosedForm", id="NoClosedForm"),
+    # U_a + U_b - mutual of two unit Gaussians 1e-8 apart keeps no correct digit
+    pytest.param(manifest("e-delta", shape_a=GAUSSIAN, monte_carlo=False, method="analytic",
+                          shape_b=dict(GAUSSIAN, center_m=[1e-8, 0.0, 0.0])),
+                 "CancellationError", id="CancellationError"),
     # finite, in-range inputs whose numerics overflow or divide by zero
     pytest.param(manifest("selfenergy", shape={"kind": "gaussian", "mass_kg": 1.0,
                                                "width_m": 1e300}),

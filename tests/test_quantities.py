@@ -4,10 +4,10 @@ import pytest
 
 from gravlab.quantities import (
     CODATA2018,
+    ENERGY_SCALES,
     EV,
     PhysicalConstants,
-    ScaleSystem,
-    scale_system_from_label,
+    kernel_length,
 )
 
 
@@ -32,24 +32,14 @@ def test_constants_immutable_and_positive():
 
 def test_sn_natural_definitions():
     m = 1e-17
-    sys = ScaleSystem.sn_natural(m)
     c = CODATA2018
-    assert sys.energy_scale == pytest.approx(c.G**2 * m**5 / c.hbar**2, rel=1e-14)
-    assert sys.length_scale == pytest.approx(c.hbar**2 / (c.G * m**3), rel=1e-14)
+    energy = ENERGY_SCALES["sn-natural"](m, c)
+    assert energy == pytest.approx(c.G**2 * m**5 / c.hbar**2, rel=1e-14)
+    assert kernel_length(m, c.G * m**2, c) == pytest.approx(c.hbar**2 / (c.G * m**3), rel=1e-14)
 
 
 def test_hartree_value():
     # E_h = m_e e^4 / hbar^2 evaluates to 27.211386... eV from CODATA constants
-    atomic = ScaleSystem.atomic()
-    assert atomic.energy_scale / EV == pytest.approx(27.211386, rel=1e-6)
-    assert 27.211386245988 * EV / atomic.energy_scale == pytest.approx(1.0, rel=1e-7)
-
-
-def test_scale_system_from_label():
-    assert scale_system_from_label("si").label == "SI"
-    assert scale_system_from_label("atomic").label == "ATOMIC"
-    assert scale_system_from_label("sn-natural", mass_reference=1e-9).label == "SN-NATURAL"
-    with pytest.raises(ValueError):
-        scale_system_from_label("sn-natural")
-    with pytest.raises(ValueError):
-        scale_system_from_label("imperial")
+    hartree = ENERGY_SCALES["atomic"](None, CODATA2018)
+    assert hartree / EV == pytest.approx(27.211386, rel=1e-6)
+    assert 27.211386245988 * EV / hartree == pytest.approx(1.0, rel=1e-7)

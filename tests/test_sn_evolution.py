@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from gravlab.errors import StepSizeError
-from gravlab.quantities import CODATA2018, ScaleSystem
+from gravlab.quantities import CODATA2018, ENERGY_SCALES, kernel_length
 from gravlab.snsolver import (
     RadialGrid,
     WaveState,
@@ -46,8 +46,7 @@ def test_norm_and_energy_conserved_over_1000_steps():
 
 def test_stationary_state_is_a_fixed_point():
     mass = 1e-17
-    system = ScaleSystem.sn_natural(mass, C)
-    grid = RadialGrid.uniform(50.0 * system.length_scale, 2000)
+    grid = RadialGrid.uniform(50.0 * kernel_length(mass, C.G * mass**2, C), 2000)
     ground = stationary_states(mass, [gravitational_kernel(mass, C)], n_states=1,
                                grid=grid)[0]
     dt = 0.9 * suggested_dt(ground.state, C)
@@ -59,10 +58,9 @@ def test_stationary_state_is_a_fixed_point():
 
 def test_gravitational_coupling_inhibits_spreading():
     mass = 1e-17
-    system = ScaleSystem.sn_natural(mass, C)
-    a = system.length_scale
+    a = kernel_length(mass, C.G * mass**2, C)
     grid = RadialGrid.uniform(80.0 * a, 2560)
-    t_natural = C.hbar / system.energy_scale
+    t_natural = C.hbar / ENERGY_SCALES["sn-natural"](mass, C)
     n_steps = 1200
     dt = 2.0 * t_natural / n_steps
 
@@ -111,8 +109,7 @@ def test_coupled_predictor_corrector_step_is_pinned():
     # a self-gravitating packet through the predictor-corrector step; values
     # were computed by this code and pin it against silent changes
     mass = 1e-17
-    system = ScaleSystem.sn_natural(mass, C)
-    a = system.length_scale
+    a = kernel_length(mass, C.G * mass**2, C)
     grid = RadialGrid.uniform(60.0 * a, 600)
     state = WaveState.gaussian_packet(grid, 2.0 * a, mass, [gravitational_kernel(mass, C)])
     dt = 0.9 * suggested_dt(state, C)

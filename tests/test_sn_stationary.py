@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gravlab.errors import ConvergenceError
-from gravlab.quantities import CODATA2018, ScaleSystem
+from gravlab.quantities import CODATA2018, ENERGY_SCALES, kernel_length
 from gravlab.snsolver import (
     RadialGrid,
     count_nodes,
@@ -26,8 +26,7 @@ GROUND_EIGENVALUE = -0.16277
 
 
 def natural_scales(mass: float = MASS) -> tuple[float, float]:
-    system = ScaleSystem.sn_natural(mass, C)
-    return system.length_scale, system.energy_scale
+    return kernel_length(mass, C.G * mass**2, C), ENERGY_SCALES["sn-natural"](mass, C)
 
 
 def ground_grid(mass: float = MASS, r_max: float = 50.0, n: int = 2000) -> RadialGrid:
@@ -305,15 +304,3 @@ def test_shooting_rejects_a_kernel_plus_an_external_potential():
         stationary_states(C.m_e, [electrostatic_kernel(C)], lambda r: -C.e2_coulomb / r,
                           n_states=1, grid=grid, method="shooting",
                           validate_resolution=False, validate_domain=False)
-
-
-def test_array_external_potential_matches_the_callable():
-    a0 = C.bohr_radius
-    grid = RadialGrid.uniform(30.0 * a0, 1500)
-    coulomb = lambda r: -C.e2_coulomb / r
-    from_callable = stationary_states(C.m_e, [], coulomb, n_states=1, grid=grid)[0]
-    from_array = stationary_states(C.m_e, [], coulomb(grid.r), n_states=1, grid=grid)[0]
-    assert from_array.eigenvalue == from_callable.eigenvalue
-    assert np.array_equal(from_array.state.psi, from_callable.state.psi)
-    with pytest.raises(ValueError, match="must match the grid"):
-        stationary_states(C.m_e, [], coulomb(grid.r[:-1]), n_states=1, grid=grid)
