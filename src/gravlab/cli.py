@@ -39,7 +39,7 @@ from .massdist import (
     self_energy_mc,
     shape_from_dict,
 )
-from .collapsesim import CollapseModel, energy_ledger, simulate
+from .collapsesim import CollapseModel, check_rate, energy_ledger, simulate
 from .dpcriterion import collapse_time, feynman_mass_scale, lifetime_sweep
 from .persistence import format_number, sha256_file, write_csv, write_json, write_plot_script
 from .quantities import CODATA2018, ENERGY_SCALES, PhysicalConstants, kernel_length
@@ -465,6 +465,8 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     mass = p["mass_kg"]
     couplings = [make(mass, constants) for make in p["couplings"]]
     grid = _sn_grid(p, mass, couplings, constants)
+    if sum(t.strength for t in couplings) == 0.0:
+        raise ManifestError("a zero net coupling binds no state", field="parameters.couplings")
     methods = ("scf", "shooting") if p["method"] == "both" else (p["method"],)
     results = {m: stationary_states(mass, couplings, None, p["n_states"], grid=grid, method=m,
                                     constants=constants, tol=p["tolerance"]) for m in methods}
@@ -582,9 +584,15 @@ def _cmd_hydrogen_shift(p: dict, manifest: RunManifest, constants: PhysicalConst
 
 def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstants):
     n, energies, interference = p["n"], p["branch_energies_J"], p["interference_energy_J"]
+    rate = p["rate_per_s"]
+    if rate is not None:
+        try:
+            check_rate(rate)
+        except ValueError as exc:
+            raise ManifestError(str(exc), field="parameters.rate_per_s") from exc
     try:
-        if p["rate_per_s"] is not None:
-            model = CollapseModel(rate=p["rate_per_s"], outcome_weights=p["weights"],
+        if rate is not None:
+            model = CollapseModel(rate=rate, outcome_weights=p["weights"],
                                   branch_energies=energies, interference_energy=interference)
         elif p["shape_a"] is not None and p["shape_b"] is not None:
             model = CollapseModel.from_superposition(_superposition(p), energies, interference,
@@ -593,8 +601,8 @@ def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstan
             raise ManifestError("provide rate_per_s or shape_a/shape_b",
                                 field="parameters.rate_per_s")
     except ValueError as exc:
-        # bad weights, or a rate that overflows for a tiny prefactor
-        culprit = "weights" if p["rate_per_s"] is not None else "prefactor"
+        # bad weights, or a rate out of range for the prefactor
+        culprit = "weights" if rate is not None else "prefactor"
         raise ManifestError(str(exc), field=f"parameters.{culprit}") from exc
 
     ensemble = simulate(model, n, manifest.seed)

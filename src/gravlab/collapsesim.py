@@ -15,6 +15,7 @@ and independent of evaluation order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,18 @@ BORN_WEIGHT_NOTE = (
     "collapse modeled as a single Poisson event per trajectory"
 )
 
+#: Smallest positive rate, 1/s.  A unit-rate draw -log(1 - u) is at most
+#: 53 ln 2 = 36.7 (u < 1 - 2^-53), so every collapse time and the survival
+#: horizon 5/rate stay finite at or above it.
+MIN_RATE = 64.0 / sys.float_info.max
+
+
+def check_rate(rate: float) -> None:
+    """Reject a rate that is negative, not finite, or positive but below MIN_RATE."""
+    if not (rate == 0.0 or MIN_RATE <= rate < math.inf):
+        raise ValueError(f"rate must be 0 or finite and >= {MIN_RATE:.3g} 1/s, got {rate} "
+                         "(a smaller positive rate draws collapse times past the float range)")
+
 
 @dataclass(frozen=True)
 class CollapseModel:
@@ -44,8 +57,7 @@ class CollapseModel:
     spec_digest: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.rate >= 0.0 and math.isfinite(self.rate)):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
+        check_rate(self.rate)
         wa, wb = self.outcome_weights
         if wa < 0.0 or wb < 0.0 or abs(wa + wb - 1.0) > 1e-12:
             raise ValueError(f"outcome weights must be nonnegative and sum to 1, got {self.outcome_weights}")
@@ -151,22 +163,19 @@ def simulate(model: CollapseModel, n: int, seed: int) -> TrajectoryEnsemble:
     if n < 1:
         raise ValueError("n must be >= 1")
     u_time, u_branch = _trajectory_uniforms(n, seed)
-    if model.rate > 0.0:
-        times = -np.log1p(-u_time) / model.rate
-    else:
-        times = np.full(n, np.inf)
     wa = model.outcome_weights[0]
     outcomes = (u_branch >= wa).astype(np.int8)
-
-    collapsed = np.isfinite(times)
-    any_collapse = bool(np.any(collapsed))
-    if any_collapse:
-        horizon = 5.0 / model.rate
-        grid = np.linspace(0.0, horizon, 51)
+    if model.rate > 0.0:
+        # collapse times in units of 1/rate; the statistics are taken in those
+        # units and scaled, so their sums cannot overflow at a rate near MIN_RATE
+        unit_times = -np.log1p(-u_time)
+        times = unit_times / model.rate
+        grid = np.linspace(0.0, 5.0 / model.rate, 51)
         fractions = np.array([np.count_nonzero(times > t) for t in grid]) / n
-        mean_t = float(np.mean(times))
-        median_t = float(np.median(times))
+        mean_t = float(np.mean(unit_times)) / model.rate
+        median_t = float(np.median(unit_times)) / model.rate
     else:
+        times = np.full(n, np.inf)
         grid = np.zeros(1)
         fractions = np.ones(1)
         mean_t = math.inf
@@ -193,7 +202,7 @@ def simulate(model: CollapseModel, n: int, seed: int) -> TrajectoryEnsemble:
         collapse_times=times,
         outcomes=outcomes,
         model_digest=model.content_digest(),
-        infinite_lifetime=not any_collapse,
+        infinite_lifetime=model.rate == 0.0,
         summary=summary,
     )
 

@@ -23,8 +23,9 @@ MAX_PHASE = 1.0   # rad: the largest rotation of the fastest grid mode per step
 class EvolutionResult:
     """Per-step observables plus the final state.
 
-    ``energy`` is the conserved functional kinetic + (1/2) self-interaction +
-    external; the 1/2 compensates the kernel's double counting.
+    ``energy`` is the conserved functional kinetic + (1/2) self-interaction;
+    the 1/2 compensates the kernel's double counting.  ``evolve`` has no
+    external potential, so no external term enters.
     """
 
     times: np.ndarray
@@ -45,8 +46,6 @@ def free_gaussian_width_squared(sigma0: float, mass: float, t: float,
 def suggested_dt(state: WaveState, constants: PhysicalConstants = CODATA2018) -> float:
     """Largest dt the stability validator accepts for this state and grid."""
     e_grid = constants.hbar**2 / (2.0 * state.mass * state.grid.spacing**2)
-    if state.external_potential is not None:
-        e_grid += float(np.max(np.abs(state.external_potential)))
     e_grid += float(np.max(np.abs(self_potential(state))))
     return MAX_PHASE * constants.hbar / e_grid
 
@@ -91,9 +90,6 @@ def evolve(
     u = state.amplitude()
     dx = grid.spacing
     kappa = state.kappa_total
-    vext = state.external_potential
-    if vext is None:
-        vext = np.zeros(u.size)
 
     hbar = constants.hbar
     kin = hbar**2 / (2.0 * state.mass * dx**2)
@@ -116,7 +112,7 @@ def evolve(
         dens = np.abs(u_now) ** 2
         norm = dx * float(np.sum(dens))
         kinetic = kin * dx * dirichlet_kinetic_sum(u_now)
-        potential = dx * float(np.sum((vext + 0.5 * phi_now) * dens))
+        potential = dx * float(np.sum(0.5 * phi_now * dens))
         second = dx * float(np.sum(grid.r**2 * dens))
         return norm, (kinetic + potential) / norm, math.sqrt(second / norm)
 
@@ -131,12 +127,12 @@ def evolve(
     rec = 1
     for step in range(1, n_steps + 1):
         if kappa != 0.0:
-            u_pred = cn_solve(u, vext + phi)
+            u_pred = cn_solve(u, phi)
             phi_mid = 0.5 * (phi + kernel_potential(grid, u_pred, kappa))
-            u = cn_solve(u, vext + phi_mid)
+            u = cn_solve(u, phi_mid)
             phi = kernel_potential(grid, u, kappa)
-        else:
-            u = cn_solve(u, vext)
+        else:   # phi stays zero
+            u = cn_solve(u, phi)
         if not np.all(np.isfinite(u.view(float))):
             raise NumericalBlowup(f"non-finite amplitudes after step {step}", step)
         if step % record_every == 0 or step == n_steps:
@@ -144,7 +140,6 @@ def evolve(
             norms[rec], energies[rec], widths[rec] = observables(u, phi)
             rec += 1
 
-    final = WaveState.from_amplitude(grid, u, state.mass, state.self_coupling,
-                                     state.external_potential)
+    final = WaveState.from_amplitude(grid, u, state.mass, state.self_coupling)
     return EvolutionResult(times[:rec], norms[:rec], energies[:rec], widths[:rec],
                            final, dt, n_steps)

@@ -89,15 +89,15 @@ class WaveState:
     """A normalized wavefunction on a radial grid, with mass and coupling metadata.
 
     ``psi`` holds the full wavefunction value (no spherical-harmonic factor);
-    the norm is int 4 pi r^2 |psi|^2 dr = 1.
-    ``external_potential`` is sampled on the grid in joules (None means free).
+    the norm is int 4 pi r^2 |psi|^2 dr = 1.  The state carries its kernel
+    couplings and no external potential: an external potential enters only
+    ``stationary_states(..., method="scf")``, and ``evolve`` has none.
     """
 
     grid: RadialGrid
     psi: np.ndarray
     mass: float
     self_coupling: tuple[KernelTerm, ...] = ()
-    external_potential: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not self.mass > 0.0:
@@ -108,11 +108,6 @@ class WaveState:
         if not np.all(np.isfinite(psi.view(float))):
             raise NormalizationError("psi contains non-finite values")
         object.__setattr__(self, "psi", psi)
-        if self.external_potential is not None:
-            v = np.asarray(self.external_potential, dtype=float)
-            if v.shape != (self.grid.n,):
-                raise ValueError("external_potential shape must match the grid")
-            object.__setattr__(self, "external_potential", v)
         norm = self.norm()
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(f"norm = {norm!r}, must be 1 within {NORM_TOL}")
@@ -126,11 +121,10 @@ class WaveState:
 
     @staticmethod
     def from_amplitude(grid: RadialGrid, u: np.ndarray, mass: float,
-                       self_coupling: Sequence[KernelTerm] = (),
-                       external_potential: np.ndarray | None = None) -> "WaveState":
+                       self_coupling: Sequence[KernelTerm] = ()) -> "WaveState":
         """The normalized state psi = u / (sqrt(4 pi) r) of a radial amplitude u of any norm."""
         return WaveState.normalized(grid, u / (np.sqrt(4.0 * math.pi) * grid.r), mass,
-                                    self_coupling, external_potential)
+                                    self_coupling)
 
     @property
     def kappa_total(self) -> float:
@@ -138,14 +132,12 @@ class WaveState:
 
     @staticmethod
     def normalized(grid: RadialGrid, psi: np.ndarray, mass: float,
-                   self_coupling: Sequence[KernelTerm] = (),
-                   external_potential: np.ndarray | None = None) -> "WaveState":
+                   self_coupling: Sequence[KernelTerm] = ()) -> "WaveState":
         psi = np.asarray(psi, dtype=complex)
         n2 = _norm_squared(grid, psi)
         if not n2 > 0.0:
             raise NormalizationError("cannot normalize a zero wavefunction")
-        return WaveState(grid, psi / math.sqrt(n2), mass, tuple(self_coupling),
-                         external_potential)
+        return WaveState(grid, psi / math.sqrt(n2), mass, tuple(self_coupling))
 
     @staticmethod
     def gaussian_packet(grid: RadialGrid, sigma: float, mass: float,

@@ -23,6 +23,7 @@ SPHERE = {"kind": "uniform_sphere", "mass_kg": 1.0, "radius_m": 1.0}
 SPHERE_AT_4 = dict(SPHERE, center_m=[4.0, 0.0, 0.0])
 GAUSSIAN = {"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0}
 SN_GRID = {"points": 200, "r_max": 30.0, "units": "natural"}
+SI_GRID = {"points": 200, "r_max": 1e-3, "units": "si"}
 
 # one valid, cheap manifest per command; at 200 points the Schrodinger-Newton
 # grids are too coarse for the resolution check, so those end in exit 1
@@ -99,6 +100,10 @@ REJECTED = [
      "parameters.shape_b.center_m[0]"),
     (manifest("collapse-time", shape_b=dict(SPHERE, centre_m=[4, 0, 0])),
      "parameters.shape_b.centre_m"),
+    # a kernel-free problem has no self-bound state, on an SI grid as on a natural one
+    (manifest("sn-ground", couplings=[], grid=SI_GRID), "parameters.couplings"),
+    (manifest("sn-spectrum", couplings=[{"strength_J_m": 0}], method="both", grid=SI_GRID),
+     "parameters.couplings"),
 ]
 
 
@@ -279,6 +284,15 @@ def test_seeds_past_the_philox_key_exit_2(tmp_path, capsys, seed):
     code, outdir = run_manifest(tmp_path, {**manifest("collapse-sim"), "seed": seed})
     assert code == 2
     assert "seed:" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("rate", [1e-308, 1e-320])
+def test_a_rate_too_small_to_represent_exits_2(tmp_path, capsys, rate):
+    # its collapse times and survival horizon would overflow to inf
+    code, outdir = run_manifest(tmp_path, manifest("collapse-sim", rate_per_s=rate))
+    assert code == 2
+    assert "parameters.rate_per_s:" in capsys.readouterr().err
     assert not outdir.exists()
 
 

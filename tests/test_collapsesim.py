@@ -9,6 +9,7 @@ from scipy import stats
 
 from gravlab.collapsesim import (
     BORN_WEIGHT_NOTE,
+    MIN_RATE,
     CollapseModel,
     energy_ledger,
     simulate,
@@ -147,6 +148,25 @@ def test_summary_survival_curve_shape():
     assert np.all(np.diff(s.survival_fractions) <= 0.0)
     expected = np.exp(-2.0 * s.survival_times)
     assert np.max(np.abs(s.survival_fractions - expected)) < 0.02
+
+
+@pytest.mark.parametrize("rate", [1e-308, 1e-320, 5e-324])
+def test_model_rejects_a_rate_too_small_to_represent(rate):
+    with pytest.raises(ValueError, match="rate"):
+        CollapseModel(rate=rate, outcome_weights=(0.5, 0.5))
+
+
+def test_the_smallest_rate_gives_finite_statistics():
+    # at MIN_RATE the collapse times reach 0.57 of the float maximum: their sum overflows
+    ens = simulate(CollapseModel(rate=MIN_RATE, outcome_weights=(0.5, 0.5)), 1000, seed=1)
+    s = ens.summary
+    assert not ens.infinite_lifetime
+    assert np.all(np.isfinite(ens.collapse_times))
+    assert np.all(np.isfinite(s.survival_times))
+    assert s.survival_fractions[0] == 1.0
+    assert np.all(np.diff(s.survival_fractions) <= 0.0)
+    assert s.mean_collapse_time * MIN_RATE == pytest.approx(1.0, rel=0.1)
+    assert s.median_collapse_time * MIN_RATE == pytest.approx(math.log(2.0), rel=0.1)
 
 
 def test_model_rejects_non_finite_energies():

@@ -8,6 +8,7 @@ import pytest
 from gravlab.errors import ConvergenceError
 from gravlab.quantities import CODATA2018, ENERGY_SCALES, kernel_length
 from gravlab.snsolver import (
+    KernelTerm,
     RadialGrid,
     count_nodes,
     electrostatic_kernel,
@@ -138,29 +139,28 @@ def test_grid_refinement_second_order():
     assert 2.5 < d1 / d2 < 6.0
 
 
-def test_shooting_handles_linear_problem():
-    # hydrogen ground state by pure shooting: independent of the eigensolver path
-    a0 = C.bohr_radius
-    grid = RadialGrid.uniform(30.0 * a0, 1500)
-    states = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1,
-                               grid=grid, method="shooting")
-    assert states[0].eigenvalue / C.hartree == pytest.approx(-0.5, rel=1e-3)
+def test_scf_hydrogen_richardson_value_is_within_5e_9_hartree_and_inside_its_bar():
+    # the SCF route hydrogen-shift runs; dx halves from n = 2001 to 4003
+    coulomb = lambda r: -C.e2_coulomb / r
+    grids = (RadialGrid.uniform(30.0 * C.bohr_radius, n) for n in (2001, 4003))
+    e_2h, e_h = (stationary_states(C.m_e, [], coulomb, n_states=1, grid=grid)[0].eigenvalue
+                 / C.hartree for grid in grids)
+    richardson = (4.0 * e_h - e_2h) / 3.0
+    error = abs(richardson + 0.5)
+    assert error < 5e-9
+    assert abs(e_h - e_2h) / 3.0 >= error
 
 
 def test_shooting_results_are_pinned():
     # the bisection decides each trial eigenvalue by its node count; a wrong
     # decision moves the result by at least one bracket width, far past rel=1e-12.
     # Pinned from the Richardson-combined route: the ground value is 4.0e-10
-    # relative from the h -> 0 limit -0.16276920783267, hydrogen 2.3e-9 Ha from -0.5 Ha
+    # relative from the h -> 0 limit -0.16276920783267
     _, e_scale = natural_scales()
     ground = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=ground_grid(), method="shooting")[0]
     assert ground.eigenvalue / e_scale == pytest.approx(-0.16276920776760564, rel=1e-12)
     assert ground.residual == pytest.approx(1.4825373224124275e-12, rel=1e-12)
-    grid = RadialGrid.uniform(30.0 * C.bohr_radius, 1500)
-    hydrogen = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1,
-                                 grid=grid, method="shooting")[0]
-    assert hydrogen.eigenvalue == pytest.approx(-2.1798723511201054e-18, rel=1e-12)
 
 
 # the h -> 0 limit of the shooting eigenvalue for node counts 0, 1 and 2 (SN
@@ -168,30 +168,24 @@ def test_shooting_results_are_pinned():
 SHOOTING_LIMITS = (-0.16276920783267, -0.03079653748015, -0.01252610090697)
 
 
-def single_step_shooting(mass, couplings, potential, grid, h):
+def single_step_shooting(mass, couplings, grid, h):
     """Eigenvalue (J) and residual of the shooting solve at the one step h,
     set up as ``stationary_states`` sets it up."""
     scales = _make_scales(mass, sum(term.strength for term in couplings), grid, C)
-    vfun = None
-    if potential is not None:
-        vfun = lambda xx: float(potential(xx * scales.length)) / scales.energy
-    eps, _, residual = _shoot_at_step(grid.r / scales.length, vfun, scales.kappa_sign, 0, h)
+    eps, _, residual = _shoot_at_step(grid.r / scales.length, scales.kappa_sign, 0, h)
     return eps * scales.energy, residual
 
 
 def test_single_step_shooting_keeps_the_integrators_arithmetic():
     # the values the shooting route gave when it ran at the single step h = 0.004
     _, e_scale = natural_scales()
-    ground, residual = single_step_shooting(MASS, [gravitational_kernel(MASS, C)], None,
+    ground, residual = single_step_shooting(MASS, [gravitational_kernel(MASS, C)],
                                             ground_grid(), 0.004)
     assert ground / e_scale == pytest.approx(-0.16276920777870146, rel=1e-12)
     assert residual == pytest.approx(1.4825373411267212e-12, rel=1e-12)
-    hydrogen, _ = single_step_shooting(C.m_e, [], lambda r: -C.e2_coulomb / r,
-                                       RadialGrid.uniform(30.0 * C.bohr_radius, 1500), 0.004)
-    assert hydrogen == pytest.approx(-2.179872332535048e-18, rel=1e-12)
 
 
-def reference_integrate_batch(eps, k, h, n_steps, kappa_sign, vfun):
+def reference_integrate_batch(eps, k, h, n_steps, kappa_sign):
     """``_integrate_batch`` written with a fresh array per RK4 stage: the
     reference the in-place integrator must match bit for bit."""
     m = eps.shape[0]
@@ -206,10 +200,8 @@ def reference_integrate_batch(eps, k, h, n_steps, kappa_sign, vfun):
         u, up, q, qp = y
         if x == 0.0:
             return np.array([up, np.zeros_like(u), qp, np.zeros_like(u)])
-        pot = q / (kappa_sign * x) if kappa_sign != 0.0 else 0.0
-        if vfun is not None:
-            pot = pot + vfun(x)
-        dqp = (-4.0 * math.pi) * u * u / x if kappa_sign != 0.0 else np.zeros_like(u)
+        pot = q / (kappa_sign * x)
+        dqp = (-4.0 * math.pi) * u * u / x
         return np.array([up, 2.0 * (pot - eps) * u, qp, dqp])
 
     x = 0.0
@@ -234,13 +226,10 @@ def reference_integrate_batch(eps, k, h, n_steps, kappa_sign, vfun):
     return above, history
 
 
-@pytest.mark.parametrize("kappa_sign, vfun, eps", [
-    (-1.0, None, np.linspace(0.0, 8.0, 9)),   # kernel, in the u'(0) = 1 gauge
-    (0.0, lambda x: -1.0 / x, np.linspace(-0.6, -0.01, 9)),   # a Coulomb well
-])
-def test_in_place_rk4_matches_the_allocating_reference(kappa_sign, vfun, eps):
-    above, history = _integrate_batch(eps, 1, 0.016, 2000, kappa_sign, vfun, record=True)
-    ref_above, ref_history = reference_integrate_batch(eps, 1, 0.016, 2000, kappa_sign, vfun)
+def test_in_place_rk4_matches_the_allocating_reference():
+    eps = np.linspace(0.0, 8.0, 9)   # kernel, in the u'(0) = 1 gauge
+    above, history = _integrate_batch(eps, 1, 0.016, 2000, -1.0, record=True)
+    ref_above, ref_history = reference_integrate_batch(eps, 1, 0.016, 2000, -1.0)
     assert 0 < np.count_nonzero(above) < eps.size
     assert np.array_equal(above, ref_above)
     assert np.array_equal(history, ref_history)
@@ -256,12 +245,6 @@ def test_shooting_is_within_1e_9_of_the_step_limit_and_inside_its_bar():
         assert error < 1e-9 * abs(limit)
         assert state.discretization_error / e_scale >= error
         assert state.discretization_error < 1e-7 * abs(state.eigenvalue)
-    hydrogen = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1,
-                                 grid=RadialGrid.uniform(30.0 * C.bohr_radius, 1500),
-                                 method="shooting")[0]
-    error = abs(hydrogen.eigenvalue / C.hartree + 0.5)
-    assert error < 5e-9
-    assert hydrogen.discretization_error / C.hartree >= error
 
 
 def test_node_counting():
@@ -297,10 +280,14 @@ def test_repulsive_kernel_with_coulomb_well():
     assert abs(dressed.eigenvalue) < 0.2 * abs(bare.eigenvalue)
 
 
-def test_shooting_rejects_a_kernel_plus_an_external_potential():
-    a0 = C.bohr_radius
-    grid = RadialGrid.uniform(40.0 * a0, 2000)
+@pytest.mark.parametrize("couplings, potential", [
+    ([electrostatic_kernel(C)], lambda r: -C.e2_coulomb / r),   # a kernel plus a well
+    ([], lambda r: -C.e2_coulomb / r),                          # a well alone
+    ([], None),                                                 # nothing at all
+    ([KernelTerm(0.0)], None),                                  # a zero net coupling
+], ids=["kernel-and-well", "well", "free", "zero-coupling"])
+def test_shooting_rejects_an_external_potential_and_a_zero_coupling(couplings, potential):
+    grid = RadialGrid.uniform(40.0 * C.bohr_radius, 2000)
     with pytest.raises(ValueError, match="method='scf'"):
-        stationary_states(C.m_e, [electrostatic_kernel(C)], lambda r: -C.e2_coulomb / r,
-                          n_states=1, grid=grid, method="shooting",
-                          validate_resolution=False, validate_domain=False)
+        stationary_states(C.m_e, couplings, potential, n_states=1, grid=grid,
+                          method="shooting", validate_resolution=False, validate_domain=False)
