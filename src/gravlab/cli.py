@@ -465,8 +465,9 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     mass = p["mass_kg"]
     couplings = [make(mass, constants) for make in p["couplings"]]
     grid = _sn_grid(p, mass, couplings, constants)
-    if sum(t.strength for t in couplings) == 0.0:
-        raise ManifestError("a zero net coupling binds no state", field="parameters.couplings")
+    if sum(t.strength for t in couplings) >= 0.0:
+        raise ManifestError("a zero or repulsive net coupling binds no state",
+                            field="parameters.couplings")
     methods = ("scf", "shooting") if p["method"] == "both" else (p["method"],)
     results = {m: stationary_states(mass, couplings, None, p["n_states"], grid=grid, method=m,
                                     constants=constants, tol=p["tolerance"]) for m in methods}

@@ -255,7 +255,7 @@ def energy_ledger(ensemble: TrajectoryEnsemble, model: CollapseModel) -> EnergyL
         pre_collapse_mean=pre,
         post_collapse_mean=post,
         residual=post - pre,
-        expected_residual=-model.interference_energy,
+        expected_residual=0.0 - model.interference_energy,   # +0.0, not -0.0, at zero
         standard_error=sem,
         n_trajectories=ensemble.n_trajectories,
     )

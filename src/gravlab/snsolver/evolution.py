@@ -21,7 +21,7 @@ MAX_PHASE = 1.0   # rad: the largest rotation of the fastest grid mode per step
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Per-step observables plus the final state.
+    """Per-step observables.
 
     ``energy`` is the conserved functional kinetic + (1/2) self-interaction;
     the 1/2 compensates the kernel's double counting.  ``evolve`` has no
@@ -32,9 +32,6 @@ class EvolutionResult:
     norm: np.ndarray
     energy: np.ndarray
     width: np.ndarray
-    final_state: WaveState
-    dt: float
-    n_steps: int
 
 
 def free_gaussian_width_squared(sigma0: float, mass: float, t: float,
@@ -140,6 +137,4 @@ def evolve(
             norms[rec], energies[rec], widths[rec] = observables(u, phi)
             rec += 1
 
-    final = WaveState.from_amplitude(grid, u, state.mass, state.self_coupling)
-    return EvolutionResult(times[:rec], norms[:rec], energies[:rec], widths[:rec],
-                           final, dt, n_steps)
+    return EvolutionResult(times[:rec], norms[:rec], energies[:rec], widths[:rec])

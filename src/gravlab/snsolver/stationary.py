@@ -9,14 +9,17 @@ Two independent routes are provided and cross-checked against each other:
   potential reproduces itself.  It is the route that takes an external
   potential, such as hydrogen's Coulomb well.
 * ``method="shooting"``: integrate the coupled ODE pair (radial wave equation
-  plus the radial equation for the kernel potential) outward by RK4 and bisect
-  on the eigenvalue until the solution has the requested node count and
-  decays.  Each trial eigenvalue is integrated only until its node count is
-  decided, and the profile is the lower bracket's column of the last bisection
-  scan.  Shooting solves kernel problems only (a nonzero net coupling and no
-  external potential): the scaling symmetry (psi, Phi, E) ->
-  (l^2 psi(l x), l^2 Phi(l x), l^2 E) converts the arbitrary-amplitude
-  solution into the unit-norm one, and an external potential would break it.
+  plus the radial equation for the kernel potential) outward by a plain RK4
+  and bisect on the eigenvalue until the solution has the requested node
+  count and decays.  Each trial eigenvalue is integrated only until its node
+  count is decided.  The profile is the lower bracket's column of the last
+  bisection scan; past the valley where it turns to diverge it continues as
+  the decaying Whittaker solution of the far-field Coulomb-like equation.
+  Shooting solves attractive kernel problems only (a negative net coupling and
+  no external potential): a repulsive kernel binds no state, the scaling
+  symmetry (psi, Phi, E) -> (l^2 psi(l x), l^2 Phi(l x), l^2 E) converts the
+  arbitrary-amplitude solution into the unit-norm one, and an external
+  potential would break it.
   Each state is solved at RK4 steps h = 0.016 and 2h: eps_h + (eps_h -
   eps_2h)/15 cancels the h^4 error (Richardson, Phil. Trans. R. Soc. A 210,
   307 (1911)) and the profile is the h solve's.  |eps_h - eps_2h|/15 is the
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +56,8 @@ DEFAULT_TOL = 1e-8
 DAMPING = 0.5        # SCF potential mixing fraction
 ANDERSON_DEPTH = 5   # SCF iterates whose defect differences the Anderson step combines
 SHOOTING_STEP = 0.016   # RK4 step h of the shooting route, solved at h and 2h
+SCANS = 8            # batched bisection scans per shooting solve
+SCAN_COLUMNS = 33    # trial eigenvalues per scan
 
 
 @dataclass(frozen=True)
@@ -172,66 +177,49 @@ def _integrate_batch(
     k: int,
     h: float,
     n_steps: int,
-    kappa_sign: float,
     record: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """RK4 on u'' = 2(P - eps)u, (x S)'' = -4 pi u^2 / x, from u(0)=0, u'(0)=1.
+    """RK4 on u'' = 2(P - eps)u, q'' = -4 pi u^2 / x, P = -q/x, from u(0)=0, u'(0)=1.
 
-    All eps candidates integrate in lockstep, each only until it is decided
-    whether u crosses zero more than k times: at its (k+1)-th crossing, or
-    when |u| reaches the clamp value, after which it would stay frozen.
-    Decided columns leave the batch; the loop ends when none is left.  No
-    column's arithmetic depends on the others, so each result matches a
-    full-length integration bit for bit.  Returns whether each column has
-    more than k crossings and, when ``record`` is set, the (u, q') history of
-    every column, shape (2, n_steps + 1, m), held after the decision step at
-    its value there (a clamped column's frozen value).
+    P is the attractive kernel potential gauged to P(0) = 0.  All eps
+    candidates integrate in lockstep, each only until it is decided whether u
+    crosses zero more than k times: at its (k+1)-th crossing, or when |u|
+    reaches the clamp value, after which it would stay frozen.  Decided
+    columns leave the batch; the loop ends when none is left.  No column's
+    arithmetic depends on the others, so each result matches a full-length
+    integration bit for bit.  Returns whether each column has more than k
+    crossings and, when ``record`` is set, the (u, q') history of every
+    column, shape (2, n_steps + 1, m), held after the decision step at its
+    value there (a clamped column's frozen value).
     """
     m = eps.shape[0]
-    # buf[i] holds RK4 stage i's state (u, q, u', q') in rows 0-3, q = x * (gauged kernel
-    # potential) / kappa_sign, and rhs writes (u'', q'') into rows 4-5: rows 2-5 are k_i
-    buf = np.zeros((4, 6, m))
-    buf[0, 2] = 1.0
+    y = np.zeros((4, m))   # rows u, u', q, q'
+    y[1] = 1.0
     crossings = np.zeros(m, dtype=int)
     above = np.zeros(m, dtype=bool)
     cols = np.arange(m)   # batch index of each live column
     history = np.zeros((2, n_steps + 1, m)) if record else None
     # 0-d arrays, which numpy applies faster than Python floats
-    half_h, full_h, sixth_h, two, zero, four_pi, lo, clamp = map(
-        np.array, (0.5 * h, h, h / 6.0, 2.0, 0.0, -4.0 * math.pi, -1e30, 1e30))
+    half_h, sixth_h, two, zero, four_pi, lo, clamp = map(
+        np.array, (0.5 * h, h / 6.0, 2.0, 0.0, -4.0 * math.pi, -1e30, 1e30))
 
-    def rhs(x: float, view: tuple) -> None:
-        # u'' = (2 (pot - eps)) u and q'' = ((-4 pi) u) u / x, rounded in this order;
-        # kappa_sign is +-1, so q / (kappa_sign x) rounds exactly like (kappa_sign q) / x
-        _, _, u, q, upp, qpp, pp = view
+    def rhs(x: float, y: np.ndarray) -> np.ndarray:
+        u, up, q, qp = y
         if x == 0.0:
-            pp.fill(0.0)
-            return
-        np.divide(q, kappa_sign * x, upp)
-        np.multiply(u, four_pi, qpp)
-        np.subtract(upp, eps, upp)
-        np.multiply(upp, two, upp)
-        np.multiply(pp, u, pp)
-        np.divide(qpp, x, qpp)
+            return np.array([up, np.zeros_like(u), qp, np.zeros_like(u)])
+        return np.array([up, two * (q / -x - eps) * u, qp, four_pi * u * u / x])
 
     x = 0.0
     for step in range(n_steps):
-        if step == 0 or cols.size < m:   # views made once per buffer, not per step
-            m = cols.size
-            view = [(b[:4], b[2:], b[0], b[1], b[4], b[5], b[4:]) for b in buf]
-            (y, k1, u, *_), (_, k2, *_), (_, k3, *_), (_, k4, *_) = view
-        rhs(x, view[0])
-        for i, c, dx in ((1, half_h, 0.5 * h), (2, half_h, 0.5 * h), (3, full_h, h)):
-            np.add(np.multiply(view[i - 1][1], c, view[i][0]), y, view[i][0])
-            rhs(x + dx, view[i])
-        np.multiply(buf[1:3, 2:], two, buf[1:3, 2:])   # y + h/6 (k1 + 2 k2 + 2 k3 + k4)
-        for term in (k1, k3, k4):
-            np.add(k2, term, k2)
-        y_new = np.add(y, np.multiply(k2, sixth_h, k2), k2)
+        k1 = rhs(x, y)
+        k2 = rhs(x + 0.5 * h, y + half_h * k1)
+        k3 = rhs(x + 0.5 * h, y + half_h * k2)
+        k4 = rhs(x + h, y + h * k3)
+        y_new = y + sixth_h * (k1 + two * k2 + two * k3 + k4)
         x += h
 
-        crossings += np.multiply(u, y_new[0]) < zero
-        np.minimum(np.maximum(y_new, lo, out=y), clamp, out=y)   # np.clip, minus its call overhead
+        crossings += y[0] * y_new[0] < zero
+        y = np.minimum(np.maximum(y_new, lo), clamp)   # np.clip, minus its call overhead
         if record:
             history[:, step + 1, cols] = y[0::3]
         live = (np.abs(y_new[0]) < clamp) & (crossings <= k)
@@ -240,50 +228,32 @@ def _integrate_batch(
             above[gone] = crossings[~live] > k
             if record:
                 history[:, step + 2:, gone] = history[:, step + 1, gone][:, None]
-            buf, eps, crossings, cols = buf[:, :, live], eps[live], crossings[live], cols[live]
+            y, eps, crossings, cols = y[:, live], eps[live], crossings[live], cols[live]
             if cols.size == 0:
                 break
     return above, history
 
 
-def _bisect_eigenvalue(
-    integrate: Callable[[np.ndarray, bool], tuple[np.ndarray, np.ndarray | None]],
-    k: int,
-    lo: float,
-    hi: float,
-    stages: int = 8,
-    batch: int = 33,
-) -> tuple[float, float, np.ndarray]:
-    """Narrow [lo, hi] around the k-node eigenvalue by repeated batched scans.
+def _bisect_eigenvalue(k: int, h: float, n_steps: int) -> tuple[float, float, np.ndarray]:
+    """Narrow a bracket around the k-node eigenvalue by repeated batched scans.
 
-    ``integrate(eps, record)`` tells which eps have more than k crossings.
-    Only the last scan is recorded; its lower-bracket column, integrated at
-    exactly the returned lo, supplies the returned (u, q') history.
+    eps = 0 is a certified lower bracket: q(0) = q'(0) = 0 and q'' <= 0 give
+    P >= 0, so for eps <= 0 u'' >= 0 keeps u > 0.  Only the last scan is
+    recorded; its lower-bracket column, integrated at exactly the returned
+    lo, supplies the returned (u, q') history.
     """
-
-    def too_high(e: float) -> bool:
-        return bool(integrate(np.array([e]), False)[0][0])
-
-    span = max(hi - lo, 1.0)
+    lo, hi, span = 0.0, 1.0, 1.0
     for _ in range(80):
-        if not too_high(lo):
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise ConvergenceError("could not bracket the eigenvalue from below")
-    span = max(hi - lo, 1.0)
-    for _ in range(80):
-        if too_high(hi):
+        if _integrate_batch(np.array([hi]), k, h, n_steps)[0][0]:
             break
         hi += span
         span *= 2.0
     else:
         raise ConvergenceError("could not bracket the eigenvalue from above")
 
-    for stage in range(stages):
-        eps = np.linspace(lo, hi, batch)
-        above, history = integrate(eps, stage == stages - 1)
+    for scan in range(SCANS):
+        eps = np.linspace(lo, hi, SCAN_COLUMNS)
+        above, history = _integrate_batch(eps, k, h, n_steps, scan == SCANS - 1)
         above[0] = False   # endpoints are certified brackets
         above[-1] = True
         idx = int(np.argmax(above))
@@ -291,16 +261,21 @@ def _bisect_eigenvalue(
     return lo, hi, history[:, :, idx - 1]
 
 
-def _shoot_at_step(x_out: np.ndarray, kappa_sign: float, k: int,
-                   h: float) -> tuple[float, np.ndarray, float]:
+def _whittaker(x: np.ndarray, k: float, kappa: float) -> np.ndarray:
+    """W_{k,1/2}(2 kappa x) from five terms of its asymptotic series (DLMF 13.19.3)."""
+    z = 2.0 * kappa * x
+    term = total = np.ones_like(z)
+    for s in range(1, 5):
+        term = term * ((s - k) * (s - 1 - k) / s) / -z
+        total = total + term
+    return np.exp(-0.5 * z) * z**k * total
+
+
+def _shoot_at_step(x_out: np.ndarray, k: int, h: float) -> tuple[float, np.ndarray, float]:
     """Dimensionless eigenvalue, resampled profile and residual for node count k at step h."""
     x_max = 20.0 + 14.0 * k
     n_steps = int(math.ceil(x_max / h))
-
-    def integrate(eps: np.ndarray, record: bool):
-        return _integrate_batch(eps, k, h, n_steps, kappa_sign, record)
-
-    lo, hi, (us, qps) = _bisect_eigenvalue(integrate, k, 0.0, 1.0)
+    lo, hi, (us, qps) = _bisect_eigenvalue(k, h, n_steps)
     xs = np.cumsum(np.r_[0.0, np.full(n_steps, h)])   # x += h, as the integrator steps
     # walk back from the divergent end to the valley where decay turned around
     mag = np.abs(us)
@@ -312,11 +287,21 @@ def _shoot_at_step(x_out: np.ndarray, kappa_sign: float, k: int,
     xs, us = xs[: i_trunc + 1], us[: i_trunc + 1]
 
     # scaling symmetry: unit norm via psi -> l^2 psi(l x), E -> l^2 E
-    eps_bound = 0.5 * (lo + hi) - kappa_sign * float(qps[i_trunc])
+    eps_bound = 0.5 * (lo + hi) + float(qps[i_trunc])
     norm = 4.0 * math.pi * float(np.trapezoid(us**2, xs))
     lam = 1.0 / norm
     eps_out = eps_bound / norm**2
-    u_out = lam * np.interp(lam * x_out, xs, us, right=0.0)
+    # far out u'' = 2(-norm/x - eps_bound)u, whose decaying solution is
+    # W_{norm/kappa,1/2}(2 kappa x); it takes over 5/kappa before the valley,
+    # where the growing mode is ~e^-10 of it
+    kappa = math.sqrt(-2.0 * eps_bound)
+    i_match = int(np.searchsorted(xs, xs[-1] - 5.0 / kappa))
+    x_lam = lam * x_out
+    u_out = np.interp(x_lam, xs[: i_match + 1], us[: i_match + 1])
+    tail = x_lam > xs[i_match]
+    u_out[tail] = (us[i_match] / _whittaker(xs[i_match], norm / kappa, kappa)
+                   * _whittaker(x_lam[tail], norm / kappa, kappa))
+    u_out = lam * u_out
 
     dx = float(x_out[1] - x_out[0])
     u_out = u_out / math.sqrt(dx * float(np.dot(u_out, u_out)))
@@ -326,12 +311,11 @@ def _shoot_at_step(x_out: np.ndarray, kappa_sign: float, k: int,
     return eps_out, u_out, residual
 
 
-def _shoot_state(x_out: np.ndarray, kappa_sign: float,
-                 k: int) -> tuple[float, np.ndarray, float, float]:
+def _shoot_state(x_out: np.ndarray, k: int) -> tuple[float, np.ndarray, float, float]:
     """Eigenvalue Richardson-combined from the solves at h and 2h, the h solve's
     profile, the larger bracket residual and |eps_h - eps_2h| / 15 (dimensionless)."""
-    eps_h, u_out, residual_h = _shoot_at_step(x_out, kappa_sign, k, SHOOTING_STEP)
-    eps_2h, _, residual_2h = _shoot_at_step(x_out, kappa_sign, k, 2.0 * SHOOTING_STEP)
+    eps_h, u_out, residual_h = _shoot_at_step(x_out, k, SHOOTING_STEP)
+    eps_2h, _, residual_2h = _shoot_at_step(x_out, k, 2.0 * SHOOTING_STEP)
     correction = (eps_h - eps_2h) / 15.0
     return eps_h + correction, u_out, max(residual_h, residual_2h), abs(correction)
 
@@ -358,11 +342,11 @@ def stationary_states(
     """First ``n_states`` stationary states, ordered by node count 0..n_states-1.
 
     ``external_potential`` may be None or a callable V(r_meters) -> J; only
-    ``method="scf"`` takes one.  ``method="shooting"`` solves kernel problems
-    alone: it needs a nonzero net coupling and no external potential.  Each
-    state is self-consistent with its own density (the kernel potential is
-    rebuilt from the state it binds).  The returned states carry their kernel
-    couplings, not the external potential.
+    ``method="scf"`` takes one.  ``method="shooting"`` solves attractive
+    kernel problems alone: it needs a negative net coupling and no external
+    potential.  Each state is self-consistent with its own density (the kernel
+    potential is rebuilt from the state it binds).  The returned states carry
+    their kernel couplings, not the external potential.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -370,9 +354,9 @@ def stationary_states(
         raise ValueError(f"unknown method {method!r}")
     couplings = tuple(couplings)
     kappa = sum(term.strength for term in couplings)
-    if method == "shooting" and (kappa == 0.0 or external_potential is not None):
-        raise ValueError("shooting solves kernel problems only: it needs a nonzero net "
-                         "coupling and no external potential; use method='scf'")
+    if method == "shooting" and (kappa >= 0.0 or external_potential is not None):
+        raise ValueError("shooting solves attractive kernel problems only: it needs a "
+                         "negative net coupling and no external potential; use method='scf'")
     if validate_resolution:
         validate_grid_resolution(grid, mass, couplings, constants)
 
@@ -390,7 +374,7 @@ def stationary_states(
             eps, u, residual, iterations = _scf_state(x, dx, vext_grid, scales.kappa_sign, k,
                                                       tol, max_iter)
         else:
-            eps, u, residual, error = _shoot_state(x, scales.kappa_sign, k)
+            eps, u, residual, error = _shoot_state(x, k)
             error *= scales.energy
 
         nodes = count_nodes(u)

@@ -184,6 +184,15 @@ def test_collapse_sim_bundle_contents(tmp_path):
     assert ledger["within_three_sigma"] is True
 
 
+def test_collapse_sim_without_interference_expects_a_positive_zero(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code = main(["collapse-sim", "--n", "1000", "--rate", "1", "--output-dir", str(outdir)])
+    assert code == 0
+    ledger = json.loads((outdir / "collapse_sim.json").read_text())["energy_ledger"]
+    assert math.copysign(1.0, ledger["expected_residual_J"]) == 1.0
+    assert "(expected 0.000000000e+00 J)" in capsys.readouterr().out
+
+
 def test_sn_ground_scaled_output(tmp_path):
     bundle = run(manifest_for("sn-ground", {
         "mass_kg": 1e-17,

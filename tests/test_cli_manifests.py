@@ -104,6 +104,8 @@ REJECTED = [
     (manifest("sn-ground", couplings=[], grid=SI_GRID), "parameters.couplings"),
     (manifest("sn-spectrum", couplings=[{"strength_J_m": 0}], method="both", grid=SI_GRID),
      "parameters.couplings"),
+    # nor does a repulsive one
+    (manifest("sn-ground", couplings=["electrostatic"]), "parameters.couplings"),
 ]
 
 

@@ -16,7 +16,12 @@ from gravlab.snsolver import (
     rayleigh_quotient,
     stationary_states,
 )
-from gravlab.snsolver.stationary import _integrate_batch, _make_scales, _shoot_at_step
+from gravlab.snsolver.stationary import (
+    SHOOTING_STEP,
+    _integrate_batch,
+    _make_scales,
+    _shoot_at_step,
+)
 
 C = CODATA2018
 MASS = 1e-17  # kg; any value works, the problem is solved in natural units
@@ -172,7 +177,7 @@ def single_step_shooting(mass, couplings, grid, h):
     """Eigenvalue (J) and residual of the shooting solve at the one step h,
     set up as ``stationary_states`` sets it up."""
     scales = _make_scales(mass, sum(term.strength for term in couplings), grid, C)
-    eps, _, residual = _shoot_at_step(grid.r / scales.length, scales.kappa_sign, 0, h)
+    eps, _, residual = _shoot_at_step(grid.r / scales.length, 0, h)
     return eps * scales.energy, residual
 
 
@@ -186,8 +191,9 @@ def test_single_step_shooting_keeps_the_integrators_arithmetic():
 
 
 def reference_integrate_batch(eps, k, h, n_steps, kappa_sign):
-    """``_integrate_batch`` written with a fresh array per RK4 stage: the
-    reference the in-place integrator must match bit for bit."""
+    """``_integrate_batch`` written with Python-float constants, ``np.clip`` and
+    the kernel's sign as a parameter: the reference the integrator must match
+    bit for bit."""
     m = eps.shape[0]
     y = np.zeros((4, m))   # rows u, u', q, q'
     y[1] = 1.0
@@ -226,13 +232,38 @@ def reference_integrate_batch(eps, k, h, n_steps, kappa_sign):
     return above, history
 
 
-def test_in_place_rk4_matches_the_allocating_reference():
+def test_rk4_integrator_matches_the_reference_arithmetic():
     eps = np.linspace(0.0, 8.0, 9)   # kernel, in the u'(0) = 1 gauge
-    above, history = _integrate_batch(eps, 1, 0.016, 2000, -1.0, record=True)
+    above, history = _integrate_batch(eps, 1, 0.016, 2000, record=True)
     ref_above, ref_history = reference_integrate_batch(eps, 1, 0.016, 2000, -1.0)
     assert 0 < np.count_nonzero(above) < eps.size
     assert np.array_equal(above, ref_above)
     assert np.array_equal(history, ref_history)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("h", [SHOOTING_STEP, 2.0 * SHOOTING_STEP])
+def test_eps_zero_is_a_lower_bracket(k, h):
+    # the bisection starts from lo = 0 without testing it
+    n_steps = int(math.ceil((20.0 + 14.0 * k) / h))
+    above, _ = _integrate_batch(np.array([0.0]), k, h, n_steps)
+    assert not above[0]
+
+
+def test_shooting_tail_decays_like_scf():
+    # past the shooting valley, at least 40 lengths from SCF's Dirichlet wall
+    a, _ = natural_scales()
+    grid = RadialGrid.uniform(250.0 * a, 8000)
+    kernel = [gravitational_kernel(MASS, C)]
+    scf = stationary_states(MASS, kernel, n_states=3, grid=grid)
+    shoot = stationary_states(MASS, kernel, n_states=3, grid=grid, method="shooting")
+    far = grid.r <= grid.r_max - 40.0 * a
+    for s1, s2 in zip(scf, shoot):
+        psi_scf, psi_shoot = np.real(s1.state.psi), np.real(s2.state.psi)
+        small = np.abs(psi_scf) / np.abs(psi_scf).max()
+        window = far & (small >= 1e-20) & (small <= 1e-6)
+        assert np.count_nonzero(window) > 100
+        assert np.abs(psi_shoot[window] / psi_scf[window] - 1.0).max() < 2e-3
 
 
 def test_shooting_is_within_1e_9_of_the_step_limit_and_inside_its_bar():
@@ -285,7 +316,8 @@ def test_repulsive_kernel_with_coulomb_well():
     ([], lambda r: -C.e2_coulomb / r),                          # a well alone
     ([], None),                                                 # nothing at all
     ([KernelTerm(0.0)], None),                                  # a zero net coupling
-], ids=["kernel-and-well", "well", "free", "zero-coupling"])
+    ([electrostatic_kernel(C)], None),                          # a repulsive kernel
+], ids=["kernel-and-well", "well", "free", "zero-coupling", "repulsive"])
 def test_shooting_rejects_an_external_potential_and_a_zero_coupling(couplings, potential):
     grid = RadialGrid.uniform(40.0 * C.bohr_radius, 2000)
     with pytest.raises(ValueError, match="method='scf'"):
