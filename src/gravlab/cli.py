@@ -49,6 +49,7 @@ from .snsolver import (
     WaveState,
     electrostatic_kernel,
     evolve,
+    free_gaussian_width_squared,
     gravitational_kernel,
     hydrogen_diagnostic,
     load_state_csv,
@@ -548,6 +549,9 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
         if result.energy[0] != 0.0 else 0.0,
         "final_width_m": float(result.width[-1]),
         "initial_width_m": float(result.width[0]),
+        # the free packet's exact width at the last step; a loaded state has none
+        "closed_form_free_width_m": None if sigma0 is None else math.sqrt(
+            3.0 * free_gaussian_width_squared(sigma0, mass, float(result.times[-1]), constants)),
     }
     if p["compare_free"] and kappa != 0.0:
         # the same initial state, evolved without the kernel

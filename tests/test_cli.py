@@ -13,6 +13,7 @@ from gravlab.cli import RunManifest, build_parser, main, run
 from gravlab.errors import ManifestError
 from gravlab.persistence import format_number
 from gravlab.quantities import CODATA2018
+from gravlab.snsolver import free_gaussian_width_squared
 
 
 def manifest_for(command: str, parameters: dict, outdir: Path, **extra) -> RunManifest:
@@ -303,6 +304,20 @@ def test_sn_evolve_accepts_initial_state_csv(tmp_path):
     assert bundle.error is None
     assert bundle.summary["norm_drift"] < 1e-10
     assert bundle.summary["sigma0_m"] is None   # width comes from the CSV state
+    assert bundle.summary["closed_form_free_width_m"] is None
+
+
+def test_sn_evolve_free_width_meets_its_closed_form_at_readme_arguments(tmp_path):
+    outdir = tmp_path / "out"
+    assert main(["sn-evolve", "--mass", "1e-17", "--sigma0", "2", "--compare-free",
+                 "--output-dir", str(outdir)]) == 0
+    summary = json.loads((outdir / "sn_evolve.json").read_text())
+    t_end = summary["n_steps"] * summary["dt_s"]
+    assert summary["closed_form_free_width_m"] == math.sqrt(
+        3.0 * free_gaussian_width_squared(summary["sigma0_m"], 1e-17, t_end))
+    # 2,400 points leave the free width 6.3e-7 below the closed form
+    assert summary["final_free_width_m"] == pytest.approx(
+        summary["closed_form_free_width_m"], rel=1e-6)
 
 
 def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):

@@ -70,47 +70,70 @@ NEAR_CONCENTRIC = {
     "shape_b": {"kind": "spherical_shell", "mass_kg": 1.0, "radius_m": 9.0},
 }
 
+# each case names its own id, so adding a case renames no other test
 REJECTED = [
-    (manifest("selfenergy", method="bogus"), "parameters.method"),
-    (manifest("sn-ground", grid={"points": "abc"}), "parameters.grid.points"),
-    (manifest("sn-ground", method="bogus"), "parameters.method"),
-    (manifest("hydrogen-shift", points="x"), "parameters.points"),
-    (manifest("sn-evolve", dt_fraction="x"), "parameters.dt_fraction"),
-    (manifest("sn-ground", couplings=[{"strength_J_m": "x"}]),
-     "parameters.couplings[0].strength_J_m"),
-    (manifest("lifetime-sweep", sweep={"kind": "separation", "values": ["x"]}),
-     "parameters.sweep.values[0]"),
-    (manifest("lifetime-sweep", prefactor=-1), "parameters.prefactor"),
-    (manifest("collapse-sim", weights=[1.0]), "parameters.weights"),
-    (manifest("e-delta", amp_a=[1]), "parameters.amp_a"),
-    ({**manifest("feynman-scale"), "seed": "abc"}, "seed"),
-    ({**manifest("feynman-scale"), "parameters": [1]}, "parameters"),
-    (manifest("collapse-sim", n=1000.7), "parameters.n"),
-    (manifest("selfenergy", mc_samples=0), "parameters.mc_samples"),
-    (manifest("collapse-sim", samples=10), "parameters.samples"),
-    (manifest("collapse-sim", weights=[1.5, -0.5]), "parameters.weights"),
-    (manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [1.0]}),
-     "parameters.sweep.separation_m"),
-    (manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [-1.0],
-                                       "separation_m": 3.0}), "parameters.sweep.values"),
-    (manifest("hydrogen-shift", electrostatic=1), "parameters.electrostatic"),
-    (manifest("selfenergy", shape={"kind": "gaussian", "mass_kg": True, "width_m": 1.0}),
-     "parameters.shape.mass_kg"),
-    (manifest("collapse-time", shape_b=dict(SPHERE, center_m=["4", 0, 0])),
-     "parameters.shape_b.center_m[0]"),
-    (manifest("collapse-time", shape_b=dict(SPHERE, centre_m=[4, 0, 0])),
-     "parameters.shape_b.centre_m"),
+    pytest.param(manifest("selfenergy", method="bogus"), "parameters.method",
+                 id="selfenergy:parameters.method"),
+    pytest.param(manifest("sn-ground", grid={"points": "abc"}), "parameters.grid.points",
+                 id="sn-ground:parameters.grid.points"),
+    pytest.param(manifest("sn-ground", method="bogus"), "parameters.method",
+                 id="sn-ground:parameters.method"),
+    pytest.param(manifest("hydrogen-shift", points="x"), "parameters.points",
+                 id="hydrogen-shift:parameters.points"),
+    pytest.param(manifest("sn-evolve", dt_fraction="x"), "parameters.dt_fraction",
+                 id="sn-evolve:parameters.dt_fraction"),
+    pytest.param(manifest("sn-ground", couplings=[{"strength_J_m": "x"}]),
+                 "parameters.couplings[0].strength_J_m",
+                 id="sn-ground:parameters.couplings[0].strength_J_m"),
+    pytest.param(manifest("lifetime-sweep", sweep={"kind": "separation", "values": ["x"]}),
+                 "parameters.sweep.values[0]", id="lifetime-sweep:parameters.sweep.values[0]"),
+    pytest.param(manifest("lifetime-sweep", prefactor=-1), "parameters.prefactor",
+                 id="lifetime-sweep:parameters.prefactor"),
+    pytest.param(manifest("collapse-sim", weights=[1.0]), "parameters.weights",
+                 id="collapse-sim:parameters.weights:one-branch"),
+    pytest.param(manifest("e-delta", amp_a=[1]), "parameters.amp_a",
+                 id="e-delta:parameters.amp_a"),
+    pytest.param({**manifest("feynman-scale"), "seed": "abc"}, "seed",
+                 id="feynman-scale:seed"),
+    pytest.param({**manifest("feynman-scale"), "parameters": [1]}, "parameters",
+                 id="feynman-scale:parameters"),
+    pytest.param(manifest("collapse-sim", n=1000.7), "parameters.n",
+                 id="collapse-sim:parameters.n"),
+    pytest.param(manifest("selfenergy", mc_samples=0), "parameters.mc_samples",
+                 id="selfenergy:parameters.mc_samples"),
+    pytest.param(manifest("collapse-sim", samples=10), "parameters.samples",
+                 id="collapse-sim:parameters.samples"),
+    pytest.param(manifest("collapse-sim", weights=[1.5, -0.5]), "parameters.weights",
+                 id="collapse-sim:parameters.weights:negative"),
+    pytest.param(manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [1.0]}),
+                 "parameters.sweep.separation_m",
+                 id="lifetime-sweep:parameters.sweep.separation_m"),
+    pytest.param(manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [-1.0],
+                                                   "separation_m": 3.0}),
+                 "parameters.sweep.values", id="lifetime-sweep:parameters.sweep.values"),
+    pytest.param(manifest("hydrogen-shift", electrostatic=1), "parameters.electrostatic",
+                 id="hydrogen-shift:parameters.electrostatic"),
+    pytest.param(manifest("selfenergy",
+                          shape={"kind": "gaussian", "mass_kg": True, "width_m": 1.0}),
+                 "parameters.shape.mass_kg", id="selfenergy:parameters.shape.mass_kg"),
+    pytest.param(manifest("collapse-time", shape_b=dict(SPHERE, center_m=["4", 0, 0])),
+                 "parameters.shape_b.center_m[0]",
+                 id="collapse-time:parameters.shape_b.center_m[0]"),
+    pytest.param(manifest("collapse-time", shape_b=dict(SPHERE, centre_m=[4, 0, 0])),
+                 "parameters.shape_b.centre_m", id="collapse-time:parameters.shape_b.centre_m"),
     # a kernel-free problem has no self-bound state, on an SI grid as on a natural one
-    (manifest("sn-ground", couplings=[], grid=SI_GRID), "parameters.couplings"),
-    (manifest("sn-spectrum", couplings=[{"strength_J_m": 0}], method="both", grid=SI_GRID),
-     "parameters.couplings"),
+    pytest.param(manifest("sn-ground", couplings=[], grid=SI_GRID), "parameters.couplings",
+                 id="sn-ground:parameters.couplings:kernel-free"),
+    pytest.param(manifest("sn-spectrum", couplings=[{"strength_J_m": 0}], method="both",
+                          grid=SI_GRID),
+                 "parameters.couplings", id="sn-spectrum:parameters.couplings"),
     # nor does a repulsive one
-    (manifest("sn-ground", couplings=["electrostatic"]), "parameters.couplings"),
+    pytest.param(manifest("sn-ground", couplings=["electrostatic"]), "parameters.couplings",
+                 id="sn-ground:parameters.couplings:repulsive"),
 ]
 
 
-@pytest.mark.parametrize("payload, field", REJECTED,
-                         ids=[f"{payload['command']}:{field}" for payload, field in REJECTED])
+@pytest.mark.parametrize("payload, field", REJECTED)
 def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, payload, field):
     code, outdir = run_manifest(tmp_path, payload)
     assert code == 2

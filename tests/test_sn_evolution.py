@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from gravlab.errors import StepSizeError
@@ -13,6 +16,7 @@ from gravlab.snsolver import (
     stationary_states,
     suggested_dt,
 )
+from gravlab.snsolver.state import dirichlet_kinetic_sum, kernel_potential
 
 C = CODATA2018
 
@@ -116,3 +120,68 @@ def test_coupled_predictor_corrector_step_is_pinned():
     result = evolve(state, dt, 200, record_every=50)
     assert result.width[-1] == pytest.approx(5.911264471621955e-07, rel=1e-12)
     assert result.energy[-1] == pytest.approx(-1.8960687932012198e-39, rel=1e-12)
+
+
+def reference_evolve(state, dt, n_steps, record_every):
+    """``evolve`` with each Crank-Nicolson step through ``solve_banded`` and a
+    freshly filled banded matrix: the reference the LAPACK route must match
+    bit for bit."""
+    from scipy.linalg import solve_banded
+
+    grid = state.grid
+    u = state.amplitude()
+    dx = grid.spacing
+    kappa = state.kappa_total
+    kin = C.hbar**2 / (2.0 * state.mass * dx**2)
+    lam = 1j * dt / (2.0 * C.hbar)
+    n = u.size
+    off = np.full(n - 1, -kin)
+
+    def cn_solve(u_in, potential):
+        diag = 2.0 * kin + potential
+        rhs = (1.0 - lam * diag) * u_in
+        rhs[:-1] -= lam * off * u_in[1:]
+        rhs[1:] -= lam * off * u_in[:-1]
+        ab = np.zeros((3, n), dtype=complex)
+        ab[0, 1:] = lam * off
+        ab[1, :] = 1.0 + lam * diag
+        ab[2, :-1] = lam * off
+        return solve_banded((1, 1), ab, rhs)
+
+    def observables(u_now, phi_now):
+        dens = np.abs(u_now) ** 2
+        norm = dx * float(np.sum(dens))
+        kinetic = kin * dx * dirichlet_kinetic_sum(u_now)
+        potential = dx * float(np.sum(0.5 * phi_now * dens))
+        second = dx * float(np.sum(grid.r**2 * dens))
+        return norm, (kinetic + potential) / norm, math.sqrt(second / norm)
+
+    phi = kernel_potential(grid, u, kappa)
+    rows = [(0.0, *observables(u, phi))]
+    for step in range(1, n_steps + 1):
+        if kappa != 0.0:
+            u_pred = cn_solve(u, phi)
+            phi_mid = 0.5 * (phi + kernel_potential(grid, u_pred, kappa))
+            u = cn_solve(u, phi_mid)
+            phi = kernel_potential(grid, u, kappa)
+        else:
+            u = cn_solve(u, phi)
+        if step % record_every == 0 or step == n_steps:
+            rows.append((step * dt, *observables(u, phi)))
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "kernel-free"])
+def test_lapack_steps_match_the_banded_reference_bit_for_bit(coupled):
+    # the coupled run solves with ?gtsv each step, the kernel-free run reuses
+    # one ?gttrf factorization; both must give solve_banded's bits
+    mass = 1e-17
+    a = kernel_length(mass, C.G * mass**2, C)
+    grid = RadialGrid.uniform(60.0 * a, 600)
+    couplings = [gravitational_kernel(mass, C)] if coupled else []
+    state = WaveState.gaussian_packet(grid, 2.0 * a, mass, couplings)
+    dt = 0.9 * suggested_dt(state, C)
+    result = evolve(state, dt, 200, record_every=7)
+    reference = reference_evolve(state, dt, 200, record_every=7)
+    for name, expected in zip(("times", "norm", "energy", "width"), reference):
+        assert np.array_equal(getattr(result, name), expected), name
