@@ -465,12 +465,12 @@ def _sn_grid(p: dict, mass: float, couplings: list[KernelTerm],
 def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants):
     mass = p["mass_kg"]
     couplings = [make(mass, constants) for make in p["couplings"]]
-    grid = _sn_grid(p, mass, couplings, constants)
     if sum(t.strength for t in couplings) >= 0.0:
         raise ManifestError("a zero or repulsive net coupling binds no state",
                             field="parameters.couplings")
+    grid = _sn_grid(p, mass, couplings, constants)
     methods = ("scf", "shooting") if p["method"] == "both" else (p["method"],)
-    results = {m: stationary_states(mass, couplings, None, p["n_states"], grid=grid, method=m,
+    results = {m: stationary_states(mass, couplings, p["n_states"], grid=grid, method=m,
                                     constants=constants, tol=p["tolerance"]) for m in methods}
     primary = results[methods[0]]
     scale = ENERGY_SCALES[manifest.scale_system](mass, constants)
@@ -777,10 +777,15 @@ def run(manifest: RunManifest) -> ResultBundle:
     if command is None:
         raise ManifestError(f"unknown command {manifest.command!r}", field="command")
     p = _validated(command.params, manifest.parameters, "parameters.")
+    own = ("default",) if command.tolerance is None else ("default", command.tolerance[0])
+    for key, value in manifest.tolerances.items():
+        if key not in own:
+            raise ManifestError("unknown key", field=f"tolerances.{key}")
+        _checked(POSITIVE, value, f"tolerances.{key}")
     if command.tolerance is not None:
         key, fallback = command.tolerance
         value = manifest.tolerances.get(key, manifest.tolerances.get("default", fallback))
-        p["tolerance"] = _checked(POSITIVE, value, f"tolerances.{key}")
+        p["tolerance"] = float(value)
     constants = _constants(manifest)
 
     try:

@@ -505,12 +505,10 @@ def _unit_mutual_closed_form(
         if r1 == r2:
             return (1.2 - _ball_overlap(d / r1)) / r1
     if isinstance(d1, Gaussian) and isinstance(d2, Gaussian):
-        from scipy.special import erf
-
         w = math.sqrt(2.0 * (d1.width**2 + d2.width**2))
         if d == 0.0:
             return 2.0 / (math.sqrt(math.pi) * w)
-        return erf(d / w) / d
+        return math.erf(d / w) / d
     return None
 
 

@@ -1,7 +1,7 @@
 """Self-coupled wave equation: states, stationary solvers, evolution, hydrogen.
 
 scipy is imported inside the functions that call it (the tridiagonal
-eigensolve, the Crank-Nicolson banded solve), so importing this package
+eigensolve, the Crank-Nicolson ``?gtsv`` solves), so importing this package
 does not load it; ``tests/test_cli.py`` guards that.
 """
 

@@ -6,6 +6,11 @@ expectation value is (5/8) e^2/a0 -- five eighths of the nuclear Coulomb
 expectation, i.e. the same order, which is what rules the coupling out
 spectroscopically.  The gravitational analogue for the electron is ~40 orders
 of magnitude down.
+
+The bare state is one eigensolve and each self-term one SCF solve of the
+``stationary.py`` core, in atomic units: lengths in a0, energies in E_h, the
+nuclear well -1/x and the self-term coupling kappa / e^2 (+1 for the
+electrostatic term).
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from .state import (
     gravitational_kernel,
     kernel_integral,
     radial_density,
+    validate_tail,
 )
-from .stationary import DEFAULT_TOL, stationary_states
+from .stationary import DEFAULT_TOL, MAX_ITER, _eigensolve, _scf_state
 
 
 @dataclass(frozen=True)
@@ -77,20 +83,19 @@ def hydrogen_diagnostic(
     scf_tol: float = DEFAULT_TOL,
 ) -> HydrogenReport:
     """Ground-state energies with and without kernel self-terms, in eV."""
-    a0 = constants.bohr_radius
+    a0, hartree = constants.bohr_radius, constants.hartree
     grid = RadialGrid.uniform(r_max_bohr * a0, n_points)
-    coulomb = lambda r: -constants.e2_coulomb / r
+    dr = grid.spacing
+    coulomb = -constants.e2_coulomb / grid.r   # J
+    x, dx, well = grid.r / a0, dr / a0, coulomb / hartree
 
-    bare = stationary_states(
-        constants.m_e, [], coulomb, n_states=1, grid=grid,
-        tol=scf_tol,
-    )[0]
-    e0_ev = bare.eigenvalue / EV
+    eps0, u = _eigensolve(x, dx, well, 0)
+    validate_tail(u / grid.r)
+    e0_ev = eps0 * hartree / EV
 
     # expectation values on the unperturbed orbital
-    dr = grid.spacing
-    weight = radial_density(grid, bare.state.amplitude())
-    coulomb_exp = dr * float(np.sum(coulomb(grid.r) * weight))
+    weight = radial_density(grid, u)
+    coulomb_exp = dr * float(np.sum(coulomb * weight))
     # <S> with S the unit-strength kernel integral; (5/8)/a0 on the exact 1s
     kernel_exp = dr * float(np.sum(kernel_integral(grid.r, weight) * weight))
 
@@ -103,15 +108,12 @@ def hydrogen_diagnostic(
     entries: list[SelfTermEntry] = []
     for term in requested:
         first_order = term.strength * kernel_exp
-        scf_energy = None
-        scf_error = None
+        scf_energy = scf_error = None
         try:
             # each term is examined alone, against the bare Coulomb problem
-            scf = stationary_states(
-                constants.m_e, [term], coulomb, n_states=1, grid=grid,
-                tol=scf_tol, validate_resolution=False, validate_domain=False,
-            )[0]
-            scf_energy = scf.eigenvalue / EV
+            eps = _scf_state(x, dx, well, term.strength / constants.e2_coulomb,
+                             np.zeros_like(x), 0, scf_tol, MAX_ITER)[0]
+            scf_energy = eps * hartree / EV
         except ConvergenceError as exc:
             scf_error = str(exc)
         entries.append(

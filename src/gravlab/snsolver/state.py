@@ -90,8 +90,8 @@ class WaveState:
 
     ``psi`` holds the full wavefunction value (no spherical-harmonic factor);
     the norm is int 4 pi r^2 |psi|^2 dr = 1.  The state carries its kernel
-    couplings and no external potential: an external potential enters only
-    ``stationary_states(..., method="scf")``, and ``evolve`` has none.
+    couplings, the only potential that ``stationary_states`` and ``evolve``
+    apply to it.
     """
 
     grid: RadialGrid

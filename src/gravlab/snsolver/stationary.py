@@ -1,13 +1,14 @@
-"""Stationary states of the self-coupled radial eigenproblem.
+"""Self-bound stationary states of an attractive kernel.
 
-Two independent routes are provided and cross-checked against each other:
+Both routes need a negative net coupling (a zero or repulsive kernel binds no
+state).  They are independent and cross-checked against each other:
 
 * ``method="scf"``: self-consistent field iteration: solve the linear
   tridiagonal eigenproblem in a frozen potential, rebuild the kernel potential
   from the resulting density, Anderson-mix it with the last few iterates
   (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)), repeat until the
-  potential reproduces itself.  It is the route that takes an external
-  potential, such as hydrogen's Coulomb well.
+  potential reproduces itself.  ``hydrogen.py`` runs the same core on its
+  Coulomb well.
 * ``method="shooting"``: integrate the coupled ODE pair (radial wave equation
   plus the radial equation for the kernel potential) outward by a plain RK4
   and bisect on the eigenvalue until the solution has the requested node
@@ -15,11 +16,8 @@ Two independent routes are provided and cross-checked against each other:
   count is decided.  The profile is the lower bracket's column of the last
   bisection scan; past the valley where it turns to diverge it continues as
   the decaying Whittaker solution of the far-field Coulomb-like equation.
-  Shooting solves attractive kernel problems only (a negative net coupling and
-  no external potential): a repulsive kernel binds no state, the scaling
-  symmetry (psi, Phi, E) -> (l^2 psi(l x), l^2 Phi(l x), l^2 E) converts the
-  arbitrary-amplitude solution into the unit-norm one, and an external
-  potential would break it.
+  The scaling symmetry (psi, Phi, E) -> (l^2 psi(l x), l^2 Phi(l x), l^2 E)
+  converts the arbitrary-amplitude solution into the unit-norm one.
   Each state is solved at RK4 steps h = 0.016 and 2h: eps_h + (eps_h -
   eps_2h)/15 cancels the h^4 error (Richardson, Phil. Trans. R. Soc. A 210,
   307 (1911)) and the profile is the h solve's.  |eps_h - eps_2h|/15 is the
@@ -53,6 +51,7 @@ from .state import (
 )
 
 DEFAULT_TOL = 1e-8
+MAX_ITER = 500       # cap on SCF eigensolves per state
 DAMPING = 0.5        # SCF potential mixing fraction
 ANDERSON_DEPTH = 5   # SCF iterates whose defect differences the Anderson step combines
 SHOOTING_STEP = 0.016   # RK4 step h of the shooting route, solved at h and 2h
@@ -80,30 +79,6 @@ def count_nodes(u: np.ndarray) -> int:
     mag = np.abs(u)
     significant = u[mag > 1e-7 * float(mag.max())]
     return int(np.count_nonzero(significant[:-1] * significant[1:] < 0.0))
-
-
-# ---------------------------------------------------------------------------
-# Problem scaling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Scales:
-    length: float   # m per dimensionless unit
-    energy: float   # J per dimensionless unit
-    kappa_sign: float  # -1, 0, or +1
-
-
-def _make_scales(mass: float, kappa: float, grid: RadialGrid,
-                 constants: PhysicalConstants) -> _Scales:
-    if kappa != 0.0:
-        length = kernel_length(mass, kappa, constants)
-        energy = mass * kappa**2 / constants.hbar**2
-        return _Scales(length, energy, math.copysign(1.0, kappa))
-    # no kernel: any scale works; tie it to the grid for conditioning
-    length = grid.r_max / 10.0
-    energy = constants.hbar**2 / (mass * length**2)
-    return _Scales(length, energy, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +110,20 @@ def _gaussian_kernel_seed(x: np.ndarray, width: float) -> np.ndarray:
 def _scf_state(
     x: np.ndarray,
     dx: float,
-    vext: np.ndarray | None,
-    kappa_sign: float,
+    well: np.ndarray,
+    coupling: float,
+    phi: np.ndarray,
     k: int,
     tol: float,
     max_iter: int,
 ) -> tuple[float, np.ndarray, float, int]:
-    vt = np.zeros_like(x) if vext is None else vext
-    # without a kernel (kappa_sign 0) phi stays 0 and the first eigensolve has residual 0
-    phi = kappa_sign * _gaussian_kernel_seed(x, 2.0) if vext is None else np.zeros_like(x)
+    """Eigenvalue, unit-norm profile, residual and eigensolve count of the k-node
+    state of -u''/2 + (well + phi) u with phi = coupling S[u^2], iterated from ``phi``."""
     history: list[float] = []
     recent: list[tuple[np.ndarray, np.ndarray]] = []   # (phi, defect) of the last iterates
     for _ in range(max_iter):
-        eps, u = _eigensolve(x, dx, vt + phi, k)
-        phi_new = kappa_sign * kernel_integral(x, u * u)
+        eps, u = _eigensolve(x, dx, well + phi, k)
+        phi_new = coupling * kernel_integral(x, u * u)
         defect = phi_new - phi
         residual = float(np.abs(defect).max()) / (float(np.abs(phi_new).max()) + 1e-300)
         history.append(residual)
@@ -328,25 +303,20 @@ def _shoot_state(x_out: np.ndarray, k: int) -> tuple[float, np.ndarray, float, f
 def stationary_states(
     mass: float,
     couplings: Sequence[KernelTerm],
-    external_potential=None,
     n_states: int = 1,
     *,
     grid: RadialGrid,
     method: str = "scf",
     constants: PhysicalConstants = CODATA2018,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 500,
-    validate_resolution: bool = True,
-    validate_domain: bool = True,
+    max_iter: int = MAX_ITER,
 ) -> list[StationaryState]:
-    """First ``n_states`` stationary states, ordered by node count 0..n_states-1.
+    """First ``n_states`` self-bound states, ordered by node count 0..n_states-1.
 
-    ``external_potential`` may be None or a callable V(r_meters) -> J; only
-    ``method="scf"`` takes one.  ``method="shooting"`` solves attractive
-    kernel problems alone: it needs a negative net coupling and no external
-    potential.  Each state is self-consistent with its own density (the kernel
-    potential is rebuilt from the state it binds).  The returned states carry
-    their kernel couplings, not the external potential.
+    The net coupling must be negative: a zero or repulsive kernel binds no
+    state.  Each state is self-consistent with its own density (the kernel
+    potential is rebuilt from the state it binds), resolved by the grid and
+    negligible at r_max.
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
@@ -354,39 +324,34 @@ def stationary_states(
         raise ValueError(f"unknown method {method!r}")
     couplings = tuple(couplings)
     kappa = sum(term.strength for term in couplings)
-    if method == "shooting" and (kappa >= 0.0 or external_potential is not None):
-        raise ValueError("shooting solves attractive kernel problems only: it needs a "
-                         "negative net coupling and no external potential; use method='scf'")
-    if validate_resolution:
-        validate_grid_resolution(grid, mass, couplings, constants)
+    if kappa >= 0.0:
+        raise ValueError("a zero or repulsive net coupling binds no state")
+    validate_grid_resolution(grid, mass, couplings, constants)
 
-    scales = _make_scales(mass, kappa, grid, constants)
-    x = grid.r / scales.length
-    dx = grid.spacing / scales.length
-    vext_grid = None
-    if external_potential is not None:
-        vext_grid = np.asarray(external_potential(grid.r), dtype=float) / scales.energy
+    length = kernel_length(mass, kappa, constants)
+    energy = mass * kappa**2 / constants.hbar**2
+    x = grid.r / length
+    dx = grid.spacing / length
 
     states: list[StationaryState] = []
     for k in range(n_states):
         iterations = error = None
         if method == "scf":
-            eps, u, residual, iterations = _scf_state(x, dx, vext_grid, scales.kappa_sign, k,
-                                                      tol, max_iter)
+            eps, u, residual, iterations = _scf_state(
+                x, dx, np.zeros_like(x), -1.0, -_gaussian_kernel_seed(x, 2.0), k, tol, max_iter)
         else:
             eps, u, residual, error = _shoot_state(x, k)
-            error *= scales.energy
+            error *= energy
 
         nodes = count_nodes(u)
         if nodes != k:
             raise ConvergenceError(
                 f"state targeted {k} nodes but converged with {nodes}; refine the grid"
             )
-        if validate_domain:
-            validate_tail(u / grid.r)
+        validate_tail(u / grid.r)
 
         wave = WaveState.from_amplitude(grid, u, mass, couplings)
-        states.append(StationaryState(wave, eps * scales.energy, nodes, residual, method,
+        states.append(StationaryState(wave, eps * energy, nodes, residual, method,
                                       iterations, error))
 
     eigenvalues = [s.eigenvalue for s in states]
@@ -398,8 +363,7 @@ def stationary_states(
 def rayleigh_quotient(state: WaveState, constants: PhysicalConstants = CODATA2018) -> float:
     """<u|H[Phi[state]]|u> / <u|u> for the discrete radial Hamiltonian, in joules.
 
-    H is the kinetic term plus the state's own kernel potential; a state solved
-    in an external potential does not carry it, so that term is not included.
+    H is the kinetic term plus the state's own kernel potential.
     """
     u = state.amplitude()
     potential = self_potential(state)

@@ -144,10 +144,9 @@ def test_criterion_4_sn_ground_state_two_methods():
 
     # grid refinement: successive changes shrink ~4x (second order)
     values = []
-    for n in (800, 1600, 3200):
+    for n in (1600, 3200, 6400):
         g = RadialGrid.uniform(50.0 * NATURAL_LENGTH, n)
-        values.append(stationary_states(MASS, kernel, n_states=1, grid=g,
-                                        validate_resolution=False)[0].eigenvalue)
+        values.append(stationary_states(MASS, kernel, n_states=1, grid=g)[0].eigenvalue)
     ratio = abs(values[1] - values[0]) / abs(values[2] - values[1])
     assert 2.5 < ratio < 6.0
     report(4, f"ground eigenvalue {eps0:.5f} (methods agree to {rel:.1e}; "

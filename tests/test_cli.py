@@ -368,6 +368,7 @@ def test_closed_form_commands_start_without_scipy(tmp_path):
         ["e-delta", *sphere, "--separation", "4"],
         ["e-delta", *sphere, "--separation", "4", "--monte-carlo"],
         ["selfenergy", *sphere, "--monte-carlo"],
+        ["selfenergy", "--shape", "gaussian", "--mass", "1", "--width", "1"],
         ["collapse-time", *sphere, "--separation", "4"],
         ["lifetime-sweep", *sphere, "--sweep-kind", "separation", "--values", "2,3,4,6,10"],
         ["collapse-sim", "--n", "1000", "--rate", "1.0", "--energy-a", "1",

@@ -124,12 +124,28 @@ REJECTED = [
     # a kernel-free problem has no self-bound state, on an SI grid as on a natural one
     pytest.param(manifest("sn-ground", couplings=[], grid=SI_GRID), "parameters.couplings",
                  id="sn-ground:parameters.couplings:kernel-free"),
+    pytest.param(manifest("sn-ground", couplings=[]), "parameters.couplings",
+                 id="sn-ground:parameters.couplings:kernel-free-natural"),
     pytest.param(manifest("sn-spectrum", couplings=[{"strength_J_m": 0}], method="both",
                           grid=SI_GRID),
                  "parameters.couplings", id="sn-spectrum:parameters.couplings"),
     # nor does a repulsive one
     pytest.param(manifest("sn-ground", couplings=["electrostatic"]), "parameters.couplings",
                  id="sn-ground:parameters.couplings:repulsive"),
+    # tolerances take "default" and the command's own key, each a positive number
+    pytest.param({**manifest("e-delta"), "tolerances": {"quadrature": "nonsense",
+                                                         "bogus_key": -5}},
+                 "tolerances.quadrature", id="e-delta:tolerances.quadrature"),
+    pytest.param({**manifest("e-delta"), "tolerances": {"quadrature_rel": 1e-6, "default": 0}},
+                 "tolerances.default", id="e-delta:tolerances.default"),
+    pytest.param({**manifest("sn-ground"), "tolerances": {"scf_residual": "x"}},
+                 "tolerances.scf_residual", id="sn-ground:tolerances.scf_residual"),
+    pytest.param({**manifest("sn-ground"), "tolerances": {"quadrature_rel": 1e-6}},
+                 "tolerances.quadrature_rel", id="sn-ground:tolerances.quadrature_rel"),
+    pytest.param({**manifest("feynman-scale"), "tolerances": {"default": -1}},
+                 "tolerances.default", id="feynman-scale:tolerances.default"),
+    pytest.param({**manifest("feynman-scale"), "tolerances": {"scf_residual": 1e-9}},
+                 "tolerances.scf_residual", id="feynman-scale:tolerances.scf_residual"),
 ]
 
 

@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 
 from gravlab.errors import ConvergenceError
-from gravlab.quantities import CODATA2018, ENERGY_SCALES, kernel_length
+from gravlab.quantities import CODATA2018, ENERGY_SCALES, EV, kernel_length
 from gravlab.snsolver import (
     KernelTerm,
     RadialGrid,
     count_nodes,
     electrostatic_kernel,
     gravitational_kernel,
+    hydrogen_diagnostic,
     rayleigh_quotient,
     stationary_states,
 )
 from gravlab.snsolver.stationary import (
     SHOOTING_STEP,
+    _eigensolve,
     _integrate_batch,
-    _make_scales,
     _shoot_at_step,
 )
 
@@ -86,13 +87,6 @@ def test_five_node_state():
     assert state.eigenvalue / e_scale == pytest.approx(-0.0028738563, rel=1e-7)
 
 
-def test_a_linear_problem_takes_one_eigensolve():
-    grid = RadialGrid.uniform(30.0 * C.bohr_radius, 1500)
-    state = stationary_states(C.m_e, [], lambda r: -C.e2_coulomb / r, n_states=1, grid=grid)[0]
-    assert state.iterations == 1
-    assert state.residual == 0.0
-
-
 def test_rayleigh_quotient_consistency():
     states = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=ground_grid(), tol=1e-9)
@@ -101,17 +95,11 @@ def test_rayleigh_quotient_consistency():
 
 
 def test_harmonic_oscillator_reduction():
-    # kappa = 0 with V = m w^2 r^2 / 2: s-state eigenvalues (2 n_r + 3/2) hbar w
-    omega = 1.0e3
-    mass = 1e-20
-    length = math.sqrt(C.hbar / (mass * omega))
-    grid = RadialGrid.uniform(14.0 * length, 1400)
-    states = stationary_states(mass, [], lambda r: 0.5 * mass * omega**2 * r**2,
-                               n_states=3, grid=grid)
-    for n_r, state in enumerate(states):
-        assert state.eigenvalue / (C.hbar * omega) == pytest.approx(
-            2 * n_r + 1.5, rel=1e-4
-        )
+    # -u''/2 + x^2 u/2 in oscillator units: s-state eigenvalues 2 n_r + 3/2
+    grid = RadialGrid.uniform(14.0, 1400)
+    for n_r in range(3):
+        eps, _ = _eigensolve(grid.r, grid.spacing, 0.5 * grid.r**2, n_r)
+        assert eps == pytest.approx(2 * n_r + 1.5, rel=1e-4)
 
 
 def test_mass_scaling_of_the_spectrum():
@@ -133,10 +121,10 @@ def test_mass_scaling_of_the_spectrum():
 def test_grid_refinement_second_order():
     _, e_scale = natural_scales()
     values = []
-    for n in (800, 1600, 3200):
+    for n in (1600, 3200, 6400):
         grid = ground_grid(MASS, 50.0, n)
         states = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
-                                   grid=grid, validate_resolution=False)
+                                   grid=grid)
         values.append(states[0].eigenvalue / e_scale)
     d1 = abs(values[1] - values[0])
     d2 = abs(values[2] - values[1])
@@ -145,11 +133,9 @@ def test_grid_refinement_second_order():
 
 
 def test_scf_hydrogen_richardson_value_is_within_5e_9_hartree_and_inside_its_bar():
-    # the SCF route hydrogen-shift runs; dx halves from n = 2001 to 4003
-    coulomb = lambda r: -C.e2_coulomb / r
-    grids = (RadialGrid.uniform(30.0 * C.bohr_radius, n) for n in (2001, 4003))
-    e_2h, e_h = (stationary_states(C.m_e, [], coulomb, n_states=1, grid=grid)[0].eigenvalue
-                 / C.hartree for grid in grids)
+    # the bare solve hydrogen-shift runs; dx halves from n = 2001 to 4003
+    e_2h, e_h = (hydrogen_diagnostic(False, False, r_max_bohr=30, n_points=n).e0_ev * EV
+                 / C.hartree for n in (2001, 4003))
     richardson = (4.0 * e_h - e_2h) / 3.0
     error = abs(richardson + 0.5)
     assert error < 5e-9
@@ -176,9 +162,9 @@ SHOOTING_LIMITS = (-0.16276920783267, -0.03079653748015, -0.01252610090697)
 def single_step_shooting(mass, couplings, grid, h):
     """Eigenvalue (J) and residual of the shooting solve at the one step h,
     set up as ``stationary_states`` sets it up."""
-    scales = _make_scales(mass, sum(term.strength for term in couplings), grid, C)
-    eps, _, residual = _shoot_at_step(grid.r / scales.length, 0, h)
-    return eps * scales.energy, residual
+    kappa = sum(term.strength for term in couplings)
+    eps, _, residual = _shoot_at_step(grid.r / kernel_length(mass, kappa, C), 0, h)
+    return eps * (mass * kappa**2 / C.hbar**2), residual
 
 
 def test_single_step_shooting_keeps_the_integrators_arithmetic():
@@ -296,30 +282,13 @@ def test_nonconvergence_raises_with_history():
     assert len(excinfo.value.residual_history) == 3
 
 
-def test_repulsive_kernel_with_coulomb_well():
-    # the electrostatic self-term weakens hydrogen binding dramatically
-    a0 = C.bohr_radius
-    grid = RadialGrid.uniform(40.0 * a0, 2000)
-    coulomb = lambda r: -C.e2_coulomb / r
-    bare = stationary_states(C.m_e, [], coulomb, n_states=1, grid=grid)[0]
-    dressed = stationary_states(C.m_e, [electrostatic_kernel(C)], coulomb, n_states=1,
-                                grid=grid, validate_resolution=False,
-                                validate_domain=False)[0]
-    assert bare.eigenvalue / C.hartree == pytest.approx(-0.5, rel=1e-3)
-    # binding collapses by an order of magnitude but a weakly bound state remains
-    assert bare.eigenvalue < dressed.eigenvalue < 0.0
-    assert abs(dressed.eigenvalue) < 0.2 * abs(bare.eigenvalue)
-
-
-@pytest.mark.parametrize("couplings, potential", [
-    ([electrostatic_kernel(C)], lambda r: -C.e2_coulomb / r),   # a kernel plus a well
-    ([], lambda r: -C.e2_coulomb / r),                          # a well alone
-    ([], None),                                                 # nothing at all
-    ([KernelTerm(0.0)], None),                                  # a zero net coupling
-    ([electrostatic_kernel(C)], None),                          # a repulsive kernel
-], ids=["kernel-and-well", "well", "free", "zero-coupling", "repulsive"])
-def test_shooting_rejects_an_external_potential_and_a_zero_coupling(couplings, potential):
+@pytest.mark.parametrize("method", ["scf", "shooting"])
+@pytest.mark.parametrize("couplings", [
+    [],                          # no kernel at all
+    [KernelTerm(0.0)],           # a zero net coupling
+    [electrostatic_kernel(C)],   # a repulsive kernel
+], ids=["free", "zero", "repulsive"])
+def test_both_methods_reject_zero_and_repulsive_couplings(couplings, method):
     grid = RadialGrid.uniform(40.0 * C.bohr_radius, 2000)
-    with pytest.raises(ValueError, match="method='scf'"):
-        stationary_states(C.m_e, couplings, potential, n_states=1, grid=grid,
-                          method="shooting", validate_resolution=False, validate_domain=False)
+    with pytest.raises(ValueError, match="zero or repulsive net coupling"):
+        stationary_states(C.m_e, couplings, n_states=1, grid=grid, method=method)
