@@ -27,6 +27,10 @@ class NoClosedForm(GravlabError):
     """``method="analytic"`` was asked for a shape pair with no closed form."""
 
 
+class QuadratureWarning(UserWarning):
+    """An adaptive integral stopped at its panel cap short of its tolerance."""
+
+
 class ConvergenceError(GravlabError):
     """Iterative solver failed to reach the requested residual.
 

@@ -16,12 +16,13 @@ f(r) = F'(r)/r.  A closed form of None means "no closed form": "analytic"
 then raises NoClosedForm, "auto" integrates.  E_delta is never a difference
 of near-equal energies unless method="analytic" (see ``e_delta``).
 
-scipy is imported inside the functions that call it, so importing this
-module does not load it; ``tests/test_cli.py`` guards that.
+It needs numpy alone (a numpy PCHIP, a vectorized adaptive Gauss-Legendre
+rule), so no energy command loads scipy; ``tests/test_cli.py`` guards that.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,11 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CancellationError, DivergentSelfEnergy, NoClosedForm
+from .errors import CancellationError, DivergentSelfEnergy, NoClosedForm, QuadratureWarning
 from .persistence import json_digest
 from .quantities import CODATA2018, PhysicalConstants
 
 DEFAULT_REL_TOL = 1e-6
+PANEL_CAP = 400  # panels of one adaptive integral: the limit quad (QUADPACK) uses
+_BLOCK = 32_768  # points evaluated at once, so memory does not grow with the work
 
 Center = tuple[float, float, float]
 _ORIGIN: Center = (0.0, 0.0, 0.0)
@@ -161,10 +164,10 @@ class Gaussian(MassDistribution):
         return 4.0 * math.pi * r * np.exp(-r**2 / (2.0 * s**2)) / (2.0 * math.pi * s**2) ** 1.5
 
     def enclosed_fraction(self, r):
-        from scipy.special import gammainc
-
-        # the radial mass CDF of an isotropic Gaussian is a chi(3) law
-        return gammainc(1.5, np.asarray(r, dtype=float) ** 2 / (2.0 * self.width**2))
+        # the radial mass CDF of an isotropic Gaussian is a chi(3) law, gammainc(3/2, x)
+        x = np.asarray(r, dtype=float) ** 2 / (2.0 * self.width**2)
+        erf = np.asarray(np.frompyfunc(math.erf, 1, 1)(np.sqrt(x)), dtype=float)
+        return erf - 2.0 * np.sqrt(x / math.pi) * np.exp(-x)
 
     def knots(self) -> np.ndarray:
         # half-sigma panels: 8-point Gauss-Legendre on each is exact to rounding
@@ -231,8 +234,6 @@ class RadialProfile(MassDistribution):
         center: Sequence[float] = _ORIGIN,
         mass: float | None = None,
     ):
-        from scipy.interpolate import PchipInterpolator
-
         r_arr = np.asarray(r, dtype=float)
         rho_arr = np.asarray(rho, dtype=float)
         if r_arr.ndim != 1 or r_arr.size < 4:
@@ -250,7 +251,7 @@ class RadialProfile(MassDistribution):
 
         self.center = _as_center(center)
         self._r_max = float(r_arr[-1])
-        self._rho = PchipInterpolator(r_arr, rho_arr, extrapolate=False)
+        self._rho = _pchip(r_arr, rho_arr)
 
         # exact piecewise-polynomial integral of 4*pi*r^2*rho
         self._cum_mass = _weighted_antiderivative(self._rho)
@@ -272,8 +273,7 @@ class RadialProfile(MassDistribution):
 
     def weight_over_r(self, r):
         r = np.asarray(r, dtype=float)
-        rho = np.nan_to_num(self._rho(r), nan=0.0)
-        return 4.0 * math.pi * r * np.clip(rho, 0.0, None) / self._integral_total
+        return 4.0 * math.pi * r * np.clip(self._rho(r), 0.0, None) / self._integral_total
 
     def enclosed_fraction(self, r):
         r = np.clip(np.asarray(r, dtype=float), 0.0, self._r_max)
@@ -303,19 +303,51 @@ def _check_mass(mass: float) -> None:
         raise ValueError(f"mass must be strictly positive, got {mass}")
 
 
-def _weighted_antiderivative(rho):
-    """Exact antiderivative (a ``PPoly``) of 4*pi*r^2*rho(r) for a
-    piecewise-cubic ``PchipInterpolator`` rho."""
-    from scipy.interpolate import PPoly
+class _Piecewise:
+    """``PPoly``'s layout: c[k, i] multiplies (r - x[i])**(K-1-k) on [x[i], x[i+1]]; 0 outside."""
 
-    start = rho.x[:-1]
-    c = rho.c  # (4, n_intervals), highest degree first, local variable x = r - start
+    def __init__(self, c: np.ndarray, x: np.ndarray):
+        self.c, self.x = c, x
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, side="right") - 1, 0, self.x.size - 2)
+        s, value, power = r - self.x[i], 0.0, 1.0
+        for row in self.c[::-1]:  # PPoly's order, lowest degree first: its bits, not Horner's
+            value, power = value + row[i] * power, power * s
+        return np.where((r >= self.x[0]) & (r <= self.x[-1]), value, 0.0)
+
+
+def _pchip(x: np.ndarray, y: np.ndarray) -> _Piecewise:
+    """Monotone cubic Hermite interpolant (Fritsch & Carlson 1980) as scipy's ``PchipInterpolator``
+    forms it: Fritsch-Butland slopes inside, Moler's one-sided slopes at the ends."""
+    h, m = np.diff(x), np.diff(y) / np.diff(x)
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only at flat knots
+        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    end = np.where(np.sign(end) != np.sign(m0), 0.0, np.where(
+        (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0)), 3.0 * m0, end))
+    dy = np.concatenate((end[:1], inner, end[1:]))
+    t = (dy[:-1] + dy[1:] - 2.0 * m) / h
+    return _Piecewise(np.stack((t / h, (m - dy[:-1]) / h - t, dy[:-1], y[:-1])), x)
+
+
+def _weighted_antiderivative(rho: _Piecewise) -> _Piecewise:
+    """Exact antiderivative of 4 pi r^2 rho, zero at r = 0, as ``PPoly.antiderivative`` forms it."""
+    start, c = rho.x[:-1], rho.c  # local variable x = r - start
     # r^2 = x^2 + 2*start*x + start^2
-    out = np.zeros((6, c.shape[1]))
-    out[:4] = c
-    out[1:5] += 2.0 * start * c
-    out[2:] += start**2 * c
-    return PPoly(4.0 * math.pi * out, rho.x).antiderivative()
+    anti = np.zeros((7, c.shape[1]))
+    anti[:4] = c
+    anti[1:5] += 2.0 * start * c
+    anti[2:6] += start**2 * c
+    anti[:6] = 4.0 * math.pi * anti[:6] / np.arange(6.0, 0.0, -1.0)[:, None]
+    # each piece starts where the last ends: one sequential sum, in _Piecewise's order
+    powers = np.cumprod(np.tile(np.diff(rho.x), (6, 1)), axis=0)  # h, h^2, ..., h^6
+    anti[6, 1:] = np.add.accumulate((anti[5::-1] * powers).T.ravel())[5:-1:6]
+    return _Piecewise(anti, rho.x)
 
 
 def radial_profile_from_csv(path, center: Sequence[float] = _ORIGIN,
@@ -397,24 +429,43 @@ class SuperpositionSpec:
 # and E_delta / G = 1/2 int (m_a F_a - m_b F_b)^2 / r^2 dr + m_a m_b B(d).
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, on first use: numpy.polynomial imports in 1.7 ms."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _adaptive(func, lo: float, hi: float, rel_tol: float, breaks: set[float],
               noise: float = 0.0) -> float:
-    """int_lo^hi func, split at the breaks inside (lo, hi).
+    """int_lo^hi func by adaptive Gauss-Legendre (after QUADPACK), first split at the breaks.
 
-    quad gets rel_tol / 10: its error estimate misses the kinks that profile
-    knots put inside its intervals (it undershot 2.6-fold on a 40-sample
-    profile).  epsabs=0 keeps the accuracy independent of the unit of length.
-    ``noise`` is the rounding level of the integral: quad's warning that it
-    missed rel_tol is kept only for an error estimate above it."""
-    from scipy.integrate import IntegrationWarning, quad
-
-    points = sorted(p for p in breaks if lo < p < hi) or None
+    Each pass calls the vectorized ``func`` once, on every new panel and its halves: the
+    10-point rule minus the halves' is the error estimate.  Panels above their length's share
+    of the tolerance max(rel_tol / 10 * |value|, noise) are halved until the estimates sum
+    below it (rel_tol / 10: estimates miss the kinks of knots inside a panel; ``noise`` is
+    the integral's rounding level), or until PANEL_CAP panels, with a QuadratureWarning."""
+    nodes, weights = _gauss_legendre(10)
+    nodes = np.concatenate((nodes, 0.5 * nodes - 0.5, 0.5 * nodes + 0.5))  # panel, halves
     epsrel = max(rel_tol / 10.0, 100.0 * np.finfo(float).eps)
-    value, error, _, *failure = quad(func, lo, hi, epsabs=0.0, epsrel=epsrel, limit=400,
-                                     points=points, full_output=1)
-    if failure and error > noise:
-        warnings.warn(failure[0], IntegrationWarning, stacklevel=2)
-    return value
+    cuts = np.array([lo, *sorted(p for p in breaks if lo < p < hi), hi])
+    a, b, panels = cuts[:-1], cuts[1:], np.empty((0, 4))  # columns a, b, value, error
+    while True:
+        h = 0.5 * (b - a)
+        f = func((0.5 * (a + b)[:, None] + h[:, None] * nodes).ravel()).reshape(a.size, -1)
+        whole, halves = h * (f[:, :10] @ weights), 0.5 * h * ((f[:, 10:20] + f[:, 20:]) @ weights)
+        panels = np.vstack((panels, np.column_stack((a, b, halves, np.abs(whole - halves)))))
+        a, b, value, error = panels.T
+        total = float(value.sum())
+        tol = max(epsrel * abs(total), noise)
+        if error.sum() <= tol:
+            return total
+        split = ~(error <= tol * (b - a) / (hi - lo))  # NaN splits too, up to the cap
+        if len(panels) + np.count_nonzero(split) > PANEL_CAP:
+            warnings.warn(f"adaptive quadrature stopped at {PANEL_CAP} panels: error estimate "
+                          f"{error.sum():.3e} > tolerance {tol:.3e}", QuadratureWarning, 2)
+            return total
+        mid, panels = 0.5 * (a + b)[split], panels[~split]
+        a, b = np.append(a[split], mid), np.append(mid, b[split])
 
 
 def _kernel(s, u, d: float):
@@ -443,22 +494,28 @@ def _band_integral(a: MassDistribution, b: MassDistribution, d: float, rel_tol: 
     if ra is not None and rb is not None:  # two shells: a single node
         return float(_kernel(ra, rb - ra, d)) / (ra * rb) if abs(rb - ra) < d else 0.0
     sa, sb = a.tail_radius(), b.tail_radius()
-    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = _gauss_legendre(8)
+    knots_a, knots_b = a.knots(), b.knots()
 
-    def inner(u: float) -> float:
-        if ra is not None:  # a shell: f_a(s) ds = delta(s - ra) ds / ra
-            s = np.array([ra])
-            w = b.weight_over_r(s + u) / ra
-        else:
-            lo, hi = max(0.0, -u), min(sa, sb - u)
-            knots = np.concatenate((a.knots(), b.knots() - u, [(d - u) / 2.0]))
-            edges = np.concatenate(([lo], np.unique(knots[(knots > lo) & (knots < hi)]), [hi]))
-            half = 0.5 * np.diff(edges)[:, None]
-            s = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
-            w = (half * weights).ravel() * a.weight_over_r(s) * b.weight_over_r(s + u)
-        return float(w @ _kernel(s, u, d))
+    def block(u: np.ndarray) -> np.ndarray:  # u: a column of outer nodes
+        # the knots span [0, tail_radius()], so clipping puts both ends among the cuts
+        cuts = np.concatenate((np.broadcast_to(knots_a, (u.size, knots_a.size)),
+                               knots_b - u, (d - u) / 2.0), axis=1)
+        edges = np.sort(np.clip(cuts, np.maximum(0.0, -u), np.minimum(sa, sb - u)), axis=1)
+        row, j = np.nonzero(np.diff(edges, axis=1) > 0.0)
+        half, u = 0.5 * (edges[row, j + 1] - edges[row, j])[:, None], u[row]
+        s = edges[row, j][:, None] + half * (nodes + 1.0)
+        w = half * weights * a.weight_over_r(s) * b.weight_over_r(s + u) * _kernel(s, u, d)
+        return np.bincount(row, w.sum(axis=1), minlength=len(edges))
 
-    return _adaptive(inner, max(-d, -sa), min(d, sb), rel_tol, {0.0, sa - sb, sb - sa})
+    step = max(1, _BLOCK // (nodes.size * (knots_a.size + knots_b.size)))  # u per block
+    inner = lambda u: np.concatenate([block(u[i:i + step, None]) for i in range(0, u.size, step)])
+    if ra is not None:  # a shell: f_a(s) ds = delta(s - ra) ds / ra
+        inner = lambda u: b.weight_over_r(ra + u) / ra * _kernel(ra, u, d)
+
+    # at u = d - 2 sa and 2 sb - d the kernel's switch s = (d - u)/2 meets a support edge
+    breaks = {0.0, sa - sb, sb - sa, d - 2.0 * sa, 2.0 * sb - d}
+    return _adaptive(inner, max(-d, -sa), min(d, sb), rel_tol, breaks)
 
 
 def _concentric_integral(g, a: MassDistribution, b: MassDistribution, rel_tol: float,
@@ -466,7 +523,7 @@ def _concentric_integral(g, a: MassDistribution, b: MassDistribution, rel_tol: f
     """int_lo^inf g(r) / r^2 dr for g built from F_a and F_b, constant past their tails."""
     inner, outer = sorted((a.tail_radius(), b.tail_radius()))
     hi = max(outer, lo)
-    return _adaptive(lambda r: g(r) / r**2, lo, hi, rel_tol, {inner}, noise) + g(hi) / hi
+    return _adaptive(lambda r: g(r) / r**2, lo, hi, rel_tol, {inner}, noise) + float(g(hi)) / hi
 
 
 def _ball_overlap(eta: float) -> float:
@@ -524,7 +581,7 @@ def _unit_mutual(
             return closed
         if method == "analytic":
             raise NoClosedForm("no closed form for this shape pair; use method='auto'")
-    product = lambda r: float(d1.enclosed_fraction(r) * d2.enclosed_fraction(r))
+    product = lambda r: d1.enclosed_fraction(r) * d2.enclosed_fraction(r)
     if 0.0 in (d1.delta_radius(), d2.delta_radius()):
         # F = 1 for a point, whose mutual energy is the potential int_d^inf F / r^2
         return _concentric_integral(product, d1, d2, rel_tol, lo=d)
@@ -607,7 +664,7 @@ def e_delta(
     # F_a - F_b of near-equal shapes rounds at eps times the self-energy scale
     noise = np.finfo(float).eps * (ma + mb) ** 2 / max(a.tail_radius(), b.tail_radius())
     concentric = 0.5 * _concentric_integral(
-        lambda r: float(ma * a.enclosed_fraction(r) - mb * b.enclosed_fraction(r)) ** 2,
+        lambda r: (ma * a.enclosed_fraction(r) - mb * b.enclosed_fraction(r)) ** 2,
         a, b, rel_tol, noise=noise)
     return constants.G * (concentric + ma * mb * _band_integral(a, b, d, rel_tol))
 
@@ -650,12 +707,11 @@ def _field_energy_mc(a: MassDistribution, b: MassDistribution | None, n: int, se
         return np.where((rho >= lo) & (rho <= hi), q, 0.0)
 
     rng = np.random.default_rng(seed)
-    block = 32_768  # points evaluated at once, so memory does not grow with n
     value = variance = 0.0
     for (k, lo, hi), count in zip(strata, counts):
         blocks = []  # (size, mean, squared deviations) of each block
-        for start in range(0, count, block):
-            size = min(block, count - start)
+        for start in range(0, count, _BLOCK):
+            size = min(_BLOCK, count - start)
             u = 1.0 - rng.random(size)  # in (0, 1]: no point lands on a center
             rho = lo / u if hi == math.inf else np.cbrt(lo**3 + u * (hi**3 - lo**3))
             direction = rng.normal(size=(size, 3))

@@ -361,6 +361,17 @@ print(json.dumps(report))
 """
 
 
+def _scipy_modules_loaded(tmp_path, commands):
+    """(step, exit code, scipy modules loaded) after --help and each command."""
+    argvs = [["--help"]] + [argv + ["--output-dir", str(tmp_path / str(i))]
+                            for i, argv in enumerate(commands)]
+    src = str(Path(gravlab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    steps = ["import gravlab.cli"] + [argv[0] for argv in argvs]
+    return json.loads(proc.stdout.splitlines()[-1]), [[step, 0, []] for step in steps]
+
+
 def test_closed_form_commands_start_without_scipy(tmp_path):
     sphere = ["--shape", "uniform-sphere", "--mass", "1", "--radius", "1"]
     commands = [
@@ -374,14 +385,23 @@ def test_closed_form_commands_start_without_scipy(tmp_path):
         ["collapse-sim", "--n", "1000", "--rate", "1.0", "--energy-a", "1",
          "--energy-b", "2", "--interference", "0.25", "--seed", "7"],
     ]
-    argvs = [["--help"]] + [argv + ["--output-dir", str(tmp_path / str(i))]
-                            for i, argv in enumerate(commands)]
-    src = str(Path(gravlab.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, json.dumps(argvs)],
-                          capture_output=True, text=True, check=True)
-    report = json.loads(proc.stdout.splitlines()[-1])
-    steps = ["import gravlab.cli"] + [argv[0] for argv in argvs]
-    assert report == [[step, 0, []] for step in steps]
+    report, expected = _scipy_modules_loaded(tmp_path, commands)
+    assert report == expected
+
+
+def test_profile_and_gaussian_monte_carlo_commands_start_without_scipy(tmp_path):
+    csv = tmp_path / "profile.csv"
+    csv.write_text("".join(f"{i / 15!r},{math.exp(-4.0 * (i / 15) ** 2)!r}\n" for i in range(16)))
+    profile = ["--profile-csv", str(csv)]
+    commands = [
+        ["e-delta", *profile, "--separation", "0.4"],
+        ["collapse-time", *profile, "--separation", "0.05"],
+        ["lifetime-sweep", *profile, "--sweep-kind", "separation", "--values", "0.01,0.3,1.5,3"],
+        ["selfenergy", *profile],
+        ["selfenergy", "--shape", "gaussian", "--mass", "1", "--width", "1", "--monte-carlo"],
+    ]
+    report, expected = _scipy_modules_loaded(tmp_path, commands)
+    assert report == expected
 
 
 def test_selfenergy_analytic_on_a_profile_is_no_closed_form(tmp_path):

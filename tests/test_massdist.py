@@ -8,18 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 import gravlab
 from gravlab.dpcriterion import collapse_time
-from gravlab.errors import CancellationError, DivergentSelfEnergy, NoClosedForm
+from gravlab.errors import CancellationError, DivergentSelfEnergy, NoClosedForm, QuadratureWarning
 from gravlab.massdist import (
+    PANEL_CAP,
     Gaussian,
     PointMass,
     RadialProfile,
     SphericalShell,
     SuperpositionSpec,
     UniformSphere,
+    _adaptive,
     _ball_overlap,
     e_delta,
     e_delta_mc,
@@ -56,6 +57,16 @@ def test_gaussian_self_energy_analytic_and_quadrature():
     assert u == pytest.approx(G / (2.0 * math.sqrt(math.pi)), rel=1e-12)
     assert u == pytest.approx(1.8828e-11, rel=1e-4)
     assert self_energy(g, method="quadrature") == pytest.approx(u, rel=1e-5)
+
+
+def test_gaussian_enclosed_fraction_matches_the_regularized_gamma_function():
+    from scipy.special import gammainc
+
+    shape = Gaussian(1.0, 0.7)
+    x = np.linspace(0.0, 72.0, 20_001)  # x = r^2 / (2 sigma^2)
+    fraction = shape.enclosed_fraction(shape.width * np.sqrt(2.0 * x))
+    assert np.max(np.abs(fraction - gammainc(1.5, x))) <= 1e-14
+    assert float(shape.enclosed_fraction(shape.width * math.sqrt(2.0 * x[7]))) == fraction[7]
 
 
 def test_shell_self_energy():
@@ -395,7 +406,7 @@ SEPARATIONS = [10.0 ** (k / 2.0) for k in range(-24, 3)]  # 1e-12 ... 10, half d
 
 def _check_small_d(spec: SuperpositionSpec, expected: float, method: str) -> None:
     with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
+        warnings.simplefilter("error", QuadratureWarning)
         value = e_delta(spec, method=method, rel_tol=1e-10)
         assert value == pytest.approx(G * expected, rel=1e-8)
         if method == "auto":
@@ -409,6 +420,20 @@ def test_e_delta_is_accurate_from_d_over_r_1e_minus_12_to_10(pair, method):
     for d in SEPARATIONS:
         spec = SuperpositionSpec(make((0.0, 0.0, 0.0)), make((d, 0.0, 0.0)))
         _check_small_d(spec, unit_e_delta(d), method)
+
+
+@pytest.mark.parametrize("eta", [1.08, 1.43, 1.69])
+def test_profile_e_delta_is_exact_where_the_kernel_switch_meets_a_support_edge(eta):
+    # for 1 < d/R < 2, s = (d - u)/2 reaches R at u = d - 2R and u = 2R - d,
+    # between the half-decade separations of the test above
+    spec = SuperpositionSpec(_uniform_ball_profile(1.0), _uniform_ball_profile(1.0, (eta, 0, 0)))
+    assert e_delta(spec) == pytest.approx(G * _ball_e_delta(1.0, eta), rel=1e-13)
+
+
+def test_adaptive_quadrature_stops_at_the_panel_cap_on_a_divergent_integrand():
+    with pytest.warns(QuadratureWarning, match=f"stopped at {PANEL_CAP} panels"):
+        value = _adaptive(lambda x: 1.0 / np.abs(x - 0.3), 0.0, 1.0, 1e-6, set())
+    assert type(value) is float and value > 0.0
 
 
 @pytest.mark.parametrize("method", ["auto", "quadrature"])
@@ -444,6 +469,30 @@ def test_profile_mass_antiderivative_matches_the_per_interval_polynomials():
         piece = (4.0 * math.pi * local * shift).integ()
         expected.append(expected[-1] + piece(r[i + 1] - r[i]))
     assert prof._cum_mass(r) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+
+def test_profile_pchip_and_mass_antiderivative_equal_scipy_bit_for_bit():
+    from scipy.interpolate import PchipInterpolator, PPoly
+
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        r = np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, 30))))
+        rho = rng.random(r.size)
+        rho[rng.integers(0, r.size, 4)] = 0.0  # flat and sign-changing slopes
+        rho[10:13] = rho[9]
+        prof = RadialProfile(r, rho)
+        ref = PchipInterpolator(r, rho, extrapolate=False)
+        start, c = r[:-1], ref.c
+        weighted = np.zeros((6, c.shape[1]))  # 4 pi r^2 rho, r^2 = (x + start)^2
+        weighted[:4] = c
+        weighted[1:5] += 2.0 * start * c
+        weighted[2:] += start**2 * c
+        cum = PPoly(4.0 * math.pi * weighted, r).antiderivative()
+        points = np.concatenate((r, rng.uniform(0.0, r[-1], 500)))
+        assert np.array_equal(prof._rho.c, ref.c)
+        assert np.array_equal(prof._rho(points), ref(points))
+        assert np.array_equal(prof._cum_mass(points), cum(points))
+        assert prof.mass == cum(r[-1])
 
 
 def test_e_delta_raises_no_warning_at_the_rounding_limits():
