@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import GravlabError, ManifestError
+from .errors import FloatRangeError, GravlabError, ManifestError
 from .massdist import (
     DEFAULT_REL_TOL,
     MassDistribution,
@@ -55,6 +55,8 @@ from .snsolver import (
     load_state_csv,
     stationary_states,
     suggested_dt,
+    validate_grid_resolution,
+    validate_tail,
 )
 from .snsolver.stationary import DEFAULT_TOL
 
@@ -518,7 +520,7 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     record_every = p["record_every"] or max(1, n_steps // 200)
     if p["initial_state_csv"] is not None:
         try:
-            state = load_state_csv(p["initial_state_csv"], mass, couplings)
+            state = load_state_csv(p["initial_state_csv"], mass)
         except (OSError, ValueError) as exc:
             raise ManifestError(str(exc), field="parameters.initial_state_csv") from exc
         sigma0 = None
@@ -530,12 +532,16 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
                 raise ManifestError("natural sigma0 needs a nonzero coupling",
                                     field="parameters.sigma0_natural")
             sigma0 = p["sigma0_natural"] * kernel_length(mass, kappa, constants)
-        state = WaveState.gaussian_packet(grid, sigma0, mass, couplings)
+        state = WaveState.gaussian_packet(grid, sigma0, mass)
+    # the stationary solver's grid contract: the kernel resolved, the wall in the tail
+    validate_grid_resolution(state.grid, mass, couplings, constants)
+    validate_tail(state.psi)
     dt = p["dt_s"]
     if dt is None:
-        dt = p["dt_fraction"] * suggested_dt(state, constants)
+        dt = p["dt_fraction"] * suggested_dt(state, kappa, constants)
 
-    result = evolve(state, dt, n_steps, constants=constants, record_every=record_every)
+    result = evolve(state, dt, n_steps, kappa=kappa, constants=constants,
+                    record_every=record_every)
     header = ["t_s", "norm", "energy_J", "width_m"]
     columns = [result.times, result.norm, result.energy, result.width]
     curves = [(1, 4, "width")]
@@ -555,8 +561,8 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     }
     if p["compare_free"] and kappa != 0.0:
         # the same initial state, evolved without the kernel
-        free = evolve(WaveState(state.grid, state.psi, mass), dt, n_steps,
-                      constants=constants, record_every=record_every)
+        free = evolve(state, dt, n_steps, kappa=0.0, constants=constants,
+                      record_every=record_every)
         header.append("free_width_m")
         columns.append(free.width)
         curves.append((1, 5, "free width"))
@@ -794,7 +800,9 @@ def run(manifest: RunManifest) -> ResultBundle:
     except ManifestError:
         raise
     except (GravlabError, ArithmeticError) as exc:
-        # overflow or division by zero on an extreme but valid input
+        if not isinstance(exc, GravlabError):
+            # overflow or division by zero on an extreme but valid input
+            exc = FloatRangeError(f"{type(exc).__name__}: {exc}")
         error = {"type": type(exc).__name__, "message": str(exc)}
         summary, lines, table = {}, [f"error: {error['type']}: {error['message']}"], None
 

@@ -58,6 +58,11 @@ class NumericalBlowup(GravlabError):
         self.step_index = step_index
 
 
+class FloatRangeError(GravlabError):
+    """Python float arithmetic overflowed or divided by zero on a valid input;
+    the message keeps the Python exception's type and text."""
+
+
 class ManifestError(GravlabError):
     """Run manifest failed schema validation; ``field`` names the offender."""
 

@@ -1,5 +1,9 @@
 """Self-coupled wave equation: states, stationary solvers, evolution, hydrogen.
 
+A ``WaveState`` is its radial amplitude u = sqrt(4 pi) r psi, of norm dr sum |u|^2 = 1.
+``evolve``, ``suggested_dt``, ``validate_step_size`` and ``rayleigh_quotient``
+take the net kernel strength kappa; a state carries no coupling.
+
 scipy is imported inside the functions that call it (the tridiagonal
 eigensolve, the Crank-Nicolson ``?gtsv`` solves), so importing this package
 does not load it; ``tests/test_cli.py`` guards that.
@@ -21,7 +25,6 @@ from .state import (
     gravitational_kernel,
     kernel_integral,
     load_state_csv,
-    self_potential,
     validate_grid_resolution,
     validate_tail,
 )
@@ -44,7 +47,6 @@ __all__ = [
     "kernel_integral",
     "load_state_csv",
     "rayleigh_quotient",
-    "self_potential",
     "stationary_states",
     "suggested_dt",
     "validate_grid_resolution",

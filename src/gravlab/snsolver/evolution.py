@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import NumericalBlowup, StepSizeError
 from ..quantities import CODATA2018, PhysicalConstants
-from .state import WaveState, dirichlet_kinetic_sum, kernel_potential, self_potential
+from .state import WaveState, dirichlet_kinetic_sum, kernel_potential
 
 MAX_PHASE = 1.0   # rad: the largest rotation of the fastest grid mode per step
 
@@ -43,14 +43,15 @@ def free_gaussian_width_squared(sigma0: float, mass: float, t: float,
     return sigma0**2 * (1.0 + (constants.hbar * t / (2.0 * mass * sigma0**2)) ** 2)
 
 
-def suggested_dt(state: WaveState, constants: PhysicalConstants = CODATA2018) -> float:
-    """Largest dt the stability validator accepts for this state and grid."""
+def suggested_dt(state: WaveState, kappa: float,
+                 constants: PhysicalConstants = CODATA2018) -> float:
+    """Largest dt the stability validator accepts for this state, coupling and grid."""
     e_grid = constants.hbar**2 / (2.0 * state.mass * state.grid.spacing**2)
-    e_grid += float(np.max(np.abs(self_potential(state))))
+    e_grid += float(np.max(np.abs(kernel_potential(state.grid, state.u, kappa))))
     return MAX_PHASE * constants.hbar / e_grid
 
 
-def validate_step_size(state: WaveState, dt: float,
+def validate_step_size(state: WaveState, kappa: float, dt: float,
                        constants: PhysicalConstants = CODATA2018) -> None:
     """Reject steps rotating the fastest grid mode by more than MAX_PHASE rad.
 
@@ -59,7 +60,7 @@ def validate_step_size(state: WaveState, dt: float,
     """
     if not dt > 0.0:
         raise StepSizeError(f"dt must be positive, got {dt}")
-    dt_max = suggested_dt(state, constants)
+    dt_max = suggested_dt(state, kappa, constants)
     if dt > dt_max:
         raise StepSizeError(
             f"dt = {dt:.3e} s exceeds the accuracy bound {dt_max:.3e} s for this grid"
@@ -71,10 +72,12 @@ def evolve(
     dt: float,
     n_steps: int,
     *,
+    kappa: float,
     constants: PhysicalConstants = CODATA2018,
     record_every: int = 1,
 ) -> EvolutionResult:
-    """Advance the state n_steps of size dt, recording norm/energy/width.
+    """Advance the state n_steps of size dt under the kernel of net strength
+    kappa (J m; 0 for a free packet), recording norm/energy/width.
 
     The potential used inside each step is the midpoint average of the kernel
     potential before and after a predictor step, so a stationary input state
@@ -85,12 +88,10 @@ def evolve(
 
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    validate_step_size(state, dt, constants)
+    validate_step_size(state, kappa, dt, constants)
 
-    grid = state.grid
-    u = state.amplitude()
+    grid, u = state.grid, state.u
     dx = grid.spacing
-    kappa = state.kappa_total
 
     hbar = constants.hbar
     kin = hbar**2 / (2.0 * state.mass * dx**2)

@@ -28,6 +28,7 @@ from .state import (
     gravitational_kernel,
     kernel_integral,
     radial_density,
+    validate_grid_resolution,
     validate_tail,
 )
 from .stationary import DEFAULT_TOL, MAX_ITER, _eigensolve, _scf_state
@@ -85,6 +86,9 @@ def hydrogen_diagnostic(
     """Ground-state energies with and without kernel self-terms, in eV."""
     a0, hartree = constants.bohr_radius, constants.hartree
     grid = RadialGrid.uniform(r_max_bohr * a0, n_points)
+    # the Coulomb well's kernel length is a0: ask for POINTS_PER_LENGTH per a0
+    validate_grid_resolution(grid, constants.m_e,
+                             [KernelTerm(-constants.e2_coulomb, "Coulomb well")], constants)
     dr = grid.spacing
     coulomb = -constants.e2_coulomb / grid.r   # J
     x, dx, well = grid.r / a0, dr / a0, coulomb / hartree

@@ -1,6 +1,6 @@
-"""Wavefunction states, which are s-waves on a uniform radial grid, kernel
-couplings, and the discrete radial formulas the solvers share: the amplitude
-u = sqrt(4 pi) r psi, its kernel potential and the Dirichlet kinetic sum.
+"""Wavefunction states, s-waves on a uniform radial grid held as the amplitude
+u = sqrt(4 pi) r psi, kernel couplings, and the discrete radial formulas the
+solvers share: the density of u, its kernel potential and the Dirichlet kinetic sum.
 
 The self-interaction is a sum of kernel terms kappa_k * int |psi(x')|^2/|x-x'| d^3x'
 with signed strengths in J*m: kappa = -G m^2 reproduces the gravitational
@@ -77,74 +77,54 @@ class RadialGrid:
         return float(self.r[-1]) + self.spacing
 
 
-def _norm_squared(grid: RadialGrid, psi: np.ndarray) -> float:
-    """int |psi|^2 d^3x = int 4 pi r^2 |psi|^2 dr."""
-    u2 = 4.0 * math.pi * grid.r**2 * np.abs(psi) ** 2
-    # the [0, r_1] sliver integrates r^2*|psi|^2 ~ 0 at the origin
-    return float(np.trapezoid(np.concatenate(([0.0], u2)), np.concatenate(([0.0], grid.r))))
-
-
 @dataclass(frozen=True)
 class WaveState:
-    """A normalized wavefunction on a radial grid, with mass and coupling metadata.
+    """A normalized s-wave on a radial grid, held as its radial amplitude.
 
-    ``psi`` holds the full wavefunction value (no spherical-harmonic factor);
-    the norm is int 4 pi r^2 |psi|^2 dr = 1.  The state carries its kernel
-    couplings, the only potential that ``stationary_states`` and ``evolve``
-    apply to it.
+    ``u`` = sqrt(4 pi) r psi is what every solver evolves, and its norm
+    dr sum |u|^2 = 1 is the inner product they share; ``psi`` is for I/O only.
+    A state carries no coupling: the operators that apply a kernel take it.
     """
 
     grid: RadialGrid
-    psi: np.ndarray
+    u: np.ndarray
     mass: float
-    self_coupling: tuple[KernelTerm, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        psi = np.asarray(self.psi, dtype=complex)
-        if psi.shape != (self.grid.n,):
-            raise ValueError("psi shape must match the grid")
-        if not np.all(np.isfinite(psi.view(float))):
-            raise NormalizationError("psi contains non-finite values")
-        object.__setattr__(self, "psi", psi)
+        u = np.asarray(self.u, dtype=complex)
+        if u.shape != (self.grid.n,):
+            raise ValueError("u shape must match the grid")
+        if not np.all(np.isfinite(u.view(float))):
+            raise NormalizationError("u contains non-finite values")
+        object.__setattr__(self, "u", u)
         norm = self.norm()
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(f"norm = {norm!r}, must be 1 within {NORM_TOL}")
 
     def norm(self) -> float:
-        return _norm_squared(self.grid, self.psi)
-
-    def amplitude(self) -> np.ndarray:
-        """The radial amplitude u = sqrt(4 pi) r psi, which the solvers evolve."""
-        return np.sqrt(4.0 * math.pi) * self.grid.r * self.psi
-
-    @staticmethod
-    def from_amplitude(grid: RadialGrid, u: np.ndarray, mass: float,
-                       self_coupling: Sequence[KernelTerm] = ()) -> "WaveState":
-        """The normalized state psi = u / (sqrt(4 pi) r) of a radial amplitude u of any norm."""
-        return WaveState.normalized(grid, u / (np.sqrt(4.0 * math.pi) * grid.r), mass,
-                                    self_coupling)
+        return self.grid.spacing * float(np.sum(np.abs(self.u) ** 2))
 
     @property
-    def kappa_total(self) -> float:
-        return sum(term.strength for term in self.self_coupling)
+    def psi(self) -> np.ndarray:
+        """The wavefunction psi = u / (sqrt(4 pi) r), for profile I/O."""
+        return self.u / (np.sqrt(4.0 * math.pi) * self.grid.r)
 
     @staticmethod
-    def normalized(grid: RadialGrid, psi: np.ndarray, mass: float,
-                   self_coupling: Sequence[KernelTerm] = ()) -> "WaveState":
-        psi = np.asarray(psi, dtype=complex)
-        n2 = _norm_squared(grid, psi)
+    def normalized(grid: RadialGrid, u: np.ndarray, mass: float) -> "WaveState":
+        """The normalized state of a radial amplitude u of any norm."""
+        u = np.asarray(u, dtype=complex)
+        n2 = grid.spacing * float(np.sum(np.abs(u) ** 2))
         if not n2 > 0.0:
             raise NormalizationError("cannot normalize a zero wavefunction")
-        return WaveState(grid, psi / math.sqrt(n2), mass, tuple(self_coupling))
+        return WaveState(grid, u / math.sqrt(n2), mass)
 
     @staticmethod
-    def gaussian_packet(grid: RadialGrid, sigma: float, mass: float,
-                        self_coupling: Sequence[KernelTerm] = ()) -> "WaveState":
+    def gaussian_packet(grid: RadialGrid, sigma: float, mass: float) -> "WaveState":
         """Packet whose position density has standard deviation sigma per axis."""
-        psi = np.exp(-(grid.r**2) / (4.0 * sigma**2)).astype(complex)
-        return WaveState.normalized(grid, psi, mass, self_coupling)
+        return WaveState.normalized(grid, grid.r * np.exp(-(grid.r**2) / (4.0 * sigma**2)),
+                                    mass)
 
 
 def kernel_integral(r: np.ndarray, density_weight: np.ndarray) -> np.ndarray:
@@ -184,11 +164,6 @@ def dirichlet_kinetic_sum(u: np.ndarray) -> float:
     return float(np.sum(np.abs(edges) ** 2))
 
 
-def self_potential(state: WaveState) -> np.ndarray:
-    """Total self-interaction potential sum_k kappa_k S(r) on the grid, in joules."""
-    return kernel_potential(state.grid, state.amplitude(), state.kappa_total)
-
-
 def validate_grid_resolution(grid: RadialGrid, mass: float,
                              couplings: Sequence[KernelTerm],
                              constants: PhysicalConstants = CODATA2018) -> None:
@@ -217,10 +192,10 @@ def validate_tail(psi: np.ndarray) -> None:
         )
 
 
-def load_state_csv(path, mass: float, self_coupling: Sequence[KernelTerm] = ()) -> WaveState:
+def load_state_csv(path, mass: float) -> WaveState:
     """Read (r, Re psi, Im psi) columns into a normalized radial WaveState."""
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     if data.shape[1] < 3:
         raise ValueError(f"{path}: expected three columns (r, Re psi, Im psi)")
     grid = RadialGrid(data[:, 0])
-    return WaveState.normalized(grid, data[:, 1] + 1j * data[:, 2], mass, self_coupling)
+    return WaveState.normalized(grid, grid.r * (data[:, 1] + 1j * data[:, 2]), mass)

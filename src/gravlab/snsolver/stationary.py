@@ -45,7 +45,7 @@ from .state import (
     WaveState,
     dirichlet_kinetic_sum,
     kernel_integral,
-    self_potential,
+    kernel_potential,
     validate_grid_resolution,
     validate_tail,
 )
@@ -350,9 +350,8 @@ def stationary_states(
             )
         validate_tail(u / grid.r)
 
-        wave = WaveState.from_amplitude(grid, u, mass, couplings)
-        states.append(StationaryState(wave, eps * energy, nodes, residual, method,
-                                      iterations, error))
+        states.append(StationaryState(WaveState.normalized(grid, u, mass), eps * energy,
+                                      nodes, residual, method, iterations, error))
 
     eigenvalues = [s.eigenvalue for s in states]
     if any(e2 <= e1 for e1, e2 in zip(eigenvalues, eigenvalues[1:])):
@@ -360,15 +359,15 @@ def stationary_states(
     return states
 
 
-def rayleigh_quotient(state: WaveState, constants: PhysicalConstants = CODATA2018) -> float:
+def rayleigh_quotient(state: WaveState, kappa: float,
+                      constants: PhysicalConstants = CODATA2018) -> float:
     """<u|H[Phi[state]]|u> / <u|u> for the discrete radial Hamiltonian, in joules.
 
-    H is the kinetic term plus the state's own kernel potential.
+    H is the kinetic term plus the kernel potential of net strength kappa
+    (J m) that the state's own density sets up.
     """
-    u = state.amplitude()
-    potential = self_potential(state)
+    u, density = state.u, np.abs(state.u) ** 2
     kin_scale = constants.hbar**2 / (2.0 * state.mass * state.grid.spacing**2)
     kinetic = kin_scale * dirichlet_kinetic_sum(u)
-    pot = float(np.sum(potential * np.abs(u) ** 2))
-    norm = float(np.sum(np.abs(u) ** 2))
-    return (kinetic + pot) / norm
+    pot = float(np.sum(kernel_potential(state.grid, u, kappa) * density))
+    return (kinetic + pot) / float(np.sum(density))

@@ -172,7 +172,7 @@ def test_criterion_6_evolution_sanity():
     t_final = 2.0 * mass * sigma0**2 / C.hbar
     grid = RadialGrid.uniform(14.0 * sigma0, 512)
     packet = WaveState.gaussian_packet(grid, sigma0, mass)
-    result = evolve(packet, t_final / 1500, 1500, record_every=250)
+    result = evolve(packet, t_final / 1500, 1500, kappa=0.0, record_every=250)
     for i in range(1, result.times.size):
         # an s-wave Gaussian spreads isotropically: <r^2> = 3 sigma^2(t)
         expected = 3.0 * free_gaussian_width_squared(sigma0, mass, float(result.times[i]), C)
@@ -183,8 +183,9 @@ def test_criterion_6_evolution_sanity():
     rgrid = RadialGrid.uniform(50.0 * NATURAL_LENGTH, 2000)
     ground = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=rgrid)[0]
-    stationary = evolve(ground.state, 0.9 * suggested_dt(ground.state, C), 1000,
-                        record_every=200)
+    kappa = gravitational_kernel(MASS, C).strength
+    stationary = evolve(ground.state, 0.9 * suggested_dt(ground.state, kappa, C), 1000,
+                        kappa=kappa, record_every=200)
     assert abs(stationary.norm[-1] - stationary.norm[0]) < 1e-6
     assert abs(stationary.energy[-1] / stationary.energy[0] - 1.0) < 1e-6
     assert abs(stationary.width[-1] / stationary.width[0] - 1.0) < 1e-6

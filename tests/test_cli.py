@@ -339,6 +339,37 @@ def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):
     assert rows[0, 4] == rows[0, 3]   # the free run starts from the loaded state
 
 
+# sn-evolve keeps the stationary solver's grid contract on its initial state
+@pytest.mark.parametrize("argv, message", [
+    # the packet is cut by the wall at r_max = 60 lengths: tail ratio 0.368
+    (["--sigma0", "30", "--compare-free"], "extend r_max"),
+    # the packet fills the box: tail ratio 0.978
+    (["--sigma0", "200"], "extend r_max"),
+    # 9.9e-8 m spacing against a 1.67e-7 m kernel length
+    (["--sigma0", "2", "--compare-free", "--points", "100"], "does not resolve the gravity"),
+], ids=["cut-by-the-wall", "fills-the-box", "unresolved-kernel"])
+def test_sn_evolve_rejects_a_grid_whose_answer_belongs_to_the_box(tmp_path, argv, message):
+    outdir = tmp_path / "out"
+    assert main(["sn-evolve", "--mass", "1e-17", *argv, "--output-dir", str(outdir)]) == 1
+    bundle = json.loads((outdir / "result_bundle.json").read_text())
+    assert bundle["error"]["type"] == "GridError"
+    assert message in bundle["error"]["message"]
+    assert [f["name"] for f in bundle["files"]] == ["manifest.json"]
+
+
+# fewer than 32 points per a0, the Coulomb well's kernel length; these printed
+# -13.1103 eV (3.6% off) and -0.0027 eV with exit 0
+@pytest.mark.parametrize("r_max_bohr", ["40", "1e6"])
+def test_hydrogen_shift_rejects_a_grid_that_does_not_resolve_a0(tmp_path, r_max_bohr):
+    outdir = tmp_path / "out"
+    assert main(["hydrogen-shift", "--r-max-bohr", r_max_bohr, "--points", "100",
+                 "--output-dir", str(outdir)]) == 1
+    bundle = json.loads((outdir / "result_bundle.json").read_text())
+    assert bundle["error"]["type"] == "GridError"
+    assert "Coulomb well" in bundle["error"]["message"]
+    assert [f["name"] for f in bundle["files"]] == ["manifest.json"]
+
+
 # Runs in a fresh interpreter, since pytest's own process has scipy loaded:
 # imports the CLI, runs each argv in turn and reports the scipy modules loaded
 # after each step.

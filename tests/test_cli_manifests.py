@@ -26,7 +26,7 @@ SN_GRID = {"points": 200, "r_max": 30.0, "units": "natural"}
 SI_GRID = {"points": 200, "r_max": 1e-3, "units": "si"}
 
 # one valid, cheap manifest per command; at 200 points the Schrodinger-Newton
-# grids are too coarse for the resolution check, so those end in exit 1
+# and hydrogen grids fail the grid checks, so those end in exit 1
 BASE = {
     "feynman-scale": {},
     "selfenergy": {"shape": {"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
@@ -164,27 +164,35 @@ FAILED = [
     pytest.param(manifest("e-delta", shape_a=GAUSSIAN, monte_carlo=False, method="analytic",
                           shape_b=dict(GAUSSIAN, center_m=[1e-8, 0.0, 0.0])),
                  "CancellationError", id="CancellationError"),
-    # finite, in-range inputs whose numerics overflow or divide by zero
+    # finite, in-range inputs whose numerics overflow or divide by zero; the
+    # message keeps the Python exception's type
     pytest.param(manifest("selfenergy", shape={"kind": "gaussian", "mass_kg": 1.0,
                                                "width_m": 1e300}),
-                 "OverflowError", id="selfenergy:width_m=1e300"),
+                 "FloatRangeError: OverflowError", id="selfenergy:width_m=1e300"),
     pytest.param(manifest("e-delta", shape_a=dict(SPHERE, radius_m=1e-300)),
-                 "ZeroDivisionError", id="e-delta:radius_m=1e-300"),
-    pytest.param(manifest("sn-ground", mass_kg=1e300), "OverflowError",
+                 "FloatRangeError: ZeroDivisionError", id="e-delta:radius_m=1e-300"),
+    # e-delta --shape gaussian --mass 1e300 --width 1e-300 --separation 1
+    pytest.param({"command": "e-delta", "parameters": {
+        "shape_a": dict(GAUSSIAN, mass_kg=1e300, width_m=1e-300),
+        "shape_b": dict(GAUSSIAN, mass_kg=1e300, width_m=1e-300, center_m=[1.0, 0.0, 0.0])}},
+                 "FloatRangeError: OverflowError", id="e-delta:gaussian_mass_kg=1e300"),
+    pytest.param(manifest("sn-ground", mass_kg=1e300), "FloatRangeError: OverflowError",
                  id="sn-ground:mass_kg=1e300"),
-    pytest.param(manifest("sn-evolve", sigma0_natural=1e300), "OverflowError",
+    pytest.param(manifest("sn-evolve", sigma0_natural=1e300), "FloatRangeError: OverflowError",
                  id="sn-evolve:sigma0_natural=1e300"),
-    pytest.param(manifest("hydrogen-shift", r_max_bohr=1e-300), "ZeroDivisionError",
-                 id="hydrogen-shift:r_max_bohr=1e-300"),
+    pytest.param(manifest("hydrogen-shift", r_max_bohr=1e-300),
+                 "FloatRangeError: ZeroDivisionError", id="hydrogen-shift:r_max_bohr=1e-300"),
 ]
 
 
-@pytest.mark.parametrize("payload, error_type", FAILED)
-def test_compute_errors_exit_1_with_a_bundle(tmp_path, payload, error_type):
+@pytest.mark.parametrize("payload, error", FAILED)
+def test_compute_errors_exit_1_with_a_bundle(tmp_path, payload, error):
     code, outdir = run_manifest(tmp_path, payload)
     assert code == 1
     bundle = json.loads((outdir / "result_bundle.json").read_text())
+    error_type, _, cause = error.partition(": ")
     assert bundle["error"]["type"] == error_type
+    assert bundle["error"]["message"].startswith(cause)
     assert [f["name"] for f in bundle["files"]] == ["manifest.json"]
 
 

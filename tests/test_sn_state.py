@@ -8,32 +8,29 @@ import pytest
 from gravlab.errors import GridError, NormalizationError
 from gravlab.quantities import CODATA2018
 from gravlab.snsolver import (
-    KernelTerm,
     RadialGrid,
     WaveState,
     electrostatic_kernel,
     gravitational_kernel,
     kernel_integral,
     load_state_csv,
-    self_potential,
     validate_grid_resolution,
     validate_tail,
 )
+from gravlab.snsolver.state import kernel_potential
 
 
-def thin_shell_state(a: float, width: float, grid: RadialGrid, mass: float,
-                     couplings=()) -> WaveState:
-    psi = np.exp(-((grid.r - a) ** 2) / (2.0 * width**2)) / grid.r
-    return WaveState.normalized(grid, psi, mass, couplings)
+def thin_shell_state(a: float, width: float, grid: RadialGrid, mass: float) -> WaveState:
+    u = np.exp(-((grid.r - a) ** 2) / (2.0 * width**2))
+    return WaveState.normalized(grid, u, mass)
 
 
 def test_thin_shell_potential_matches_shell_theorem():
     # |psi|^2 concentrated at radius a: kappa/a inside, kappa/r outside
     grid = RadialGrid.uniform(20.0, 4000)
     kappa = -2.5
-    state = thin_shell_state(5.0, 0.05, grid, mass=1.0,
-                             couplings=[KernelTerm(kappa, "test")])
-    phi = self_potential(state)
+    state = thin_shell_state(5.0, 0.05, grid, mass=1.0)
+    phi = kernel_potential(grid, state.u, kappa)
     inside = grid.r < 4.0
     outside = grid.r > 6.0
     assert np.allclose(phi[inside], kappa / 5.0, rtol=2e-3)
@@ -45,9 +42,8 @@ def test_hydrogenic_self_interaction_energy():
     c = CODATA2018
     a0 = c.bohr_radius
     grid = RadialGrid.uniform(30.0 * a0, 3000)
-    psi = np.exp(-grid.r / a0)
-    state = WaveState.normalized(grid, psi, c.m_e, [electrostatic_kernel(c)])
-    phi = self_potential(state)
+    state = WaveState.normalized(grid, grid.r * np.exp(-grid.r / a0), c.m_e)
+    phi = kernel_potential(grid, state.u, electrostatic_kernel(c).strength)
     weight = 4.0 * math.pi * grid.r**2 * np.abs(state.psi) ** 2
     expectation = float(np.trapezoid(phi * weight, grid.r))
     assert expectation == pytest.approx(0.625 * c.hartree, rel=1e-3)
@@ -58,7 +54,7 @@ def test_hydrogenic_self_interaction_energy():
 def test_zero_coupling_gives_zero_potential():
     grid = RadialGrid.uniform(10.0, 500)
     state = WaveState.gaussian_packet(grid, 1.0, 1e-20)
-    assert np.all(self_potential(state) == 0.0)
+    assert np.all(kernel_potential(grid, state.u, 0.0) == 0.0)
 
 
 def test_non_normalized_state_rejected():
@@ -111,13 +107,28 @@ def test_kernel_strength_signs():
 def test_state_csv_round_trip(tmp_path):
     grid = RadialGrid.uniform(15.0, 300)
     psi = np.exp(-grid.r) * np.exp(0.5j * grid.r)
-    state = WaveState.normalized(grid, psi, 1e-20)
+    state = WaveState.normalized(grid, grid.r * psi, 1e-20)
     path = tmp_path / "state.csv"
     np.savetxt(path, np.column_stack([grid.r, state.psi.real, state.psi.imag]),
                delimiter=",")
     loaded = load_state_csv(path, mass=1e-20)
     assert loaded.norm() == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(loaded.psi, state.psi, rtol=1e-6)
+
+
+def test_psi_is_the_amplitude_over_sqrt_4_pi_r_and_round_trips_through_csv(tmp_path):
+    grid = RadialGrid.uniform(15.0, 300)
+    psi = np.exp(-grid.r) * np.exp(0.5j * grid.r)
+    state = WaveState.normalized(grid, np.sqrt(4.0 * math.pi) * grid.r * psi, 1e-20)
+    scale = psi[0] / state.psi[0]   # the normalization constant
+    assert np.allclose(state.psi * scale, psi, rtol=1e-14, atol=0.0)
+    path = tmp_path / "state.csv"
+    np.savetxt(path, np.column_stack([grid.r, state.psi.real, state.psi.imag]),
+               delimiter=",", fmt="%.17e")
+    loaded = load_state_csv(path, mass=1e-20)
+    assert loaded.grid.n == grid.n
+    assert np.allclose(loaded.psi, state.psi, rtol=1e-13, atol=0.0)
+    assert np.allclose(loaded.u, state.u, rtol=1e-13, atol=0.0)
 
 
 def test_kernel_integral_matches_scipy_cumulative_trapezoid_bit_for_bit():

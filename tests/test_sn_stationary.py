@@ -90,7 +90,7 @@ def test_five_node_state():
 def test_rayleigh_quotient_consistency():
     states = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=ground_grid(), tol=1e-9)
-    rq = rayleigh_quotient(states[0].state, C)
+    rq = rayleigh_quotient(states[0].state, gravitational_kernel(MASS, C).strength, C)
     assert abs(rq - states[0].eigenvalue) / abs(states[0].eigenvalue) < 1e-8
 
 
