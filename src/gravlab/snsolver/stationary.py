@@ -102,9 +102,8 @@ def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int) -> tupl
 
 def _gaussian_kernel_seed(x: np.ndarray, width: float) -> np.ndarray:
     # kernel integral of a unit-mass Gaussian cloud: erf(x / (sqrt(2) w)) / x
-    from scipy.special import erf
-
-    return erf(x / (math.sqrt(2.0) * width)) / x
+    erf = np.asarray(np.frompyfunc(math.erf, 1, 1)(x / (math.sqrt(2.0) * width)), dtype=float)
+    return erf / x
 
 
 def _scf_state(

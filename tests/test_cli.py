@@ -435,6 +435,17 @@ def test_profile_and_gaussian_monte_carlo_commands_start_without_scipy(tmp_path)
     assert report == expected
 
 
+def test_scf_commands_start_without_scipy_special(tmp_path):
+    # the SCF seed's erf comes from math.erf; the eigensolve needs scipy.linalg only
+    commands = [["sn-ground", "--mass", "1e-17", "--method", "scf"],
+                ["sn-spectrum", "--mass", "1e-17", "--n-states", "2", "--r-max", "120",
+                 "--points", "4000"]]
+    report, _ = _scipy_modules_loaded(tmp_path, commands)
+    assert [code for _, code, _ in report] == [0] * len(report)
+    assert "scipy.linalg" in report[-1][2]
+    assert not [m for _, _, loaded in report for m in loaded if m.startswith("scipy.special")]
+
+
 def test_selfenergy_analytic_on_a_profile_is_no_closed_form(tmp_path):
     csv = tmp_path / "profile.csv"
     csv.write_text("".join(f"{0.25 * i!r},1.0\n" for i in range(9)))
