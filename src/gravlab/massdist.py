@@ -47,6 +47,11 @@ def _as_center(c: Sequence[float]) -> Center:
     return (x, y, z)
 
 
+def erf(x) -> np.ndarray:
+    """``math.erf`` applied elementwise, so no caller needs ``scipy.special``."""
+    return np.asarray(np.frompyfunc(math.erf, 1, 1)(x), dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Shapes
 # ---------------------------------------------------------------------------
@@ -166,8 +171,7 @@ class Gaussian(MassDistribution):
     def enclosed_fraction(self, r):
         # the radial mass CDF of an isotropic Gaussian is a chi(3) law, gammainc(3/2, x)
         x = np.asarray(r, dtype=float) ** 2 / (2.0 * self.width**2)
-        erf = np.asarray(np.frompyfunc(math.erf, 1, 1)(np.sqrt(x)), dtype=float)
-        return erf - 2.0 * np.sqrt(x / math.pi) * np.exp(-x)
+        return erf(np.sqrt(x)) - 2.0 * np.sqrt(x / math.pi) * np.exp(-x)
 
     def knots(self) -> np.ndarray:
         # half-sigma panels: 8-point Gauss-Legendre on each is exact to rounding

@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConvergenceError
+from ..massdist import erf
 from ..quantities import CODATA2018, PhysicalConstants, kernel_length
 from .state import (
     KernelTerm,
@@ -102,8 +103,7 @@ def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int) -> tupl
 
 def _gaussian_kernel_seed(x: np.ndarray, width: float) -> np.ndarray:
     # kernel integral of a unit-mass Gaussian cloud: erf(x / (sqrt(2) w)) / x
-    erf = np.asarray(np.frompyfunc(math.erf, 1, 1)(x / (math.sqrt(2.0) * width)), dtype=float)
-    return erf / x
+    return erf(x / (math.sqrt(2.0) * width)) / x
 
 
 def _scf_state(

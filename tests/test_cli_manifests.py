@@ -26,7 +26,7 @@ SN_GRID = {"points": 200, "r_max": 30.0, "units": "natural"}
 SI_GRID = {"points": 200, "r_max": 1e-3, "units": "si"}
 
 # one valid, cheap manifest per command; at 200 points the Schrodinger-Newton
-# and hydrogen grids fail the grid checks, so those end in exit 1
+# grids are too coarse for the resolution check, so those end in exit 1
 BASE = {
     "feynman-scale": {},
     "selfenergy": {"shape": {"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
@@ -43,9 +43,9 @@ BASE = {
     "sn-spectrum": {"mass_kg": 1e-17, "method": "scf", "n_states": 1, "grid": SN_GRID},
     "sn-evolve": {"mass_kg": 1e-17, "couplings": ["gravity"], "n_steps": 10,
                   "record_every": 5, "sigma0_natural": 2.0, "dt_fraction": 0.9,
-                  "compare_free": True, "grid": {"points": 200, "r_max": 6.0}},
-    "hydrogen-shift": {"electrostatic": True, "gravitational": True, "points": 200,
-                       "r_max_bohr": 30.0},
+                  "compare_free": True, "grid": {"points": 600, "r_max": 18.0}},
+    "hydrogen-shift": {"electrostatic": True, "gravitational": True, "points": 800,
+                       "r_max_bohr": 24.0},
     "collapse-sim": {"n": 1000, "rate_per_s": 1.0, "weights": [0.36, 0.64],
                      "branch_energies_J": [1.0, 2.0], "interference_energy_J": 0.1},
 }

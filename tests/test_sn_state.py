@@ -107,18 +107,6 @@ def test_kernel_strength_signs():
 def test_state_csv_round_trip(tmp_path):
     grid = RadialGrid.uniform(15.0, 300)
     psi = np.exp(-grid.r) * np.exp(0.5j * grid.r)
-    state = WaveState.normalized(grid, grid.r * psi, 1e-20)
-    path = tmp_path / "state.csv"
-    np.savetxt(path, np.column_stack([grid.r, state.psi.real, state.psi.imag]),
-               delimiter=",")
-    loaded = load_state_csv(path, mass=1e-20)
-    assert loaded.norm() == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(loaded.psi, state.psi, rtol=1e-6)
-
-
-def test_psi_is_the_amplitude_over_sqrt_4_pi_r_and_round_trips_through_csv(tmp_path):
-    grid = RadialGrid.uniform(15.0, 300)
-    psi = np.exp(-grid.r) * np.exp(0.5j * grid.r)
     state = WaveState.normalized(grid, np.sqrt(4.0 * math.pi) * grid.r * psi, 1e-20)
     scale = psi[0] / state.psi[0]   # the normalization constant
     assert np.allclose(state.psi * scale, psi, rtol=1e-14, atol=0.0)
@@ -127,6 +115,7 @@ def test_psi_is_the_amplitude_over_sqrt_4_pi_r_and_round_trips_through_csv(tmp_p
                delimiter=",", fmt="%.17e")
     loaded = load_state_csv(path, mass=1e-20)
     assert loaded.grid.n == grid.n
+    assert loaded.norm() == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(loaded.psi, state.psi, rtol=1e-13, atol=0.0)
     assert np.allclose(loaded.u, state.u, rtol=1e-13, atol=0.0)
 
