@@ -542,6 +542,8 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
 
     result = evolve(state, dt, n_steps, kappa=kappa, constants=constants,
                     record_every=record_every)
+    # a packet that reaches the wall during the run has widths that belong to the box
+    validate_tail(result.final_u / state.grid.r)
     header = ["t_s", "norm", "energy_J", "width_m"]
     columns = [result.times, result.norm, result.energy, result.width]
     curves = [(1, 4, "width")]
@@ -563,6 +565,7 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
         # the same initial state, evolved without the kernel
         free = evolve(state, dt, n_steps, kappa=0.0, constants=constants,
                       record_every=record_every)
+        validate_tail(free.final_u / state.grid.r)
         header.append("free_width_m")
         columns.append(free.width)
         curves.append((1, 5, "free width"))

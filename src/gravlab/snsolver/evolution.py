@@ -3,9 +3,11 @@
 Each step is a Crank-Nicolson solve (exactly unitary for the frozen midpoint
 Hamiltonian); the kernel potential is refreshed with one predictor-corrector
 pass per step, which keeps the scheme second order in dt.  Each tridiagonal
-system goes straight to LAPACK ``?gtsv``.  Without a kernel the matrix never
-changes, so it is factored once with ``?gttrf`` and each step is a ``?gttrs``
-solve, which gives the same bits as a ``?gtsv`` solve per step.
+system goes straight to LAPACK ``zgtsv`` (from numpy's OpenBLAS, see
+``_lapack``).  Without a kernel the matrix never changes, so it is factored
+once with ``zgttrf`` and each step is a ``zgttrs`` solve, which gives the same
+bits as a ``zgtsv`` solve per step.  ``EvolutionResult.final_u`` lets a caller
+check the last state against the wall.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ MAX_PHASE = 1.0   # rad: the largest rotation of the fastest grid mode per step
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Per-step observables.
+    """Per-step observables and the amplitude u after the last step.
 
     ``energy`` is the conserved functional kinetic + (1/2) self-interaction;
     the 1/2 compensates the kernel's double counting.  ``evolve`` has no
@@ -35,6 +37,7 @@ class EvolutionResult:
     norm: np.ndarray
     energy: np.ndarray
     width: np.ndarray
+    final_u: np.ndarray
 
 
 def free_gaussian_width_squared(sigma0: float, mass: float, t: float,
@@ -83,8 +86,7 @@ def evolve(
     potential before and after a predictor step, so a stationary input state
     (whose density does not move) sees an effectively frozen Hamiltonian.
     """
-    from scipy.linalg import LinAlgError
-    from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+    from ._lapack import gtsv, gttrf, gttrs   # here, as in ``_eigensolve``
 
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -98,10 +100,6 @@ def evolve(
     lam = 1j * dt / (2.0 * hbar)
     lam_off = lam * np.full(u.size - 1, -kin)
 
-    def check(info: int, routine: str) -> None:
-        if info != 0:   # > 0: an exactly zero pivot; < 0: an illegal argument
-            raise LinAlgError(f"{routine} failed with info = {info}")
-
     def explicit_half(u_in: np.ndarray, lam_diag: np.ndarray) -> np.ndarray:
         rhs = (1.0 - lam_diag) * u_in
         rhs[:-1] -= lam_off * u_in[1:]
@@ -110,10 +108,7 @@ def evolve(
 
     def cn_solve(u_in: np.ndarray, potential: np.ndarray) -> np.ndarray:
         lam_diag = lam * (2.0 * kin + potential)
-        *_, u_out, info = zgtsv(lam_off, 1.0 + lam_diag, lam_off, explicit_half(u_in, lam_diag),
-                                overwrite_d=1, overwrite_b=1)
-        check(info, "zgtsv")
-        return u_out
+        return gtsv(lam_off, 1.0 + lam_diag, lam_off, explicit_half(u_in, lam_diag))
 
     def observables(u_now: np.ndarray, phi_now: np.ndarray) -> tuple[float, float, float]:
         dens = np.abs(u_now) ** 2
@@ -132,8 +127,7 @@ def evolve(
     phi = kernel_potential(grid, u, kappa)
     if kappa == 0.0:   # phi stays zero, so one factorization serves every step
         free_lam_diag = lam * (2.0 * kin + phi)
-        *factors, info = zgttrf(lam_off, 1.0 + free_lam_diag, lam_off)
-        check(info, "zgttrf")
+        factors = gttrf(lam_off, 1.0 + free_lam_diag, lam_off)
     times[0], (norms[0], energies[0], widths[0]) = 0.0, observables(u, phi)
     rec = 1
     for step in range(1, n_steps + 1):
@@ -143,8 +137,7 @@ def evolve(
             u = cn_solve(u, phi_mid)
             phi = kernel_potential(grid, u, kappa)
         else:
-            u, info = zgttrs(*factors, explicit_half(u, free_lam_diag), overwrite_b=1)
-            check(info, "zgttrs")
+            u = gttrs(factors, explicit_half(u, free_lam_diag))
         if not np.all(np.isfinite(u.view(float))):
             raise NumericalBlowup(f"non-finite amplitudes after step {step}", step)
         if step % record_every == 0 or step == n_steps:
@@ -152,4 +145,4 @@ def evolve(
             norms[rec], energies[rec], widths[rec] = observables(u, phi)
             rec += 1
 
-    return EvolutionResult(times[:rec], norms[:rec], energies[:rec], widths[:rec])
+    return EvolutionResult(times[:rec], norms[:rec], energies[:rec], widths[:rec], u)

@@ -88,17 +88,16 @@ def count_nodes(u: np.ndarray) -> int:
 
 
 def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    from scipy.linalg import eigh_tridiagonal
+    from ._lapack import eigenpair   # here, so that commands without an SN solve never load it
 
     diag = 1.0 / dx**2 + potential
     off = np.full(x.size - 1, -0.5 / dx**2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(k, k))
-    u = vecs[:, 0]
+    eps, u = eigenpair(diag, off, k)
     u = u / math.sqrt(dx * float(np.dot(u, u)))
     first = np.nonzero(np.abs(u) > 0.01 * np.abs(u).max())[0][0]
     if u[first] < 0:
         u = -u
-    return float(vals[0]), u
+    return eps, u
 
 
 def _gaussian_kernel_seed(x: np.ndarray, width: float) -> np.ndarray:

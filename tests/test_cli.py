@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gravlab
@@ -289,8 +290,6 @@ def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):
 
 
 def test_sn_evolve_accepts_initial_state_csv(tmp_path):
-    import numpy as np
-
     r = np.linspace(1e-9, 400e-9, 400)
     psi = np.exp(-((r - 1e-7) ** 2) / (2.0 * (4e-8) ** 2))
     csv_path = tmp_path / "initial.csv"
@@ -321,8 +320,6 @@ def test_sn_evolve_free_width_meets_its_closed_form_at_readme_arguments(tmp_path
 
 
 def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):
-    import numpy as np
-
     r = np.linspace(1e-9, 400e-9, 400)
     psi = np.exp(-((r - 1e-7) ** 2) / (2.0 * (4e-8) ** 2))
     csv_path = tmp_path / "initial.csv"
@@ -339,7 +336,7 @@ def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):
     assert rows[0, 4] == rows[0, 3]   # the free run starts from the loaded state
 
 
-# sn-evolve keeps the stationary solver's grid contract on its initial state
+# sn-evolve keeps the stationary solver's grid contract on its initial and final states
 @pytest.mark.parametrize("argv, message", [
     # the packet is cut by the wall at r_max = 60 lengths: tail ratio 0.368
     (["--sigma0", "30", "--compare-free"], "extend r_max"),
@@ -347,7 +344,11 @@ def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):
     (["--sigma0", "200"], "extend r_max"),
     # 9.9e-8 m spacing against a 1.67e-7 m kernel length
     (["--sigma0", "2", "--compare-free", "--points", "100"], "does not resolve the gravity"),
-], ids=["cut-by-the-wall", "fills-the-box", "unresolved-kernel"])
+    # starts inside the box and spreads to the wall: final tail ratio 9.4e-3; this
+    # printed a free width 45% below its closed form, and inhibited true, with exit 0
+    (["--sigma0", "1", "--r-max", "10", "--points", "320", "--n-steps", "8000",
+      "--compare-free"], "extend r_max"),
+], ids=["cut-by-the-wall", "fills-the-box", "unresolved-kernel", "reaches-the-wall-late"])
 def test_sn_evolve_rejects_a_grid_whose_answer_belongs_to_the_box(tmp_path, argv, message):
     outdir = tmp_path / "out"
     assert main(["sn-evolve", "--mass", "1e-17", *argv, "--output-dir", str(outdir)]) == 1
@@ -435,15 +436,20 @@ def test_profile_and_gaussian_monte_carlo_commands_start_without_scipy(tmp_path)
     assert report == expected
 
 
-def test_scf_commands_start_without_scipy_special(tmp_path):
-    # the SCF seed's erf comes from math.erf; the eigensolve needs scipy.linalg only
-    commands = [["sn-ground", "--mass", "1e-17", "--method", "scf"],
-                ["sn-spectrum", "--mass", "1e-17", "--n-states", "2", "--r-max", "120",
-                 "--points", "4000"]]
-    report, _ = _scipy_modules_loaded(tmp_path, commands)
-    assert [code for _, code, _ in report] == [0] * len(report)
-    assert "scipy.linalg" in report[-1][2]
-    assert not [m for _, _, loaded in report for m in loaded if m.startswith("scipy.special")]
+# numpy wheels built against scipy-openblas ship the LAPACK that snsolver/_lapack.py binds
+@pytest.mark.skipif(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas",
+    reason="this numpy ships no scipy-openblas64 library; the SN commands use scipy.linalg")
+def test_sn_commands_start_without_scipy(tmp_path):
+    commands = [
+        ["sn-ground", "--mass", "1e-17", "--method", "scf"],
+        ["sn-spectrum", "--mass", "1e-17", "--n-states", "2", "--r-max", "120",
+         "--points", "4000"],
+        ["sn-evolve", "--mass", "1e-17", "--sigma0", "2", "--compare-free"],
+        ["hydrogen-shift"],
+    ]
+    report, expected = _scipy_modules_loaded(tmp_path, commands)
+    assert report == expected
 
 
 def test_selfenergy_analytic_on_a_profile_is_no_closed_form(tmp_path):
