@@ -487,6 +487,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
                                "scale_system": manifest.scale_system.upper()},
                 "residual": s.residual,
                 "iterations": s.iterations,
+                "full_eigensolves": s.full_eigensolves,
                 "discretization_error": s.discretization_error,
                 "method": s.method,
             }

@@ -1,9 +1,10 @@
-"""The five LAPACK routines of the SN solvers, bound from numpy's own OpenBLAS.
+"""The six LAPACK routines of the SN solvers, bound from numpy's own OpenBLAS.
 
 numpy's wheels ship and load ``libscipy_openblas64_``, which exports the
 ILP64 LAPACK as ``scipy_<routine>_64_``.  This module calls ``dstebz`` and
-``dstein`` (one eigenpair of a symmetric tridiagonal matrix) and ``zgtsv``,
-``zgttrf`` and ``zgttrs`` (the Crank-Nicolson solves) there through ctypes,
+``dstein`` (one eigenpair of a symmetric tridiagonal matrix), ``dgtsv`` (the
+SCF's warm-started Rayleigh-quotient steps) and ``zgtsv``, ``zgttrf`` and
+``zgttrs`` (the Crank-Nicolson solves) there through ctypes,
 with 64-bit integers and gfortran's hidden ``size_t`` lengths of character
 arguments.  That spares every SN command a cold ``import scipy.linalg``.
 
@@ -28,8 +29,8 @@ _LIBRARY_GLOBS = (("..", "numpy.libs", "libscipy_openblas64_*"),
                   (".dylibs", "libscipy_openblas64_*"))
 # each routine's pointer arguments, then its character arguments' lengths (gfortran's
 # hidden size_t ones)
-_SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "zgtsv": (8, 0), "zgttrf": (7, 0),
-               "zgttrs": (11, 1)}
+_SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "zgtsv": (8, 0),
+               "zgttrf": (7, 0), "zgttrs": (11, 1)}
 _int = ctypes.c_int64   # LAPACK's INTEGER in this ILP64 build
 _LEN1 = 1               # the length of every character argument passed here
 
@@ -42,7 +43,7 @@ def _library_paths() -> list[str]:
 
 @functools.cache
 def _openblas() -> dict[str, ctypes._CFuncPtr] | None:
-    """The five routines from numpy's bundled OpenBLAS, or None where it lacks them."""
+    """The six routines from numpy's bundled OpenBLAS, or None where it lacks them."""
     for path in _library_paths():
         try:
             lib = ctypes.CDLL(path)
@@ -130,25 +131,28 @@ def eigenpair(diag: np.ndarray, off: np.ndarray, k: int) -> tuple[float, np.ndar
 
 
 def gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution x of the complex tridiagonal system (dl, d, du) x = b (``zgtsv``).
+    """Solution x of the tridiagonal system (dl, d, du) x = b: ``dgtsv`` when all
+    four are real, ``zgtsv`` when one is complex.
 
-    ``d`` and ``b`` are overwritten when they are contiguous complex128 arrays;
-    ``dl`` and ``du`` are left as they are.
+    ``d`` and ``b`` are overwritten when they are contiguous arrays of the
+    routine's dtype; ``dl`` and ``du`` are left as they are.
     """
+    dtype = complex if any(np.iscomplexobj(a) for a in (dl, d, du, b)) else float
+    routine = "zgtsv" if dtype is complex else "dgtsv"
     lapack = _openblas()
     if lapack is None:
-        from scipy.linalg.lapack import zgtsv
+        from scipy.linalg import lapack as scipy_lapack
 
-        *_, x, info = zgtsv(dl, d, du, b, overwrite_d=1, overwrite_b=1)
-        _check(info, "zgtsv")
+        *_, x, info = getattr(scipy_lapack, routine)(dl, d, du, b, overwrite_d=1, overwrite_b=1)
+        _check(info, routine)
         return x
 
-    dl, du = np.array(dl, dtype=complex), np.array(du, dtype=complex)   # zgtsv overwrites them
-    d, b = _own(d, complex), _own(b, complex)
+    dl, du = np.array(dl, dtype=dtype), np.array(du, dtype=dtype)   # gtsv overwrites them
+    d, b = _own(d, dtype), _own(b, dtype)
     n, info = _int(_order(d, dl, du, b)), _int()
-    lapack["zgtsv"](_ref(n), _ref(_int(1)), _ref(dl), _ref(d), _ref(du), _ref(b), _ref(n),
+    lapack[routine](_ref(n), _ref(_int(1)), _ref(dl), _ref(d), _ref(du), _ref(b), _ref(n),
                     _ref(info))
-    _check(info.value, "zgtsv")
+    _check(info.value, routine)
     return b
 
 

@@ -93,7 +93,7 @@ def hydrogen_diagnostic(
     coulomb = -constants.e2_coulomb / grid.r   # J
     x, dx, well = grid.r / a0, dr / a0, coulomb / hartree
 
-    eps0, u = _eigensolve(x, dx, well, 0)
+    eps0, u, _ = _eigensolve(x, dx, well, 0)
     validate_tail(u / grid.r)
     e0_ev = eps0 * hartree / EV
 

@@ -7,8 +7,11 @@ state).  They are independent and cross-checked against each other:
   tridiagonal eigenproblem in a frozen potential, rebuild the kernel potential
   from the resulting density, Anderson-mix it with the last few iterates
   (Walker & Ni, SIAM J. Numer. Anal. 49, 1715 (2011)), repeat until the
-  potential reproduces itself.  ``hydrogen.py`` runs the same core on its
-  Coulomb well.
+  potential reproduces itself.  The first iterate's eigenpair comes from
+  bisection and inverse iteration; each later one from Rayleigh-quotient
+  iteration warm-started at the last profile, one tridiagonal solve a step,
+  with the full eigensolve as fallback unless it lands on k nodes.
+  ``hydrogen.py`` runs the same core on its Coulomb well.
 * ``method="shooting"``: integrate the coupled ODE pair (radial wave equation
   plus the radial equation for the kernel potential) outward by a plain RK4
   and bisect on the eigenvalue until the solution has the requested node
@@ -52,7 +55,9 @@ from .state import (
 )
 
 DEFAULT_TOL = 1e-8
-MAX_ITER = 500       # cap on SCF eigensolves per state
+MAX_ITER = 500       # cap on SCF iterates per state
+RQI_MAX_SOLVES = 6   # cap on the tridiagonal solves of a warm-started eigensolve
+RQI_RESIDUAL = 1e-12  # |Hu - sigma u| / (|H| |u|) after which one more solve ends it
 DAMPING = 0.5        # SCF potential mixing fraction
 ANDERSON_DEPTH = 5   # SCF iterates whose defect differences the Anderson step combines
 SHOOTING_STEP = 0.016   # RK4 step h of the shooting route, solved at h and 2h
@@ -69,10 +74,11 @@ class StationaryState:
     node_count: int
     residual: float          # dimensionless self-consistency defect
     method: str = "scf"
-    iterations: int | None = None   # SCF eigensolves; None for shooting
+    iterations: int | None = None   # SCF iterates; None for shooting
     # J; shooting's |eps_h - eps_2h|/15, the bar of eps_h, which overstates the error of
     # the Richardson-combined ``eigenvalue``; None for SCF
     discretization_error: float | None = None
+    full_eigensolves: int | None = None   # SCF: the first iterate's and each fallback's
 
 
 def count_nodes(u: np.ndarray) -> int:
@@ -87,17 +93,57 @@ def count_nodes(u: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int,
+                start: np.ndarray | None = None) -> tuple[float, np.ndarray, bool]:
+    """Eigenvalue and unit-norm profile of the k-node state of -u''/2 + potential u, and
+    whether the full eigensolve (bisection and inverse iteration) ran: it runs where no
+    nearby ``start`` profile is given or ``_rayleigh_iteration`` from it fails."""
     from ._lapack import eigenpair   # here, so that commands without an SN solve never load it
 
     diag = 1.0 / dx**2 + potential
     off = np.full(x.size - 1, -0.5 / dx**2)
-    eps, u = eigenpair(diag, off, k)
+    pair = None if start is None else _rayleigh_iteration(diag, off, start, k)
+    eps, u = pair or eigenpair(diag, off, k)
     u = u / math.sqrt(dx * float(np.dot(u, u)))
     first = np.nonzero(np.abs(u) > 0.01 * np.abs(u).max())[0][0]
     if u[first] < 0:
         u = -u
-    return eps, u
+    return eps, u, pair is None
+
+
+def _rayleigh_iteration(diag: np.ndarray, off: np.ndarray, u: np.ndarray,
+                        k: int) -> tuple[float, np.ndarray] | None:
+    """The k-node eigenpair of the symmetric tridiagonal (diag, off) by Rayleigh-quotient
+    iteration from ``u`` (Parlett, The Symmetric Eigenvalue Problem, ch. 4), or None.
+
+    Each step solves (H - sigma) v = u once, sigma the Rayleigh quotient of u.  It
+    ends after the solve that follows a residual |Hu - sigma u| below
+    ``RQI_RESIDUAL`` |H| |u|, some thousand times the rounding floor, and fails
+    after ``RQI_MAX_SOLVES`` solves, on a singular or overflowing solve, or on a
+    vector without k nodes: inverse iteration can slide to a neighbouring state.
+    """
+    from ._lapack import gtsv
+
+    bound = RQI_RESIDUAL * float(np.abs(diag).max() + 2.0 * np.abs(off).max())   # >= |H|
+    u = u / np.linalg.norm(u)
+    for _ in range(RQI_MAX_SOLVES):
+        hu = diag * u
+        hu[:-1] += off * u[1:]
+        hu[1:] += off * u[:-1]
+        sigma = float(np.dot(u, hu))
+        converged = float(np.linalg.norm(hu - sigma * u)) < bound
+        try:
+            v = gtsv(off, diag - sigma, off, u.copy())   # it overwrites its right-hand side
+        except np.linalg.LinAlgError:   # sigma is an eigenvalue to the last bit
+            return None
+        scale = float(np.linalg.norm(v))
+        if not math.isfinite(scale):
+            return None
+        v = v / scale
+        if converged:   # eps = v'Hv / v'v = sigma + v'u / v'v, as (H - sigma) v = u
+            return (sigma + float(np.dot(v, u)) / scale, v) if count_nodes(v) == k else None
+        u = v
+    return None
 
 
 def _gaussian_kernel_seed(x: np.ndarray, width: float) -> np.ndarray:
@@ -114,19 +160,26 @@ def _scf_state(
     k: int,
     tol: float,
     max_iter: int,
-) -> tuple[float, np.ndarray, float, int]:
-    """Eigenvalue, unit-norm profile, residual and eigensolve count of the k-node
-    state of -u''/2 + (well + phi) u with phi = coupling S[u^2], iterated from ``phi``."""
+) -> tuple[float, np.ndarray, float, int, int]:
+    """Eigenvalue, unit-norm profile, residual, iteration count and full-eigensolve
+    count of the k-node state of -u''/2 + (well + phi) u with phi = coupling S[u^2],
+    iterated from ``phi``.  Each iterate after the first starts its eigensolve
+    from the last one's profile, and keeps its eigenpair where the potential
+    did not move by a bit."""
     history: list[float] = []
     recent: list[tuple[np.ndarray, np.ndarray]] = []   # (phi, defect) of the last iterates
+    potential, u, full_solves = None, None, 0
     for _ in range(max_iter):
-        eps, u = _eigensolve(x, dx, well + phi, k)
+        if potential is None or not np.array_equal(well + phi, potential):
+            potential = well + phi
+            eps, u, full = _eigensolve(x, dx, potential, k, u)
+            full_solves += full
         phi_new = coupling * kernel_integral(x, u * u)
         defect = phi_new - phi
         residual = float(np.abs(defect).max()) / (float(np.abs(phi_new).max()) + 1e-300)
         history.append(residual)
         if residual < tol:
-            return eps, u, residual, len(history)
+            return eps, u, residual, len(history), full_solves
         recent = recent[-ANDERSON_DEPTH:] + [(phi, defect)]
         phi = phi + DAMPING * defect
         if len(recent) > 1:
@@ -333,9 +386,9 @@ def stationary_states(
 
     states: list[StationaryState] = []
     for k in range(n_states):
-        iterations = error = None
+        iterations = full_eigensolves = error = None
         if method == "scf":
-            eps, u, residual, iterations = _scf_state(
+            eps, u, residual, iterations, full_eigensolves = _scf_state(
                 x, dx, np.zeros_like(x), -1.0, -_gaussian_kernel_seed(x, 2.0), k, tol, max_iter)
         else:
             eps, u, residual, error = _shoot_state(x, k)
@@ -349,7 +402,8 @@ def stationary_states(
         validate_tail(u / grid.r)
 
         states.append(StationaryState(WaveState.normalized(grid, u, mass), eps * energy,
-                                      nodes, residual, method, iterations, error))
+                                      nodes, residual, method, iterations, error,
+                                      full_eigensolves))
 
     eigenvalues = [s.eigenvalue for s in states]
     if any(e2 <= e1 for e1, e2 in zip(eigenvalues, eigenvalues[1:])):

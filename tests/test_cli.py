@@ -221,7 +221,7 @@ def test_sn_ground_reports_the_eigenvalue_in_the_chosen_scale(tmp_path, scale_sy
 
 
 def test_sn_states_record_the_scf_iteration_count(tmp_path):
-    counts = {}
+    counts, full_counts = {}, {}
     for method in ("scf", "shooting"):
         run(manifest_for("sn-ground", {
             "mass_kg": 1e-17, "method": method,
@@ -229,8 +229,19 @@ def test_sn_states_record_the_scf_iteration_count(tmp_path):
         }, tmp_path / method))
         summary = json.loads((tmp_path / method / "sn_ground.json").read_text())
         counts[method] = summary["states"][0]["iterations"]
+        full_counts[method] = summary["states"][0]["full_eigensolves"]
     assert isinstance(counts["scf"], int) and 1 < counts["scf"] <= 25
-    assert counts["shooting"] is None
+    assert isinstance(full_counts["scf"], int) and 1 <= full_counts["scf"] < counts["scf"]
+    assert counts["shooting"] is None and full_counts["shooting"] is None
+
+
+def test_sn_spectrum_needs_at_most_three_full_eigensolves_per_state(tmp_path):
+    # the README arguments: the first iterate and at most two warm-start fallbacks
+    assert main(["sn-spectrum", "--mass", "1e-17", "--n-states", "3", "--r-max", "250",
+                 "--points", "8000", "--output-dir", str(tmp_path)]) == 0
+    states = json.loads((tmp_path / "sn_spectrum.json").read_text())["states"]
+    assert [state["node_count"] for state in states] == [0, 1, 2]
+    assert all(1 <= state["full_eigensolves"] <= 3 for state in states)
 
 
 def test_sn_ground_both_methods_cross_check_and_rerun(tmp_path):

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
+from scipy.linalg.lapack import dgtsv, zgtsv, zgttrf, zgttrs
 
 from gravlab.quantities import CODATA2018 as C
 from gravlab.quantities import kernel_length
-from gravlab.snsolver import RadialGrid, WaveState, evolve, gravitational_kernel, suggested_dt
+from gravlab.snsolver import (RadialGrid, WaveState, evolve, gravitational_kernel,
+                              stationary_states, suggested_dt)
 from gravlab.snsolver import _lapack
-from gravlab.snsolver.stationary import _eigensolve, _gaussian_kernel_seed
+from gravlab.snsolver.stationary import _gaussian_kernel_seed
 
 # numpy wheels built against scipy-openblas ship the library that _lapack binds
 needs_openblas = pytest.mark.skipif(
@@ -19,21 +20,16 @@ needs_openblas = pytest.mark.skipif(
     reason="this numpy ships no scipy-openblas64 library")
 
 
-def scf_potential(n: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Grid, spacing and potential of the SCF's first eigensolve on r_max = 250 lengths."""
-    x = RadialGrid.uniform(250.0, n).r
-    return x, float(x[1] - x[0]), -_gaussian_kernel_seed(x, 2.0)
-
-
 def scf_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the matrix ``_eigensolve`` builds from ``scf_potential``."""
-    _, dx, potential = scf_potential(n)
-    return 1.0 / dx**2 + potential, np.full(n - 1, -0.5 / dx**2)
+    """Diagonal and off-diagonal of the SCF's first eigensolve on r_max = 250 lengths."""
+    x = RadialGrid.uniform(250.0, n).r
+    dx = float(x[1] - x[0])
+    return 1.0 / dx**2 - _gaussian_kernel_seed(x, 2.0), np.full(n - 1, -0.5 / dx**2)
 
 
-def random_tridiagonal(n: int, seed: int) -> list[np.ndarray]:
+def random_tridiagonal(n: int, seed: int, real: bool = False) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    dl, d, du, b = (rng.normal(size=size) + 1j * rng.normal(size=size)
+    dl, d, du, b = (rng.normal(size=size) + (0.0 if real else 1j * rng.normal(size=size))
                     for size in (n - 1, n, n - 1, n))
     return [dl, d, du, b]
 
@@ -69,6 +65,17 @@ def test_tridiagonal_solves_match_scipys_bit_for_bit(seed):
     assert np.array_equal(_lapack.gttrs(_lapack.gttrf(dl, d, du), b.copy()), expected)
 
 
+@needs_openblas
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_tridiagonal_solves_match_scipys_dgtsv_bit_for_bit(seed):
+    dl, d, du, b = random_tridiagonal(500, seed, real=True)
+    *_, expected, info = dgtsv(dl, d, du, b)
+    assert info == 0
+    x = _lapack.gtsv(dl, d.copy(), du, b.copy())
+    assert x.dtype == np.float64
+    assert np.array_equal(x, expected)
+
+
 def test_gtsv_leaves_the_off_diagonals_as_they_are():
     dl, d, du, b = random_tridiagonal(50, 3)
     kept = dl.copy(), du.copy()
@@ -88,6 +95,8 @@ def test_a_singular_system_raises_lin_alg_error():
     # scipy's LinAlgError is numpy's, so callers that catch either still catch it
     zero = [np.zeros(7), np.zeros(8), np.zeros(7)]
     with pytest.raises(LinAlgError, match="zgtsv failed with info = 1"):
+        _lapack.gtsv(*zero, np.ones(8, dtype=complex))
+    with pytest.raises(LinAlgError, match="dgtsv failed with info = 1"):
         _lapack.gtsv(*zero, np.ones(8))
     with pytest.raises(LinAlgError, match="zgttrf failed with info = 1"):
         _lapack.gttrf(*zero)
@@ -106,12 +115,14 @@ def evolution_bits(coupled: bool) -> list[np.ndarray]:
 
 @needs_openblas
 def test_the_scipy_fallback_gives_the_ctypes_paths_bits(monkeypatch):
-    # the eigensolve (stebz + stein), the coupled evolution (gtsv) and the
+    # an SCF spectrum at the README's sn-spectrum size (stebz + stein, then
+    # warm-started dgtsv steps), the coupled evolution (zgtsv) and the
     # kernel-free one (gttrf + gttrs), with the library lookup finding nothing
-    x, dx, potential = scf_potential(2400)
+    grid = RadialGrid.uniform(250.0 * kernel_length(MASS, C.G * MASS**2, C), 8000)
 
     def run() -> tuple[list, list]:
-        return ([_eigensolve(x, dx, potential, k) for k in (0, 1, 2)],
+        states = stationary_states(MASS, [gravitational_kernel(MASS, C)], 3, grid=grid)
+        return ([(s.eigenvalue, s.state.u, s.iterations, s.full_eigensolves) for s in states],
                 [evolution_bits(coupled) for coupled in (True, False)])
 
     bound = run()
@@ -123,9 +134,10 @@ def test_the_scipy_fallback_gives_the_ctypes_paths_bits(monkeypatch):
     finally:
         _lapack._openblas.cache_clear()
 
-    (pairs, runs), (pairs_fb, runs_fb) = bound, fallback
-    for (eps, u), (eps_fb, u_fb) in zip(pairs, pairs_fb):
+    (states, runs), (states_fb, runs_fb) = bound, fallback
+    for (eps, u, *counts), (eps_fb, u_fb, *counts_fb) in zip(states, states_fb):
         assert eps == eps_fb
         assert np.array_equal(u, u_fb)
+        assert counts == counts_fb
     for bits, bits_fb in zip(runs, runs_fb):
         assert all(np.array_equal(a, b) for a, b in zip(bits, bits_fb))

@@ -17,10 +17,17 @@ from gravlab.snsolver import (
     rayleigh_quotient,
     stationary_states,
 )
+from gravlab.snsolver.state import kernel_integral
 from gravlab.snsolver.stationary import (
+    ANDERSON_DEPTH,
+    DAMPING,
+    DEFAULT_TOL,
+    MAX_ITER,
     SHOOTING_STEP,
     _eigensolve,
+    _gaussian_kernel_seed,
     _integrate_batch,
+    _scf_state,
     _shoot_at_step,
 )
 
@@ -98,8 +105,69 @@ def test_harmonic_oscillator_reduction():
     # -u''/2 + x^2 u/2 in oscillator units: s-state eigenvalues 2 n_r + 3/2
     grid = RadialGrid.uniform(14.0, 1400)
     for n_r in range(3):
-        eps, _ = _eigensolve(grid.r, grid.spacing, 0.5 * grid.r**2, n_r)
+        eps = _eigensolve(grid.r, grid.spacing, 0.5 * grid.r**2, n_r)[0]
         assert eps == pytest.approx(2 * n_r + 1.5, rel=1e-4)
+
+
+def scf(x: np.ndarray, dx: float, k: int, tol: float = DEFAULT_TOL) -> tuple:
+    """``_scf_state`` of the k-node self-bound state, from the seed ``stationary_states`` uses."""
+    return _scf_state(x, dx, np.zeros_like(x), -1.0, -_gaussian_kernel_seed(x, 2.0), k, tol,
+                      MAX_ITER)
+
+
+def reference_scf(x: np.ndarray, dx: float, k: int, tol: float) -> tuple[float, np.ndarray, int]:
+    """``_scf_state`` with the full eigensolve at every iterate: the cold route
+    that the warm-started eigensolves must reproduce.  Eigenvalue, profile and
+    iteration count."""
+    phi = -_gaussian_kernel_seed(x, 2.0)
+    recent: list[tuple[np.ndarray, np.ndarray]] = []
+    for iteration in range(1, MAX_ITER + 1):
+        eps, u, _ = _eigensolve(x, dx, phi, k)
+        phi_new = -kernel_integral(x, u * u)
+        defect = phi_new - phi
+        if float(np.abs(defect).max()) / (float(np.abs(phi_new).max()) + 1e-300) < tol:
+            return eps, u, iteration
+        recent = recent[-ANDERSON_DEPTH:] + [(phi, defect)]
+        phi = phi + DAMPING * defect
+        if len(recent) > 1:
+            d_phi, d_defect = np.diff(recent, axis=0).transpose(1, 2, 0)
+            gamma = np.linalg.lstsq(d_defect, defect, rcond=None)[0]
+            phi = phi - (d_phi + DAMPING * d_defect) @ gamma
+    raise AssertionError(f"the cold route did not converge to {tol:g}")
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_warm_started_scf_agrees_with_the_cold_route(k):
+    # the README sn-spectrum grid; at tol 1e-12 a stop rule that accepts the
+    # warm vector before its last solve leaves state 2 ~1e-8 off
+    grid = RadialGrid.uniform(250.0, 8000)   # in natural kernel lengths
+    x, dx = grid.r, grid.spacing
+    eps, u, _, iterations, full = scf(x, dx, k)
+    eps_cold, u_cold, iterations_cold = reference_scf(x, dx, k, DEFAULT_TOL)
+    assert iterations == iterations_cold
+    assert full < iterations
+    assert abs(eps - eps_cold) <= 1e-10 * abs(eps_cold)
+    assert np.abs(u - u_cold).max() <= 1e-9 * np.abs(u_cold).max()
+
+    eps = scf(x, dx, k, 1e-12)[0]
+    eps_cold = reference_scf(x, dx, k, 1e-12)[0]
+    assert abs(eps - eps_cold) <= 1e-10 * abs(eps_cold)
+
+
+def test_a_warm_start_on_a_neighbouring_state_falls_back_to_the_full_eigensolve():
+    # Rayleigh-quotient iteration from the other state's eigenvector stays on
+    # that state; only the node count tells the two apart
+    grid = RadialGrid.uniform(120.0, 4000)
+    x, dx = grid.r, grid.spacing
+    profiles = [scf(x, dx, k)[1] for k in (0, 1)]
+    for k, start in ((0, profiles[1]), (1, profiles[0])):
+        potential = -kernel_integral(x, start * start)
+        eps, u, full = _eigensolve(x, dx, potential, k, start)
+        assert full
+        assert count_nodes(u) == k
+        eps_cold, u_cold, _ = _eigensolve(x, dx, potential, k)
+        assert eps == eps_cold
+        assert np.array_equal(u, u_cold)
 
 
 def test_mass_scaling_of_the_spectrum():
