@@ -10,8 +10,8 @@ state).  They are independent and cross-checked against each other:
   potential reproduces itself.  The first iterate's eigenpair comes from
   bisection and inverse iteration; each later one from Rayleigh-quotient
   iteration warm-started at the last profile, one tridiagonal solve a step,
-  with the full eigensolve as fallback unless it lands on k nodes.
-  ``hydrogen.py`` runs the same core on its Coulomb well.
+  with the full eigensolve as fallback unless it lands on k nodes, and at
+  every iterate once the residual stalls.  ``hydrogen.py`` runs the same core.
 * ``method="shooting"``: integrate the coupled ODE pair (radial wave equation
   plus the radial equation for the kernel potential) outward by a plain RK4
   and bisect on the eigenvalue until the solution has the requested node
@@ -58,6 +58,7 @@ DEFAULT_TOL = 1e-8
 MAX_ITER = 500       # cap on SCF iterates per state
 RQI_MAX_SOLVES = 6   # cap on the tridiagonal solves of a warm-started eigensolve
 RQI_RESIDUAL = 1e-12  # |Hu - sigma u| / (|H| |u|) after which one more solve ends it
+STALL_ITER = 10      # SCF iterates without a new lowest residual that end the warm starts
 DAMPING = 0.5        # SCF potential mixing fraction
 ANDERSON_DEPTH = 5   # SCF iterates whose defect differences the Anderson step combines
 SHOOTING_STEP = 0.016   # RK4 step h of the shooting route, solved at h and 2h
@@ -78,7 +79,7 @@ class StationaryState:
     # J; shooting's |eps_h - eps_2h|/15, the bar of eps_h, which overstates the error of
     # the Richardson-combined ``eigenvalue``; None for SCF
     discretization_error: float | None = None
-    full_eigensolves: int | None = None   # SCF: the first iterate's and each fallback's
+    full_eigensolves: int | None = None   # SCF: first iterate, fallbacks, iterates after a stall
 
 
 def count_nodes(u: np.ndarray) -> int:
@@ -96,8 +97,7 @@ def count_nodes(u: np.ndarray) -> int:
 def _eigensolve(x: np.ndarray, dx: float, potential: np.ndarray, k: int,
                 start: np.ndarray | None = None) -> tuple[float, np.ndarray, bool]:
     """Eigenvalue and unit-norm profile of the k-node state of -u''/2 + potential u, and
-    whether the full eigensolve (bisection and inverse iteration) ran: it runs where no
-    nearby ``start`` profile is given or ``_rayleigh_iteration`` from it fails."""
+    whether the full eigensolve ran: without ``start``, or where RQI from it fails."""
     from ._lapack import eigenpair   # here, so that commands without an SN solve never load it
 
     diag = 1.0 / dx**2 + potential
@@ -115,13 +115,10 @@ def _rayleigh_iteration(diag: np.ndarray, off: np.ndarray, u: np.ndarray,
                         k: int) -> tuple[float, np.ndarray] | None:
     """The k-node eigenpair of the symmetric tridiagonal (diag, off) by Rayleigh-quotient
     iteration from ``u`` (Parlett, The Symmetric Eigenvalue Problem, ch. 4), or None.
-
-    Each step solves (H - sigma) v = u once, sigma the Rayleigh quotient of u.  It
-    ends after the solve that follows a residual |Hu - sigma u| below
-    ``RQI_RESIDUAL`` |H| |u|, some thousand times the rounding floor, and fails
-    after ``RQI_MAX_SOLVES`` solves, on a singular or overflowing solve, or on a
-    vector without k nodes: inverse iteration can slide to a neighbouring state.
-    """
+    Each step solves (H - sigma) v = u, sigma the Rayleigh quotient of u; the solve after
+    a residual |Hu - sigma u| below ``RQI_RESIDUAL`` |H| |u| ends it.  It fails after
+    ``RQI_MAX_SOLVES`` solves, on a singular or overflowing solve, or on a vector without
+    k nodes: inverse iteration can slide to a neighbouring state."""
     from ._lapack import gtsv
 
     bound = RQI_RESIDUAL * float(np.abs(diag).max() + 2.0 * np.abs(off).max())   # >= |H|
@@ -165,14 +162,18 @@ def _scf_state(
     count of the k-node state of -u''/2 + (well + phi) u with phi = coupling S[u^2],
     iterated from ``phi``.  Each iterate after the first starts its eigensolve
     from the last one's profile, and keeps its eigenpair where the potential
-    did not move by a bit."""
+    did not move by a bit.  After ``STALL_ITER`` iterates without a new lowest
+    residual, as near the defect's rounding floor (tol ~1e-12), where warm-started
+    profiles are ~2e-11 off in a way that depends on their start, every later
+    iterate runs the full eigensolve, whose errors vary less between iterates."""
     history: list[float] = []
     recent: list[tuple[np.ndarray, np.ndarray]] = []   # (phi, defect) of the last iterates
-    potential, u, full_solves = None, None, 0
+    potential, u, full_solves, warm = None, None, 0, True
     for _ in range(max_iter):
+        warm = warm and min(history[-STALL_ITER:], default=0) == min(history, default=0)
         if potential is None or not np.array_equal(well + phi, potential):
             potential = well + phi
-            eps, u, full = _eigensolve(x, dx, potential, k, u)
+            eps, u, full = _eigensolve(x, dx, potential, k, u if warm else None)
             full_solves += full
         phi_new = coupling * kernel_integral(x, u * u)
         defect = phi_new - phi

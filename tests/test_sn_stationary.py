@@ -154,6 +154,20 @@ def test_warm_started_scf_agrees_with_the_cold_route(k):
     assert abs(eps - eps_cold) <= 1e-10 * abs(eps_cold)
 
 
+@pytest.mark.parametrize("r_max, n, k", [(120.0, 8000, 2), (120.0, 4000, 2), (120.0, 10000, 1)])
+def test_warm_started_scf_converges_at_tol_1e_12_where_the_cold_route_does(r_max, n, k):
+    # grids set in metres, as the CLI sets them.  At 1e-12 the defect is near its
+    # rounding floor; on (120, 8000) state 2 stalled at a residual of 2e-12 through
+    # MAX_ITER iterates while only warm starts ran, and the cold route takes 26
+    a, _ = natural_scales()
+    grid = RadialGrid.uniform(r_max * a, n)
+    x, dx = grid.r / a, grid.spacing / a
+    eps, _, residual, _, _ = scf(x, dx, k, 1e-12)
+    eps_cold = reference_scf(x, dx, k, 1e-12)[0]
+    assert residual < 1e-12
+    assert abs(eps - eps_cold) <= 1e-10 * abs(eps_cold)
+
+
 def test_a_warm_start_on_a_neighbouring_state_falls_back_to_the_full_eigensolve():
     # Rayleigh-quotient iteration from the other state's eigenvector stays on
     # that state; only the node count tells the two apart
