@@ -294,13 +294,8 @@ def _energies_from_flags(params, energy_a, energy_b):
 
 MANIFEST_FIELDS = (
     Param("output_dir", str, None, flags=("--output-dir",)),
-    Param("scale_system", str, "si", tuple(ENERGY_SCALES), flags=("--scale",)),
     # the Philox key takes an int64: from 2**63 on, seeds alias or overflow
     Param("seed", int, 0, ">= 0, <= 9223372036854775807", flags=("--seed",)),
-    Param("tolerances", dict, {}, flags=(
-        ("--tolerance", float, "primary tolerance (quadrature or SCF residual)"),),
-        from_flags=lambda payload, tolerance: {
-            **_typed(payload.get("tolerances", {}), dict, "tolerances"), "default": tolerance}),
     Param("parameters", dict, {}),
     Param("constant_overrides", dict, {}),
 )
@@ -312,9 +307,7 @@ class RunManifest:
 
     command: str
     parameters: dict
-    scale_system: str
     constant_overrides: dict
-    tolerances: dict
     output_dir: str | None
     seed: int
 
@@ -475,7 +468,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     results = {m: stationary_states(mass, couplings, p["n_states"], grid=grid, method=m,
                                     constants=constants, tol=p["tolerance"]) for m in methods}
     primary = results[methods[0]]
-    scale = ENERGY_SCALES[manifest.scale_system](mass, constants)
+    scale = ENERGY_SCALES[p["scale_system"]](mass, constants)
 
     summary: dict[str, Any] = {
         "mass_kg": mass,
@@ -484,7 +477,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
             {
                 "node_count": s.node_count,
                 "eigenvalue": {"J": s.eigenvalue, "scaled": s.eigenvalue / scale,
-                               "scale_system": manifest.scale_system.upper()},
+                               "scale_system": p["scale_system"].upper()},
                 "residual": s.residual,
                 "iterations": s.iterations,
                 "full_eigensolves": s.full_eigensolves,
@@ -508,7 +501,7 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
                   "r (m)", "psi")
     lines = [
         f"state {s.node_count} nodes: {format_number(s.eigenvalue)} J "
-        f"({format_number(s.eigenvalue / scale)} {manifest.scale_system})"
+        f"({format_number(s.eigenvalue / scale)} {p['scale_system']})"
         for s in primary
     ]
     return summary, lines, table
@@ -657,13 +650,15 @@ class Command(NamedTuple):
     handler: Callable
     help: str
     params: tuple[Param, ...] = ()
-    # (key in the manifest's "tolerances", fallback); the checked value
-    # reaches the handler as p["tolerance"]
-    tolerance: tuple[str, float] | None = None
 
 
-QUADRATURE_TOL = ("quadrature_rel", DEFAULT_REL_TOL)
-SCF_TOL = ("scf_residual", DEFAULT_TOL)
+QUADRATURE_TOL = Param("tolerance", float, DEFAULT_REL_TOL, "> 0", flags=("--tolerance",),
+                       help="relative quadrature tolerance")
+# the SCF defect rounds at about 1e-13 to 5e-13, so a tighter residual never converges
+SCF_TOL = Param("tolerance", float, DEFAULT_TOL, ">= 1e-12", flags=("--tolerance",),
+                help="SCF residual tolerance")
+SCALE = Param("scale_system", str, "si", tuple(ENERGY_SCALES), flags=("--scale",),
+              help="energy scale of the reported eigenvalues")
 
 SHAPE = Param("shape", _shape, flags=(
     ("--shape", ("uniform-sphere", "spherical-shell", "gaussian", "point-mass"), ""),
@@ -692,13 +687,13 @@ N_STATES = Param("n_states", int, 1, ">= 1")
 COMMANDS: dict[str, Command] = {
     "selfenergy": Command(
         _cmd_selfenergy, "gravitational self energy of one distribution",
-        (SHAPE, ENERGY_METHOD._replace(flags=("--method",)), *MONTE_CARLO), QUADRATURE_TOL),
+        (SHAPE, ENERGY_METHOD._replace(flags=("--method",)), *MONTE_CARLO, QUADRATURE_TOL)),
     "e-delta": Command(
         _cmd_e_delta, "self energy of the branch difference",
-        (*BRANCHES, ENERGY_METHOD, *MONTE_CARLO), QUADRATURE_TOL),
+        (*BRANCHES, ENERGY_METHOD, *MONTE_CARLO, QUADRATURE_TOL)),
     "collapse-time": Command(
         _cmd_collapse_time, "lifetime T = prefactor hbar / E_delta",
-        (*BRANCHES, PREFACTOR), QUADRATURE_TOL),
+        (*BRANCHES, PREFACTOR, QUADRATURE_TOL)),
     "feynman-scale": Command(_cmd_feynman_scale, "mass where G M^2/(hbar c) = 1"),
     "lifetime-sweep": Command(_cmd_lifetime_sweep, "criterion over a parameter family", (
         SHAPE,
@@ -708,14 +703,15 @@ COMMANDS: dict[str, Command] = {
         Param("sweep.separation_m", float, None, "> 0", flags=("--separation",),
               help="m; fixed separation for mass-scale sweeps"),
         PREFACTOR,
-    ), QUADRATURE_TOL),
+        QUADRATURE_TOL,
+    )),
     "sn-ground": Command(
         _cmd_sn_states, "self-gravitating ground state",
-        (SN_MASS, COUPLINGS, *GRID, SN_METHOD, N_STATES), SCF_TOL),
+        (SN_MASS, COUPLINGS, *GRID, SN_METHOD, N_STATES, SCF_TOL, SCALE)),
     "sn-spectrum": Command(
         _cmd_sn_states, "first n stationary states",
         (SN_MASS, COUPLINGS, *GRID, SN_METHOD,
-         N_STATES._replace(default=3, flags=("--n-states",))), SCF_TOL),
+         N_STATES._replace(default=3, flags=("--n-states",)), SCF_TOL, SCALE)),
     "sn-evolve": Command(_cmd_sn_evolve, "evolve a Gaussian packet", (
         SN_MASS,
         COUPLINGS._replace(from_flags=lambda params, on: ["gravity"] if on else [], flags=(
@@ -736,7 +732,8 @@ COMMANDS: dict[str, Command] = {
         Param("gravitational", bool, True, flags=("--gravitational",)),
         Param("r_max_bohr", float, 40.0, "> 0", flags=("--r-max-bohr",)),
         Param("points", int, 2000, ">= 8, <= 1e7", flags=("--points",)),
-    ), SCF_TOL),
+        SCF_TOL,
+    )),
     "collapse-sim": Command(_cmd_collapse_sim, "stochastic collapse trajectories", (
         Param("n", int, 100_000, ">= 1, <= 1e8", flags=("--n",)),
         Param("rate_per_s", float, None, ">= 0", flags=("--rate",), help="1/s"),
@@ -749,7 +746,8 @@ COMMANDS: dict[str, Command] = {
         BRANCHES[1]._replace(default=None, flags=()),
         *AMPLITUDES,
         PREFACTOR,
-    ), QUADRATURE_TOL),
+        QUADRATURE_TOL,
+    )),
 }
 
 
@@ -787,15 +785,6 @@ def run(manifest: RunManifest) -> ResultBundle:
     if command is None:
         raise ManifestError(f"unknown command {manifest.command!r}", field="command")
     p = _validated(command.params, manifest.parameters, "parameters.")
-    own = ("default",) if command.tolerance is None else ("default", command.tolerance[0])
-    for key, value in manifest.tolerances.items():
-        if key not in own:
-            raise ManifestError("unknown key", field=f"tolerances.{key}")
-        _checked(POSITIVE, value, f"tolerances.{key}")
-    if command.tolerance is not None:
-        key, fallback = command.tolerance
-        value = manifest.tolerances.get(key, manifest.tolerances.get("default", fallback))
-        p["tolerance"] = float(value)
     constants = _constants(manifest)
 
     try:

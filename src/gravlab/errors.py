@@ -43,7 +43,7 @@ class ConvergenceError(GravlabError):
 
 
 class GridError(GravlabError):
-    """Radial or Cartesian grid fails a resolution/extent validator."""
+    """Radial grid fails a resolution/extent validator."""
 
 
 class StepSizeError(GravlabError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -22,12 +21,7 @@ def format_number(value) -> str:
         return ""
     if isinstance(value, (int,)) and not isinstance(value, bool):
         return str(value)
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.9e}"
+    return f"{float(value):.9e}"
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:

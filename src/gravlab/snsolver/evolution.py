@@ -29,8 +29,7 @@ class EvolutionResult:
     """Per-step observables and the amplitude u after the last step.
 
     ``energy`` is the conserved functional kinetic + (1/2) self-interaction;
-    the 1/2 compensates the kernel's double counting.  ``evolve`` has no
-    external potential, so no external term enters.
+    the 1/2 compensates the kernel's double counting.
     """
 
     times: np.ndarray

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gravlab
-from gravlab.cli import RunManifest, build_parser, main, run
+from gravlab.cli import COMMANDS, RunManifest, build_parser, main, run
 from gravlab.errors import ManifestError
 from gravlab.persistence import format_number
 from gravlab.quantities import CODATA2018
@@ -34,6 +34,7 @@ def hashes(outdir: Path) -> dict[str, str]:
 SPHERE = {"kind": "uniform_sphere", "mass_kg": 1.0, "radius_m": 1.0}
 SPHERE_AT_4 = {"kind": "uniform_sphere", "mass_kg": 1.0, "radius_m": 1.0,
                "center_m": [4.0, 0.0, 0.0]}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_feynman_scale_summary(tmp_path):
@@ -199,7 +200,8 @@ def test_sn_ground_scaled_output(tmp_path):
     bundle = run(manifest_for("sn-ground", {
         "mass_kg": 1e-17,
         "grid": {"r_max": 50.0, "points": 1600, "units": "natural"},
-    }, tmp_path / "sng", scale_system="sn-natural"))
+        "scale_system": "sn-natural",
+    }, tmp_path / "sng"))
     assert bundle.error is None
     state = bundle.summary["states"][0]
     assert state["eigenvalue"]["scaled"] == pytest.approx(-0.16277, abs=5e-4)
@@ -214,7 +216,8 @@ def test_sn_ground_reports_the_eigenvalue_in_the_chosen_scale(tmp_path, scale_sy
     run(manifest_for("sn-ground", {
         "mass_kg": mass,
         "grid": {"r_max": 50.0, "points": 1600, "units": "natural"},
-    }, tmp_path, scale_system=scale_system))
+        "scale_system": scale_system,
+    }, tmp_path))
     eigenvalue = json.loads((tmp_path / "sn_ground.json").read_text())["states"][0]["eigenvalue"]
     assert eigenvalue["scale_system"] == scale_system.upper()
     assert eigenvalue["scaled"] == eigenvalue["J"] / energy_scale
@@ -288,6 +291,8 @@ def test_parser_covers_all_commands():
 
 def test_format_number_contract():
     assert format_number(math.inf) == "inf"
+    assert format_number(-math.inf) == "-inf"
+    assert format_number(math.nan) == "nan"
     assert format_number(1.0) == "1.000000000e+00"
     assert format_number(None) == ""
     assert format_number(12345) == "12345"
@@ -481,12 +486,54 @@ def test_collapse_sim_rate_from_shapes_honours_the_tolerance(tmp_path):
                              "center_m": [x, 0.0, 0.0]} for b, x in (("a", 0.0), ("b", 0.3))}
     rates = []
     for tol in (1e-2, 1e-9):
-        tolerances = {"tolerances": {"quadrature_rel": tol}}
-        sim = run(manifest_for("collapse-sim", {"n": 100, **shapes}, tmp_path / f"s{tol}",
-                               **tolerances))
-        lifetime = run(manifest_for("collapse-time", shapes, tmp_path / f"t{tol}", **tolerances))
+        sim = run(manifest_for("collapse-sim", {"n": 100, "tolerance": tol, **shapes},
+                               tmp_path / f"s{tol}"))
+        lifetime = run(manifest_for("collapse-time", {"tolerance": tol, **shapes},
+                                    tmp_path / f"t{tol}"))
         assert sim.error is None and lifetime.error is None
         rate = sim.summary["model"]["rate_per_s"]
         assert rate == pytest.approx(1.0 / lifetime.summary["collapse_time_s"], rel=1e-14)
         rates.append(rate)
     assert rates[0] != rates[1]
+
+
+def test_readme_example_manifest_runs(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Example manifest:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    payload = json.loads(block)
+    source = tmp_path / "example.json"
+    source.write_text(block)
+    assert main([payload["command"], "--manifest", str(source),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+
+
+READS_TOLERANCE = {"selfenergy", "e-delta", "collapse-time", "lifetime-sweep", "collapse-sim",
+                   "sn-ground", "sn-spectrum", "hydrogen-shift"}
+READS_SCALE = {"sn-ground", "sn-spectrum"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("flag, value, readers", [("--tolerance", "0.001", READS_TOLERANCE),
+                                                  ("--scale", "atomic", READS_SCALE)])
+def test_a_command_offers_only_the_flags_it_reads(command, flag, value, readers):
+    parser = build_parser()
+    if command in readers:
+        args = parser.parse_args([command, flag, value])
+        assert str(getattr(args, flag.lstrip("-"))) == value
+    else:
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, flag, value])
+        assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["feynman-scale", "--tolerance", "1e-3"],
+    ["e-delta", "--shape", "uniform-sphere", "--mass", "1", "--radius", "1",
+     "--separation", "4", "--scale", "atomic"],
+], ids=["feynman-scale:--tolerance", "e-delta:--scale"])
+def test_a_flag_the_command_does_not_read_exits_2_writing_nothing(tmp_path, argv):
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--output-dir", str(outdir)])
+    assert info.value.code == 2
+    assert not outdir.exists()

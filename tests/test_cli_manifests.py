@@ -30,24 +30,28 @@ SI_GRID = {"points": 200, "r_max": 1e-3, "units": "si"}
 BASE = {
     "feynman-scale": {},
     "selfenergy": {"shape": {"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
-                   "method": "auto", "monte_carlo": True, "mc_samples": 500},
+                   "method": "auto", "monte_carlo": True, "mc_samples": 500,
+                   "tolerance": 1e-6},
     "e-delta": {"shape_a": SPHERE, "shape_b": SPHERE_AT_4, "amp_a": [0.6, 0.0],
                 "amp_b": [0.8, 0.0], "method": "auto", "monte_carlo": True,
-                "mc_samples": 500},
-    "collapse-time": {"shape_a": SPHERE, "shape_b": SPHERE_AT_4, "prefactor": 2.0},
-    "lifetime-sweep": {"shape": SPHERE, "prefactor": 1.0,
+                "mc_samples": 500, "tolerance": 1e-6},
+    "collapse-time": {"shape_a": SPHERE, "shape_b": SPHERE_AT_4, "prefactor": 2.0,
+                      "tolerance": 1e-6},
+    "lifetime-sweep": {"shape": SPHERE, "prefactor": 1.0, "tolerance": 1e-6,
                        "sweep": {"kind": "mass-scale", "values": [1.0, 2.0],
                                  "separation_m": 3.0}},
     "sn-ground": {"mass_kg": 1e-17, "couplings": ["gravity"], "method": "scf",
-                  "n_states": 1, "grid": SN_GRID},
-    "sn-spectrum": {"mass_kg": 1e-17, "method": "scf", "n_states": 1, "grid": SN_GRID},
+                  "n_states": 1, "grid": SN_GRID, "tolerance": 1e-8, "scale_system": "si"},
+    "sn-spectrum": {"mass_kg": 1e-17, "method": "scf", "n_states": 1, "grid": SN_GRID,
+                    "tolerance": 1e-8, "scale_system": "si"},
     "sn-evolve": {"mass_kg": 1e-17, "couplings": ["gravity"], "n_steps": 10,
                   "record_every": 5, "sigma0_natural": 2.0, "dt_fraction": 0.9,
                   "compare_free": True, "grid": {"points": 600, "r_max": 18.0}},
     "hydrogen-shift": {"electrostatic": True, "gravitational": True, "points": 800,
-                       "r_max_bohr": 24.0},
+                       "r_max_bohr": 24.0, "tolerance": 1e-8},
     "collapse-sim": {"n": 1000, "rate_per_s": 1.0, "weights": [0.36, 0.64],
-                     "branch_energies_J": [1.0, 2.0], "interference_energy_J": 0.1},
+                     "branch_energies_J": [1.0, 2.0], "interference_energy_J": 0.1,
+                     "tolerance": 1e-6},
 }
 
 
@@ -132,20 +136,32 @@ REJECTED = [
     # nor does a repulsive one
     pytest.param(manifest("sn-ground", couplings=["electrostatic"]), "parameters.couplings",
                  id="sn-ground:parameters.couplings:repulsive"),
-    # tolerances take "default" and the command's own key, each a positive number
-    pytest.param({**manifest("e-delta"), "tolerances": {"quadrature": "nonsense",
-                                                         "bogus_key": -5}},
-                 "tolerances.quadrature", id="e-delta:tolerances.quadrature"),
-    pytest.param({**manifest("e-delta"), "tolerances": {"quadrature_rel": 1e-6, "default": 0}},
-                 "tolerances.default", id="e-delta:tolerances.default"),
-    pytest.param({**manifest("sn-ground"), "tolerances": {"scf_residual": "x"}},
-                 "tolerances.scf_residual", id="sn-ground:tolerances.scf_residual"),
-    pytest.param({**manifest("sn-ground"), "tolerances": {"quadrature_rel": 1e-6}},
-                 "tolerances.quadrature_rel", id="sn-ground:tolerances.quadrature_rel"),
-    pytest.param({**manifest("feynman-scale"), "tolerances": {"default": -1}},
-                 "tolerances.default", id="feynman-scale:tolerances.default"),
-    pytest.param({**manifest("feynman-scale"), "tolerances": {"scf_residual": 1e-9}},
-                 "tolerances.scf_residual", id="feynman-scale:tolerances.scf_residual"),
+    # a tolerance is a positive number, and only the commands that read one take it
+    pytest.param(manifest("e-delta", tolerance="nonsense"), "parameters.tolerance",
+                 id="e-delta:parameters.tolerance:wrong-type"),
+    pytest.param(manifest("e-delta", tolerance=0), "parameters.tolerance",
+                 id="e-delta:parameters.tolerance:zero"),
+    pytest.param(manifest("sn-ground", tolerance="x"), "parameters.tolerance",
+                 id="sn-ground:parameters.tolerance:wrong-type"),
+    pytest.param(manifest("hydrogen-shift", tolerance=True), "parameters.tolerance",
+                 id="hydrogen-shift:parameters.tolerance:bool"),
+    pytest.param(manifest("feynman-scale", tolerance=-1), "parameters.tolerance",
+                 id="feynman-scale:parameters.tolerance"),
+    pytest.param(manifest("sn-evolve", tolerance=1e-9), "parameters.tolerance",
+                 id="sn-evolve:parameters.tolerance"),
+    # an SCF residual below the defect's rounding floor never converges
+    pytest.param(manifest("sn-spectrum", tolerance=1e-14), "parameters.tolerance",
+                 id="sn-spectrum:parameters.tolerance:below-floor"),
+    # the energy scale is a parameter of the two commands that report eigenvalues
+    pytest.param(manifest("sn-ground", scale_system="imperial"), "parameters.scale_system",
+                 id="sn-ground:parameters.scale_system"),
+    pytest.param(manifest("e-delta", scale_system="atomic"), "parameters.scale_system",
+                 id="e-delta:parameters.scale_system"),
+    # the top-level keys these replaced
+    pytest.param({**manifest("e-delta"), "tolerances": {"quadrature_rel": 1e-6}},
+                 "tolerances", id="e-delta:tolerances"),
+    pytest.param({**manifest("sn-ground"), "scale_system": "si"}, "scale_system",
+                 id="sn-ground:scale_system"),
 ]
 
 
@@ -276,7 +292,7 @@ MUTATIONS = {
 def mutated_manifests(draw):
     command = draw(st.sampled_from(sorted(BASE)))
     payload = {"command": command, "parameters": copy.deepcopy(BASE[command]), "seed": 3,
-               "scale_system": "si", "tolerances": {}, "constant_overrides": {}}
+               "constant_overrides": {}}
     *parents, key = draw(st.sampled_from(list(_paths(payload))))
     node = payload
     for name in parents:
