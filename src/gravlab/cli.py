@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
 
-import numpy as np
-
-from . import __version__
+from . import __version__, np
 from .errors import FloatRangeError, GravlabError, ManifestError
 from .massdist import (
     DEFAULT_REL_TOL,
@@ -765,6 +763,16 @@ def _resolve_output_dir(manifest: RunManifest) -> Path:
     return Path.cwd() / "gravlab-runs" / manifest.command
 
 
+def _check_output_dir(outdir: Path) -> None:
+    """Refuse, before any compute and creating nothing, a target that is not
+    a directory or whose nearest existing ancestor is not one."""
+    probe = outdir
+    while not probe.exists() and probe != probe.parent:
+        probe = probe.parent
+    if not probe.is_dir():
+        raise ManifestError(f"{probe} is not a directory", field="output_dir")
+
+
 POSITIVE = Param("", float, check="> 0")
 
 
@@ -786,6 +794,8 @@ def run(manifest: RunManifest) -> ResultBundle:
         raise ManifestError(f"unknown command {manifest.command!r}", field="command")
     p = _validated(command.params, manifest.parameters, "parameters.")
     constants = _constants(manifest)
+    outdir = _resolve_output_dir(manifest)
+    _check_output_dir(outdir)
 
     try:
         summary, lines, table = command.handler(p, manifest, constants)
@@ -799,7 +809,6 @@ def run(manifest: RunManifest) -> ResultBundle:
         error = {"type": type(exc).__name__, "message": str(exc)}
         summary, lines, table = {}, [f"error: {error['type']}: {error['message']}"], None
 
-    outdir = _resolve_output_dir(manifest)
     produced = [write_json(outdir / "manifest.json", manifest.canonical_dict())]
     if error is None:
         name = manifest.command.replace("-", "_")

@@ -19,9 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from numpy.random import Generator, Philox
-
+from . import np
 from .errors import ProvenanceError
 from .massdist import DEFAULT_REL_TOL, SuperpositionSpec, e_delta
 from .persistence import json_digest
@@ -148,7 +146,7 @@ def _trajectory_uniforms(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     block), so this vectorized draw is bit-identical to constructing one
     generator per trajectory; tests pin that equivalence.
     """
-    gen = Generator(Philox(counter=[0, 0, 0, 0], key=[seed, 0]))
+    gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, 0], key=[seed, 0]))
     block = gen.random(4 * n).reshape(n, 4)
     # copies, so the caller does not keep the whole 4n block alive
     return block[:, 0].copy(), block[:, 1].copy()

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from . import np
 from .errors import CancellationError, DivergentSelfEnergy, NoClosedForm, QuadratureWarning
 from .persistence import json_digest
 from .quantities import CODATA2018, PhysicalConstants
@@ -450,7 +450,7 @@ def _adaptive(func, lo: float, hi: float, rel_tol: float, breaks: set[float],
     the integral's rounding level), or until PANEL_CAP panels, with a QuadratureWarning."""
     nodes, weights = _gauss_legendre(10)
     nodes = np.concatenate((nodes, 0.5 * nodes - 0.5, 0.5 * nodes + 0.5))  # panel, halves
-    epsrel = max(rel_tol / 10.0, 100.0 * np.finfo(float).eps)
+    epsrel = max(rel_tol / 10.0, 100.0 * sys.float_info.epsilon)
     cuts = np.array([lo, *sorted(p for p in breaks if lo < p < hi), hi])
     a, b, panels = cuts[:-1], cuts[1:], np.empty((0, 4))  # columns a, b, value, error
     while True:
@@ -660,13 +660,13 @@ def e_delta(
             value = selves - mutual_energy(a, b, constants, method, rel_tol)
             # the difference rounds at eps * selves; kernel positivity makes the
             # true value > 0, so a negative one fails this test too
-            if np.finfo(float).eps * selves > rel_tol * value:
+            if sys.float_info.epsilon * selves > rel_tol * value:
                 raise CancellationError(
                     f"e_delta = {value:.6e} J is U_a + U_b - mutual with U_a + U_b = "
                     f"{selves:.6e} J: rounding exceeds rel_tol = {rel_tol:g}; use method='auto'")
             return value
     # F_a - F_b of near-equal shapes rounds at eps times the self-energy scale
-    noise = np.finfo(float).eps * (ma + mb) ** 2 / max(a.tail_radius(), b.tail_radius())
+    noise = sys.float_info.epsilon * (ma + mb) ** 2 / max(a.tail_radius(), b.tail_radius())
     concentric = 0.5 * _concentric_integral(
         lambda r: (ma * a.enclosed_fraction(r) - mb * b.enclosed_fraction(r)) ** 2,
         a, b, rel_tol, noise=noise)

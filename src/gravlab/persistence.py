@@ -30,7 +30,10 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Pa
         writer = csv.writer(handle, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else format_number(v) for v in row])
+            if all(isinstance(v, float) for v in row):   # np.float64 too: the same bytes, faster
+                handle.write(",".join([f"{v:.9e}" for v in row]) + "\r\n")
+            else:
+                writer.writerow([v if isinstance(v, str) else format_number(v) for v in row])
     return path
 
 

@@ -21,8 +21,7 @@ import functools
 import glob
 import os
 
-import numpy as np
-from numpy.linalg import LinAlgError
+from .. import np
 
 # where numpy's Linux/Windows and macOS wheels put their OpenBLAS
 _LIBRARY_GLOBS = (("..", "numpy.libs", "libscipy_openblas64_*"),
@@ -60,7 +59,7 @@ def _openblas() -> dict[str, ctypes._CFuncPtr] | None:
 
 def _check(info: int, routine: str) -> None:
     if info != 0:   # > 0: an exactly zero pivot or no convergence; < 0: an illegal argument
-        raise LinAlgError(f"{routine} failed with info = {info}")
+        raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
 
 
 def _order(d: np.ndarray, dl: np.ndarray, du: np.ndarray, b: np.ndarray | None = None) -> int:
@@ -122,7 +121,7 @@ def eigenpair(diag: np.ndarray, off: np.ndarray, k: int) -> tuple[float, np.ndar
                      _LEN1, _LEN1)
     _check(info.value, "dstebz")
     if m.value != 1:
-        raise LinAlgError(f"dstebz returned {m.value} eigenvalues for index {k}, not 1")
+        raise np.linalg.LinAlgError(f"dstebz returned {m.value} eigenvalues for index {k}, not 1")
     lapack["dstein"](_ref(_int(n)), _ref(diag), _ref(off), _ref(m), _ref(w), _ref(iblock),
                      _ref(isplit), _ref(z), _ref(_int(n)), _ref(work), _ref(iwork), _ref(ifail),
                      _ref(info))

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from .. import np
 from ..errors import NumericalBlowup, StepSizeError
 from ..quantities import CODATA2018, PhysicalConstants
 from .state import WaveState, dirichlet_kinetic_sum, kernel_potential

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from .. import np
 from ..errors import ConvergenceError
 from ..quantities import CODATA2018, EV, PhysicalConstants
 from .state import (

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from .. import np
 from ..errors import GridError, NormalizationError
 from ..quantities import CODATA2018, PhysicalConstants, kernel_length
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 import gravlab
 from gravlab.cli import COMMANDS, RunManifest, build_parser, main, run
 from gravlab.errors import ManifestError
-from gravlab.persistence import format_number
+from gravlab.persistence import format_number, write_csv
 from gravlab.quantities import CODATA2018
 from gravlab.snsolver import free_gaussian_width_squared
 
@@ -298,6 +300,29 @@ def test_format_number_contract():
     assert format_number(12345) == "12345"
 
 
+def test_write_csv_writes_float_rows_as_the_csv_module_does(tmp_path):
+    values = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1.0, -1.0 / 3.0, 1e300]
+    rows = [(np.float64(a), b) for a, b in zip(values, reversed(values))]
+    mixed = [(1, "a,b", None, np.float32(0.5), True), (2, 3.5)]
+    path = write_csv(tmp_path / "t.csv", ["x", "y"], rows + mixed)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(["x", "y"])
+    for row in rows + mixed:
+        writer.writerow([v if isinstance(v, str) else format_number(v) for v in row])
+    assert path.read_bytes() == buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("target", ["a-file", "a-file/sub"])
+def test_an_output_dir_that_cannot_be_a_directory_exits_2_before_the_compute(
+        tmp_path, capsys, target):
+    (tmp_path / "a-file").write_text("kept\n")
+    assert main(["feynman-scale", "--output-dir", str(tmp_path / target)]) == 2
+    assert capsys.readouterr().err.startswith("manifest error: output_dir: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+    assert (tmp_path / "a-file").read_text() == "kept\n"
+
+
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAVLAB_OUTPUT_DIR", str(tmp_path / "env-out"))
     code = main(["feynman-scale"])
@@ -387,37 +412,39 @@ def test_hydrogen_shift_rejects_a_grid_that_does_not_resolve_a0(tmp_path, r_max_
     assert [f["name"] for f in bundle["files"]] == ["manifest.json"]
 
 
-# Runs in a fresh interpreter, since pytest's own process has scipy loaded:
-# imports the CLI, runs each argv in turn and reports the scipy modules loaded
-# after each step.
-SCIPY_PROBE = """
+# Runs in a fresh interpreter, since pytest's own process has numpy and scipy
+# loaded: imports the CLI, runs each argv in turn and reports the modules of
+# one package loaded after each step.
+MODULES_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+package = sys.argv[3]
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def modules():
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 import gravlab.cli
-report = [["import gravlab.cli", 0, scipy_modules()]]
+report = [["import gravlab.cli", 0, modules()]]
 for argv in json.loads(sys.argv[2]):
     try:
         code = gravlab.cli.main(argv)
     except SystemExit as exc:
         code = exc.code
-    report.append([argv[0], code, scipy_modules()])
+    report.append([argv[0], code, modules()])
 print(json.dumps(report))
 """
+SRC = str(Path(gravlab.__file__).parents[1])
 
 
-def _scipy_modules_loaded(tmp_path, commands):
-    """(step, exit code, scipy modules loaded) after --help and each command."""
+def _modules_loaded(tmp_path, commands, package="scipy", expected=()):
+    """(step, exit code, modules of ``package`` loaded) after --help and each
+    command, and the same steps with exit code 0 and ``expected`` loaded."""
     argvs = [["--help"]] + [argv + ["--output-dir", str(tmp_path / str(i))]
                             for i, argv in enumerate(commands)]
-    src = str(Path(gravlab.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, src, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, SRC, json.dumps(argvs), package],
                           capture_output=True, text=True, check=True)
     steps = ["import gravlab.cli"] + [argv[0] for argv in argvs]
-    return json.loads(proc.stdout.splitlines()[-1]), [[step, 0, []] for step in steps]
+    return json.loads(proc.stdout.splitlines()[-1]), [[step, 0, list(expected)] for step in steps]
 
 
 def test_closed_form_commands_start_without_scipy(tmp_path):
@@ -433,8 +460,39 @@ def test_closed_form_commands_start_without_scipy(tmp_path):
         ["collapse-sim", "--n", "1000", "--rate", "1.0", "--energy-a", "1",
          "--energy-b", "2", "--interference", "0.25", "--seed", "7"],
     ]
-    report, expected = _scipy_modules_loaded(tmp_path, commands)
+    report, expected = _modules_loaded(tmp_path, commands)
     assert report == expected
+
+
+def test_closed_form_commands_start_without_numpy(tmp_path):
+    sphere = ["--shape", "uniform-sphere", "--mass", "1", "--radius", "1"]
+    commands = [
+        ["feynman-scale"],
+        ["e-delta", *sphere, "--separation", "4"],
+        ["collapse-time", *sphere, "--separation", "4"],
+        ["lifetime-sweep", *sphere, "--sweep-kind", "separation", "--values", "2,3,4,6,10"],
+    ]
+    # "numpy" is gravlab's lazy module; executing it would import numpy._core and more
+    report, expected = _modules_loaded(tmp_path, commands, "numpy", ["numpy"])
+    assert report == expected
+
+
+def test_numpy_commands_give_the_bits_of_an_eager_numpy_import(tmp_path):
+    commands = [
+        ["collapse-sim", "--n", "1000", "--rate", "1.0", "--energy-a", "1", "--energy-b", "2",
+         "--interference", "0.25", "--seed", "7"],
+        ["selfenergy", "--shape", "gaussian", "--mass", "1", "--width", "1", "--monte-carlo"],
+    ]
+    for i, argv in enumerate(commands):
+        runs = {}
+        for start in ("", "import numpy; "):   # lazy numpy, then the real module imported first
+            outdir = tmp_path / f"{i}{bool(start)}"
+            code = (f"import sys; sys.path.insert(0, sys.argv[1]); {start}"
+                    "from gravlab.cli import main; sys.exit(main(sys.argv[2:]))")
+            subprocess.run([sys.executable, "-c", code, SRC, *argv, "--output-dir", str(outdir)],
+                           capture_output=True, check=True)
+            runs[start] = hashes(outdir)
+        assert runs[""] == runs["import numpy; "]
 
 
 def test_profile_and_gaussian_monte_carlo_commands_start_without_scipy(tmp_path):
@@ -448,7 +506,7 @@ def test_profile_and_gaussian_monte_carlo_commands_start_without_scipy(tmp_path)
         ["selfenergy", *profile],
         ["selfenergy", "--shape", "gaussian", "--mass", "1", "--width", "1", "--monte-carlo"],
     ]
-    report, expected = _scipy_modules_loaded(tmp_path, commands)
+    report, expected = _modules_loaded(tmp_path, commands)
     assert report == expected
 
 
@@ -464,7 +522,7 @@ def test_sn_commands_start_without_scipy(tmp_path):
         ["sn-evolve", "--mass", "1e-17", "--sigma0", "2", "--compare-free"],
         ["hydrogen-shift"],
     ]
-    report, expected = _scipy_modules_loaded(tmp_path, commands)
+    report, expected = _modules_loaded(tmp_path, commands)
     assert report == expected
 
 
