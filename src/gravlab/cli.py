@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import __version__, np
-from .errors import FloatRangeError, GravlabError, ManifestError
+from .errors import FloatRangeError, GravlabError, ManifestError, OutputError
 from .massdist import (
     DEFAULT_REL_TOL,
     MassDistribution,
@@ -56,6 +56,7 @@ from .snsolver import (
     validate_grid_resolution,
     validate_tail,
 )
+from .snsolver.evolution import STEP_FRACTION
 from .snsolver.stationary import DEFAULT_TOL
 
 OUTPUT_DIR_ENV = "GRAVLAB_OUTPUT_DIR"
@@ -444,15 +445,17 @@ def _cmd_lifetime_sweep(p: dict, manifest: RunManifest, constants: PhysicalConst
 
 
 def _sn_grid(p: dict, mass: float, couplings: list[KernelTerm],
-             constants: PhysicalConstants) -> RadialGrid:
-    r_max = p["grid.r_max"]
+             constants: PhysicalConstants) -> tuple[RadialGrid, float]:
+    """The grid, and its length unit in metres: the kernel length on a natural
+    grid, 1 on an SI one."""
+    unit = 1.0
     if p["grid.units"] == "natural":
         kappa = sum(t.strength for t in couplings)
         if kappa == 0.0:
             raise ManifestError("natural grid units need a nonzero coupling",
                                 field="parameters.grid.units")
-        r_max *= kernel_length(mass, kappa, constants)
-    return RadialGrid.uniform(r_max, p["grid.points"])
+        unit = kernel_length(mass, kappa, constants)
+    return RadialGrid.uniform(p["grid.r_max"] * unit, p["grid.points"]), unit
 
 
 def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants):
@@ -461,9 +464,9 @@ def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     if sum(t.strength for t in couplings) >= 0.0:
         raise ManifestError("a zero or repulsive net coupling binds no state",
                             field="parameters.couplings")
-    grid = _sn_grid(p, mass, couplings, constants)
+    grid, _ = _sn_grid(p, mass, couplings, constants)
     methods = ("scf", "shooting") if p["method"] == "both" else (p["method"],)
-    results = {m: stationary_states(mass, couplings, p["n_states"], grid=grid, method=m,
+    results = {m: stationary_states(mass, couplings, p.get("n_states", 1), grid=grid, method=m,
                                     constants=constants, tol=p["tolerance"]) for m in methods}
     primary = results[methods[0]]
     scale = ENERGY_SCALES[p["scale_system"]](mass, constants)
@@ -517,20 +520,13 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
             raise ManifestError(str(exc), field="parameters.initial_state_csv") from exc
         sigma0 = None
     else:
-        grid = _sn_grid(p, mass, couplings, constants)
-        sigma0 = p["sigma0_m"]
-        if sigma0 is None:
-            if kappa == 0.0:
-                raise ManifestError("natural sigma0 needs a nonzero coupling",
-                                    field="parameters.sigma0_natural")
-            sigma0 = p["sigma0_natural"] * kernel_length(mass, kappa, constants)
+        grid, unit = _sn_grid(p, mass, couplings, constants)
+        sigma0 = p["sigma0"] * unit
         state = WaveState.gaussian_packet(grid, sigma0, mass)
     # the stationary solver's grid contract: the kernel resolved, the wall in the tail
     validate_grid_resolution(state.grid, mass, couplings, constants)
     validate_tail(state.psi)
-    dt = p["dt_s"]
-    if dt is None:
-        dt = p["dt_fraction"] * suggested_dt(state, kappa, constants)
+    dt = STEP_FRACTION * suggested_dt(state, kappa, constants)
 
     result = evolve(state, dt, n_steps, kappa=kappa, constants=constants,
                     record_every=record_every)
@@ -680,7 +676,6 @@ GRID = (Param("grid.r_max", float, 60.0, "> 0", flags=("--r-max",),
         Param("grid.points", int, 2400, ">= 8, <= 1e7", flags=("--points",)),
         Param("grid.units", str, "natural", ("natural", "si")))
 SN_METHOD = Param("method", str, "scf", ("scf", "shooting", "both"), flags=("--method",))
-N_STATES = Param("n_states", int, 1, ">= 1")
 
 COMMANDS: dict[str, Command] = {
     "selfenergy": Command(
@@ -705,11 +700,11 @@ COMMANDS: dict[str, Command] = {
     )),
     "sn-ground": Command(
         _cmd_sn_states, "self-gravitating ground state",
-        (SN_MASS, COUPLINGS, *GRID, SN_METHOD, N_STATES, SCF_TOL, SCALE)),
+        (SN_MASS, COUPLINGS, *GRID, SN_METHOD, SCF_TOL, SCALE)),
     "sn-spectrum": Command(
         _cmd_sn_states, "first n stationary states",
         (SN_MASS, COUPLINGS, *GRID, SN_METHOD,
-         N_STATES._replace(default=3, flags=("--n-states",)), SCF_TOL, SCALE)),
+         Param("n_states", int, 3, ">= 1", flags=("--n-states",)), SCF_TOL, SCALE)),
     "sn-evolve": Command(_cmd_sn_evolve, "evolve a Gaussian packet", (
         SN_MASS,
         COUPLINGS._replace(from_flags=lambda params, on: ["gravity"] if on else [], flags=(
@@ -718,11 +713,8 @@ COMMANDS: dict[str, Command] = {
         Param("n_steps", int, 1000, ">= 1, <= 1e7", flags=("--n-steps",)),
         Param("record_every", int, None, ">= 1"),   # null: n_steps // 200, at least 1
         Param("initial_state_csv", str, None),
-        Param("sigma0_m", float, None, "> 0"),
-        Param("sigma0_natural", float, 2.0, "> 0", flags=("--sigma0",),
-              help="initial width in kernel natural lengths"),
-        Param("dt_s", float, None, "> 0"),
-        Param("dt_fraction", float, 0.9, "> 0"),
+        Param("sigma0", float, 2.0, "> 0", flags=("--sigma0",),
+              help="initial width, in kernel natural lengths unless grid.units is si"),
         Param("compare_free", bool, False, flags=("--compare-free",)),
     )),
     "hydrogen-shift": Command(_cmd_hydrogen_shift, "hydrogen self-interaction diagnostic", (
@@ -788,7 +780,7 @@ def _constants(manifest: RunManifest) -> PhysicalConstants:
 def run(manifest: RunManifest) -> ResultBundle:
     """Validate, dispatch, persist.  Computational failures are recorded in
     the bundle (callers map them to exit status 1); validation failures raise
-    ManifestError before anything is written."""
+    ManifestError before anything is written, and a failed write OutputError."""
     command = COMMANDS.get(manifest.command)
     if command is None:
         raise ManifestError(f"unknown command {manifest.command!r}", field="command")
@@ -809,22 +801,26 @@ def run(manifest: RunManifest) -> ResultBundle:
         error = {"type": type(exc).__name__, "message": str(exc)}
         summary, lines, table = {}, [f"error: {error['type']}: {error['message']}"], None
 
-    produced = [write_json(outdir / "manifest.json", manifest.canonical_dict())]
-    if error is None:
-        name = manifest.command.replace("-", "_")
-        produced.append(write_json(outdir / f"{name}.json", summary))
-    if table is not None:
-        produced.append(write_csv(outdir / f"{table.stem}.csv", table.header, table.rows))
-        produced.append(write_plot_script(outdir / f"{table.stem}.gnuplot", f"{table.stem}.csv",
-                                          table.curves, table.xlabel, table.ylabel, table.logy))
-    bundle = ResultBundle(
-        manifest=manifest,
-        files=[{"name": path.name, "sha256": sha256_file(path)} for path in produced],
-        summary=summary,
-        summary_text="\n".join(lines),
-        error=error,
-    )
-    write_json(outdir / "result_bundle.json", bundle.to_dict())
+    try:
+        produced = [write_json(outdir / "manifest.json", manifest.canonical_dict())]
+        if error is None:
+            name = manifest.command.replace("-", "_")
+            produced.append(write_json(outdir / f"{name}.json", summary))
+        if table is not None:
+            data = write_csv(outdir / f"{table.stem}.csv", table.header, table.rows)
+            produced += [data, write_plot_script(outdir / f"{table.stem}.gnuplot", data.name,
+                                                 table.curves, table.xlabel, table.ylabel,
+                                                 table.logy)]
+        bundle = ResultBundle(
+            manifest=manifest,
+            files=[{"name": path.name, "sha256": sha256_file(path)} for path in produced],
+            summary=summary,
+            summary_text="\n".join(lines),
+            error=error,
+        )
+        write_json(outdir / "result_bundle.json", bundle.to_dict())
+    except OSError as exc:
+        raise OutputError(f"cannot write the outputs in {outdir}: {exc}") from exc
     return bundle
 
 
@@ -880,9 +876,11 @@ def main(argv: list[str] | None = None) -> int:
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     print(bundle.summary_text)
-    outdir = _resolve_output_dir(manifest)
-    print(f"outputs: {outdir}")
+    print(f"outputs: {_resolve_output_dir(manifest)}")
     return 1 if bundle.error else 0
 
 

@@ -63,6 +63,10 @@ class FloatRangeError(GravlabError):
     the message keeps the Python exception's type and text."""
 
 
+class OutputError(GravlabError):
+    """An output could not be written; the message names the directory and the OS error."""
+
+
 class ManifestError(GravlabError):
     """Run manifest failed schema validation; ``field`` names the offender."""
 

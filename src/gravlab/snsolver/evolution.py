@@ -21,6 +21,7 @@ from ..quantities import CODATA2018, PhysicalConstants
 from .state import WaveState, dirichlet_kinetic_sum, kernel_potential
 
 MAX_PHASE = 1.0   # rad: the largest rotation of the fastest grid mode per step
+STEP_FRACTION = 0.9   # the step a run takes, as a fraction of suggested_dt
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,8 @@ class HydrogenReport:
 
 
 def hydrogen_diagnostic(
-    include_electrostatic_self: bool = True,
-    include_gravitational_self: bool = False,
+    include_electrostatic_self: bool,
+    include_gravitational_self: bool,
     *,
     r_max_bohr: float = 40.0,
     n_points: int = 2000,

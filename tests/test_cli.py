@@ -198,6 +198,16 @@ def test_collapse_sim_without_interference_expects_a_positive_zero(tmp_path, cap
     assert "(expected 0.000000000e+00 J)" in capsys.readouterr().out
 
 
+def test_collapse_sim_at_rate_0_has_an_infinite_lifetime_and_no_table(tmp_path):
+    outdir = tmp_path / "out"
+    assert main(["collapse-sim", "--n", "1000", "--rate", "0", "--output-dir", str(outdir)]) == 0
+    ensemble = json.loads((outdir / "collapse_sim.json").read_text())["ensemble"]
+    assert ensemble["infinite_lifetime"] is True
+    assert ensemble["mean_collapse_time_s"] is None
+    bundle = json.loads((outdir / "result_bundle.json").read_text())
+    assert [f["name"] for f in bundle["files"]] == ["manifest.json", "collapse_sim.json"]
+
+
 def test_sn_ground_scaled_output(tmp_path):
     bundle = run(manifest_for("sn-ground", {
         "mass_kg": 1e-17,
@@ -323,6 +333,17 @@ def test_an_output_dir_that_cannot_be_a_directory_exits_2_before_the_compute(
     assert (tmp_path / "a-file").read_text() == "kept\n"
 
 
+def test_an_output_file_that_is_a_directory_exits_1_naming_it(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    (outdir / "feynman_scale.json").mkdir(parents=True)
+    assert main(["feynman-scale", "--output-dir", str(outdir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"output error: cannot write the outputs in {outdir}: ")
+    assert "feynman_scale.json" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_env_var_sets_default_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAVLAB_OUTPUT_DIR", str(tmp_path / "env-out"))
     code = main(["feynman-scale"])
@@ -358,6 +379,20 @@ def test_sn_evolve_free_width_meets_its_closed_form_at_readme_arguments(tmp_path
     # 2,400 points leave the free width 6.3e-7 below the closed form
     assert summary["final_free_width_m"] == pytest.approx(
         summary["closed_form_free_width_m"], rel=1e-6)
+
+
+def test_sn_evolve_runs_a_kernel_free_gaussian_on_an_si_grid(tmp_path):
+    # with no coupling there is no natural length: sigma0 and r_max are in metres
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"command": "sn-evolve", "parameters": {
+        "mass_kg": 1e-17, "couplings": [], "sigma0": 3.3e-7,
+        "grid": {"units": "si", "r_max": 1e-5, "points": 2400}}}))
+    outdir = tmp_path / "out"
+    assert main(["sn-evolve", "--manifest", str(source), "--output-dir", str(outdir)]) == 0
+    summary = json.loads((outdir / "sn_evolve.json").read_text())
+    assert summary["sigma0_m"] == 3.3e-7
+    assert summary["final_width_m"] == pytest.approx(summary["closed_form_free_width_m"],
+                                                     rel=1e-6)
 
 
 def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):

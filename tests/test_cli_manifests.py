@@ -41,12 +41,12 @@ BASE = {
                        "sweep": {"kind": "mass-scale", "values": [1.0, 2.0],
                                  "separation_m": 3.0}},
     "sn-ground": {"mass_kg": 1e-17, "couplings": ["gravity"], "method": "scf",
-                  "n_states": 1, "grid": SN_GRID, "tolerance": 1e-8, "scale_system": "si"},
+                  "grid": SN_GRID, "tolerance": 1e-8, "scale_system": "si"},
     "sn-spectrum": {"mass_kg": 1e-17, "method": "scf", "n_states": 1, "grid": SN_GRID,
                     "tolerance": 1e-8, "scale_system": "si"},
     "sn-evolve": {"mass_kg": 1e-17, "couplings": ["gravity"], "n_steps": 10,
-                  "record_every": 5, "sigma0_natural": 2.0, "dt_fraction": 0.9,
-                  "compare_free": True, "grid": {"points": 600, "r_max": 18.0}},
+                  "record_every": 5, "sigma0": 2.0, "compare_free": True,
+                  "grid": {"points": 600, "r_max": 18.0}},
     "hydrogen-shift": {"electrostatic": True, "gravitational": True, "points": 800,
                        "r_max_bohr": 24.0, "tolerance": 1e-8},
     "collapse-sim": {"n": 1000, "rate_per_s": 1.0, "weights": [0.36, 0.64],
@@ -84,8 +84,8 @@ REJECTED = [
                  id="sn-ground:parameters.method"),
     pytest.param(manifest("hydrogen-shift", points="x"), "parameters.points",
                  id="hydrogen-shift:parameters.points"),
-    pytest.param(manifest("sn-evolve", dt_fraction="x"), "parameters.dt_fraction",
-                 id="sn-evolve:parameters.dt_fraction"),
+    pytest.param(manifest("sn-evolve", sigma0="x"), "parameters.sigma0",
+                 id="sn-evolve:parameters.sigma0"),
     pytest.param(manifest("sn-ground", couplings=[{"strength_J_m": "x"}]),
                  "parameters.couplings[0].strength_J_m",
                  id="sn-ground:parameters.couplings[0].strength_J_m"),
@@ -162,6 +162,17 @@ REJECTED = [
                  "tolerances", id="e-delta:tolerances"),
     pytest.param({**manifest("sn-ground"), "scale_system": "si"}, "scale_system",
                  id="sn-ground:scale_system"),
+    # sn-evolve's width is sigma0 in the grid's units and its step is worked out;
+    # sn-ground solves the ground state alone (sn-spectrum takes n_states)
+    *[pytest.param(manifest("sn-evolve", **{key: 1.0}), f"parameters.{key}",
+                   id=f"sn-evolve:parameters.{key}")
+      for key in ("sigma0_m", "sigma0_natural", "dt_s", "dt_fraction")],
+    pytest.param(manifest("sn-ground", n_states=1), "parameters.n_states",
+                 id="sn-ground:parameters.n_states"),
+    # a collapse rate comes from rate_per_s or from the two branch shapes
+    pytest.param({"command": "collapse-sim", "parameters": {
+        key: value for key, value in BASE["collapse-sim"].items() if key != "rate_per_s"}},
+                 "parameters.rate_per_s", id="collapse-sim:parameters.rate_per_s:no-source"),
 ]
 
 
@@ -194,8 +205,8 @@ FAILED = [
                  "FloatRangeError: OverflowError", id="e-delta:gaussian_mass_kg=1e300"),
     pytest.param(manifest("sn-ground", mass_kg=1e300), "FloatRangeError: OverflowError",
                  id="sn-ground:mass_kg=1e300"),
-    pytest.param(manifest("sn-evolve", sigma0_natural=1e300), "FloatRangeError: OverflowError",
-                 id="sn-evolve:sigma0_natural=1e300"),
+    pytest.param(manifest("sn-evolve", sigma0=1e300), "FloatRangeError: OverflowError",
+                 id="sn-evolve:sigma0=1e300"),
     pytest.param(manifest("hydrogen-shift", r_max_bohr=1e-300),
                  "FloatRangeError: ZeroDivisionError", id="hydrogen-shift:r_max_bohr=1e-300"),
 ]
