@@ -37,7 +37,7 @@ from .massdist import (
     self_energy_mc,
     shape_from_dict,
 )
-from .collapsesim import CollapseModel, check_rate, energy_ledger, simulate
+from .collapsesim import CollapseModel, check_rate, check_weights, energy_ledger, simulate
 from .dpcriterion import collapse_time, feynman_mass_scale, lifetime_sweep
 from .persistence import format_number, sha256_file, write_csv, write_json, write_plot_script
 from .quantities import CODATA2018, ENERGY_SCALES, PhysicalConstants, kernel_length
@@ -73,17 +73,18 @@ class Param(NamedTuple):
     """One settable value: its dotted path in the manifest, its kind (float,
     int, bool, str, list, dict, or a function (value, field) -> value that
     checks and converts a compound value), its default (a None default makes
-    it optional), its check (a tuple of choices, or bounds such as "> 0" or
-    ">= 1, <= 1e8"; an array size is bounded so that numpy can allocate it)
-    and its flags.  A flag is a name that sets the value as given, or a (name,
-    argparse type or choices, help) triple whose values from_flags(target,
-    *values) turns into the value to store in the dict ``target`` (None: keep).
+    it optional), its check (a tuple of choices, bounds such as "> 0" or ">= 1,
+    <= 1e8" that keep an array size allocatable, or a library function that
+    raises ValueError) and its flags.  A flag is a name that sets the value as
+    given, or a (name, argparse type or choices, help) triple whose values
+    from_flags(target, *values) turns into the value to store in ``target``
+    (None: keep).
     """
 
     path: str
     kind: Any
     default: Any = REQUIRED
-    check: tuple | str | None = None
+    check: tuple | str | Callable | None = None
     flags: tuple = ()
     help: str = ""
     from_flags: Callable | None = None
@@ -124,6 +125,11 @@ def _checked(row: Param, value, field: str):
     if isinstance(row.check, tuple):
         if value not in row.check:
             raise ManifestError(f"must be one of {', '.join(row.check)}", field=field)
+    elif callable(row.check):
+        try:
+            row.check(value)
+        except ValueError as exc:
+            raise ManifestError(str(exc), field=field) from exc
     elif row.check:
         for clause in row.check.split(", "):
             op, bound = clause.split()
@@ -357,12 +363,12 @@ class Table(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _superposition(p: dict) -> SuperpositionSpec:
+def _superposition(p: dict, *amplitudes: complex) -> SuperpositionSpec:
     try:
-        return SuperpositionSpec(p["shape_a"], p["shape_b"],
-                                 complex(*p["amp_a"]), complex(*p["amp_b"]))
+        return SuperpositionSpec(p["shape_a"], p["shape_b"], *amplitudes)
     except ValueError as exc:
-        raise ManifestError(str(exc), field="parameters.amp_a") from exc
+        # the amplitudes come from checked weights, so this is the branch-mass check
+        raise ManifestError(str(exc), field="parameters.shape_b") from exc
 
 
 def _cmd_selfenergy(p: dict, manifest: RunManifest, constants: PhysicalConstants):
@@ -512,7 +518,7 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     mass, n_steps = p["mass_kg"], p["n_steps"]
     couplings = [make(mass, constants) for make in p["couplings"]]
     kappa = sum(t.strength for t in couplings)
-    record_every = p["record_every"] or max(1, n_steps // 200)
+    record_every = max(1, n_steps // 200)
     if p["initial_state_csv"] is not None:
         try:
             state = load_state_csv(p["initial_state_csv"], mass)
@@ -586,26 +592,22 @@ def _cmd_hydrogen_shift(p: dict, manifest: RunManifest, constants: PhysicalConst
 
 def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstants):
     n, energies, interference = p["n"], p["branch_energies_J"], p["interference_energy_J"]
-    rate = p["rate_per_s"]
-    if rate is not None:
+    rate, weights, shapes = p["rate_per_s"], p["weights"], (p["shape_a"], p["shape_b"])
+    if rate is not None and shapes == (None, None):
+        model = CollapseModel(rate=rate, outcome_weights=weights,
+                              branch_energies=energies, interference_energy=interference)
+    elif rate is None and None not in shapes:
+        # Born weights: the amplitudes are square roots of the weights, normalised to sum 1
+        spec = _superposition(p, *(complex(math.sqrt(w / sum(weights))) for w in weights))
         try:
-            check_rate(rate)
-        except ValueError as exc:
-            raise ManifestError(str(exc), field="parameters.rate_per_s") from exc
-    try:
-        if rate is not None:
-            model = CollapseModel(rate=rate, outcome_weights=p["weights"],
-                                  branch_energies=energies, interference_energy=interference)
-        elif p["shape_a"] is not None and p["shape_b"] is not None:
-            model = CollapseModel.from_superposition(_superposition(p), energies, interference,
+            model = CollapseModel.from_superposition(spec, energies, interference,
                                                      p["prefactor"], constants, p["tolerance"])
-        else:
-            raise ManifestError("provide rate_per_s or shape_a/shape_b",
-                                field="parameters.rate_per_s")
-    except ValueError as exc:
-        # bad weights, or a rate out of range for the prefactor
-        culprit = "weights" if rate is not None else "prefactor"
-        raise ManifestError(str(exc), field=f"parameters.{culprit}") from exc
+        except ValueError as exc:
+            # E_delta / (prefactor hbar) is out of the rate's range
+            raise ManifestError(str(exc), field="parameters.prefactor") from exc
+    else:
+        raise ManifestError("provide rate_per_s or shape_a and shape_b, not both",
+                            field="parameters.rate_per_s")
 
     ensemble = simulate(model, n, manifest.seed)
     ledger = energy_ledger(ensemble, model)
@@ -662,12 +664,9 @@ SHAPE = Param("shape", _shape, flags=(
 ENERGY_METHOD = Param("method", str, "auto", ("auto", "analytic", "quadrature"))
 MONTE_CARLO = (Param("monte_carlo", bool, False, flags=("--monte-carlo",)),
                Param("mc_samples", int, 200_000, ">= 20, <= 1e8", flags=("--mc-samples",)))
-AMPLITUDES = (Param("amp_a", _pair, [math.sqrt(0.5), 0.0]),
-              Param("amp_b", _pair, [math.sqrt(0.5), 0.0]))
 BRANCHES = (SHAPE._replace(path="shape_a"),
             Param("shape_b", _shape, from_flags=_separated, flags=(
-                ("--separation", float, "m; branch b is branch a displaced by this distance"),)),
-            *AMPLITUDES)
+                ("--separation", float, "m; branch b is branch a displaced by this distance"),)))
 PREFACTOR = Param("prefactor", float, 1.0, "> 0", flags=("--prefactor",))
 SN_MASS = Param("mass_kg", float, check="> 0", flags=("--mass",), help="kg")
 COUPLINGS = Param("couplings", _couplings, ["gravity"])
@@ -706,12 +705,8 @@ COMMANDS: dict[str, Command] = {
         (SN_MASS, COUPLINGS, *GRID, SN_METHOD,
          Param("n_states", int, 3, ">= 1", flags=("--n-states",)), SCF_TOL, SCALE)),
     "sn-evolve": Command(_cmd_sn_evolve, "evolve a Gaussian packet", (
-        SN_MASS,
-        COUPLINGS._replace(from_flags=lambda params, on: ["gravity"] if on else [], flags=(
-            ("--gravity", bool, "include the attractive kernel coupling"),)),
-        *GRID,
+        SN_MASS, COUPLINGS, *GRID,
         Param("n_steps", int, 1000, ">= 1, <= 1e7", flags=("--n-steps",)),
-        Param("record_every", int, None, ">= 1"),   # null: n_steps // 200, at least 1
         Param("initial_state_csv", str, None),
         Param("sigma0", float, 2.0, "> 0", flags=("--sigma0",),
               help="initial width, in kernel natural lengths unless grid.units is si"),
@@ -726,15 +721,15 @@ COMMANDS: dict[str, Command] = {
     )),
     "collapse-sim": Command(_cmd_collapse_sim, "stochastic collapse trajectories", (
         Param("n", int, 100_000, ">= 1, <= 1e8", flags=("--n",)),
-        Param("rate_per_s", float, None, ">= 0", flags=("--rate",), help="1/s"),
-        Param("weights", _pair, [0.5, 0.5], from_flags=lambda params, wa: [wa, 1.0 - wa],
+        Param("rate_per_s", float, None, check_rate, flags=("--rate",), help="1/s"),
+        Param("weights", _pair, [0.5, 0.5], check_weights,
+              from_flags=lambda params, wa: [wa, 1.0 - wa],
               flags=(("--weight-a", float, "outcome weight of branch a"),)),
         Param("branch_energies_J", _pair, NO_ENERGIES, from_flags=_energies_from_flags,
               flags=(("--energy-a", float, "J"), ("--energy-b", float, "J"))),
         Param("interference_energy_J", float, 0.0, flags=("--interference",), help="J"),
         BRANCHES[0]._replace(default=None, flags=()),
         BRANCHES[1]._replace(default=None, flags=()),
-        *AMPLITUDES,
         PREFACTOR,
         QUADRATURE_TOL,
     )),

@@ -44,6 +44,12 @@ def check_rate(rate: float) -> None:
                          "(a smaller positive rate draws collapse times past the float range)")
 
 
+def check_weights(weights: tuple[float, float]) -> None:
+    """Reject outcome weights that are negative or do not sum to 1 within 1e-12."""
+    if not (min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-12):
+        raise ValueError(f"outcome weights must be nonnegative and sum to 1, got {weights}")
+
+
 @dataclass(frozen=True)
 class CollapseModel:
     """Two-branch collapse parameters: decay rate, outcome weights, energies."""
@@ -56,9 +62,7 @@ class CollapseModel:
 
     def __post_init__(self) -> None:
         check_rate(self.rate)
-        wa, wb = self.outcome_weights
-        if wa < 0.0 or wb < 0.0 or abs(wa + wb - 1.0) > 1e-12:
-            raise ValueError(f"outcome weights must be nonnegative and sum to 1, got {self.outcome_weights}")
+        check_weights(self.outcome_weights)
         if not all(map(math.isfinite, (*self.branch_energies, self.interference_energy))):
             raise ValueError("branch and interference energies must be finite")
 

@@ -623,7 +623,9 @@ def test_a_command_offers_only_the_flags_it_reads(command, flag, value, readers)
     ["feynman-scale", "--tolerance", "1e-3"],
     ["e-delta", "--shape", "uniform-sphere", "--mass", "1", "--radius", "1",
      "--separation", "4", "--scale", "atomic"],
-], ids=["feynman-scale:--tolerance", "e-delta:--scale"])
+    # a kernel-free run needs an SI grid, so it is a manifest's `couplings: []`
+    ["sn-evolve", "--mass", "1e-17", "--no-gravity"],
+], ids=["feynman-scale:--tolerance", "e-delta:--scale", "sn-evolve:--no-gravity"])
 def test_a_flag_the_command_does_not_read_exits_2_writing_nothing(tmp_path, argv):
     outdir = tmp_path / "out"
     with pytest.raises(SystemExit) as info:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravlab.cli import RunManifest, main
+from gravlab.collapsesim import CollapseModel
 from gravlab.errors import ManifestError
-from gravlab.massdist import _ball_overlap
+from gravlab.massdist import SuperpositionSpec, _ball_overlap, shape_from_dict
 from gravlab.quantities import CODATA2018
 
 G = CODATA2018.G
@@ -32,9 +34,8 @@ BASE = {
     "selfenergy": {"shape": {"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
                    "method": "auto", "monte_carlo": True, "mc_samples": 500,
                    "tolerance": 1e-6},
-    "e-delta": {"shape_a": SPHERE, "shape_b": SPHERE_AT_4, "amp_a": [0.6, 0.0],
-                "amp_b": [0.8, 0.0], "method": "auto", "monte_carlo": True,
-                "mc_samples": 500, "tolerance": 1e-6},
+    "e-delta": {"shape_a": SPHERE, "shape_b": SPHERE_AT_4, "method": "auto",
+                "monte_carlo": True, "mc_samples": 500, "tolerance": 1e-6},
     "collapse-time": {"shape_a": SPHERE, "shape_b": SPHERE_AT_4, "prefactor": 2.0,
                       "tolerance": 1e-6},
     "lifetime-sweep": {"shape": SPHERE, "prefactor": 1.0, "tolerance": 1e-6,
@@ -45,8 +46,7 @@ BASE = {
     "sn-spectrum": {"mass_kg": 1e-17, "method": "scf", "n_states": 1, "grid": SN_GRID,
                     "tolerance": 1e-8, "scale_system": "si"},
     "sn-evolve": {"mass_kg": 1e-17, "couplings": ["gravity"], "n_steps": 10,
-                  "record_every": 5, "sigma0": 2.0, "compare_free": True,
-                  "grid": {"points": 600, "r_max": 18.0}},
+                  "sigma0": 2.0, "compare_free": True, "grid": {"points": 600, "r_max": 18.0}},
     "hydrogen-shift": {"electrostatic": True, "gravitational": True, "points": 800,
                        "r_max_bohr": 24.0, "tolerance": 1e-8},
     "collapse-sim": {"n": 1000, "rate_per_s": 1.0, "weights": [0.36, 0.64],
@@ -66,6 +66,14 @@ def run_manifest(tmp_path: Path, payload: dict) -> tuple[int, Path]:
 def manifest(command: str, **changes) -> dict:
     """BASE[command] with top-level ``parameters`` entries replaced or added."""
     return {"command": command, "parameters": {**copy.deepcopy(BASE[command]), **changes}}
+
+
+def shapes_sim(**changes) -> dict:
+    """BASE's collapse-sim with its rate from two branch shapes and default weights."""
+    payload = manifest("collapse-sim", shape_a=SPHERE, shape_b=SPHERE_AT_4)
+    del payload["parameters"]["rate_per_s"], payload["parameters"]["weights"]
+    payload["parameters"].update(changes)
+    return payload
 
 
 NEAR_CONCENTRIC = {
@@ -95,8 +103,6 @@ REJECTED = [
                  id="lifetime-sweep:parameters.prefactor"),
     pytest.param(manifest("collapse-sim", weights=[1.0]), "parameters.weights",
                  id="collapse-sim:parameters.weights:one-branch"),
-    pytest.param(manifest("e-delta", amp_a=[1]), "parameters.amp_a",
-                 id="e-delta:parameters.amp_a"),
     pytest.param({**manifest("feynman-scale"), "seed": "abc"}, "seed",
                  id="feynman-scale:seed"),
     pytest.param({**manifest("feynman-scale"), "parameters": [1]}, "parameters",
@@ -109,6 +115,8 @@ REJECTED = [
                  id="collapse-sim:parameters.samples"),
     pytest.param(manifest("collapse-sim", weights=[1.5, -0.5]), "parameters.weights",
                  id="collapse-sim:parameters.weights:negative"),
+    pytest.param(shapes_sim(weights=[1.5, -0.5]), "parameters.weights",
+                 id="collapse-sim:parameters.weights:negative-shapes"),
     pytest.param(manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [1.0]}),
                  "parameters.sweep.separation_m",
                  id="lifetime-sweep:parameters.sweep.separation_m"),
@@ -169,10 +177,17 @@ REJECTED = [
       for key in ("sigma0_m", "sigma0_natural", "dt_s", "dt_fraction")],
     pytest.param(manifest("sn-ground", n_states=1), "parameters.n_states",
                  id="sn-ground:parameters.n_states"),
-    # a collapse rate comes from rate_per_s or from the two branch shapes
+    # a collapse rate comes from rate_per_s or from the two branch shapes, not both
     pytest.param({"command": "collapse-sim", "parameters": {
         key: value for key, value in BASE["collapse-sim"].items() if key != "rate_per_s"}},
                  "parameters.rate_per_s", id="collapse-sim:parameters.rate_per_s:no-source"),
+    pytest.param(manifest("collapse-sim", shape_a=SPHERE, shape_b=SPHERE_AT_4, prefactor=5.0),
+                 "parameters.rate_per_s", id="collapse-sim:parameters.rate_per_s:and-shapes"),
+    pytest.param(manifest("collapse-sim", shape_b=SPHERE_AT_4), "parameters.rate_per_s",
+                 id="collapse-sim:parameters.rate_per_s:and-shape_b"),
+    # the two branches of one body share its mass
+    pytest.param(manifest("e-delta", shape_b=dict(SPHERE_AT_4, mass_kg=2.0)),
+                 "parameters.shape_b", id="e-delta:parameters.shape_b:unequal-mass"),
 ]
 
 
@@ -181,6 +196,28 @@ def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, payload, fie
     code, outdir = run_manifest(tmp_path, payload)
     assert code == 2
     assert f"{field}:" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+# keys no command reads any more: the branch amplitudes (no e-delta or
+# collapse-time number depends on them, and collapse-sim's outcome weights are
+# its `weights`) and sn-evolve's record_every (it records n_steps // 200 apart)
+REMOVED = [
+    *[pytest.param(make(**{key: [1.0, 0.0]}), key, id=f"{command}:{key}")
+      for key in ("amp_a", "amp_b")
+      for command, make in [("e-delta", partial(manifest, "e-delta")),
+                            ("collapse-time", partial(manifest, "collapse-time")),
+                            ("collapse-sim", shapes_sim)]],
+    pytest.param(manifest("sn-evolve", record_every=5), "record_every",
+                 id="sn-evolve:record_every"),
+]
+
+
+@pytest.mark.parametrize("payload, key", REMOVED)
+def test_removed_keys_exit_2_as_unknown_keys(tmp_path, capsys, payload, key):
+    code, outdir = run_manifest(tmp_path, payload)
+    assert code == 2
+    assert f"parameters.{key}: unknown key" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -231,6 +268,36 @@ def test_near_concentric_e_delta_exits_0_with_the_concentric_value(tmp_path):
     summary = json.loads((outdir / "e_delta.json").read_text())
     expected = G * (0.6 / 11.0 + 0.5 / 9.0 - 282.0 / 2662.0)
     assert summary["e_delta_J"] == pytest.approx(expected, rel=1e-9)
+
+
+def test_a_shapes_route_collapse_sim_draws_outcomes_with_its_weights(tmp_path):
+    n = 20_000
+    code, outdir = run_manifest(tmp_path, shapes_sim(n=n, weights=[0.9, 0.1]))
+    assert code == 0
+    summary = json.loads((outdir / "collapse_sim.json").read_text())
+    weights = summary["model"]["outcome_weights"]
+    frequencies = summary["ensemble"]["outcome_frequencies"]
+    for weight, frequency, expected in zip(weights, frequencies, (0.9, 0.1)):
+        assert abs(weight - expected) <= math.ulp(expected)
+        assert abs(frequency - expected) <= 3.0 * math.sqrt(expected * (1.0 - expected) / n)
+
+
+def test_shapes_route_weights_at_the_edge_of_their_sum_tolerance_run(tmp_path):
+    # they sum to 1 + 1.0e-12; the squares of their own square roots sum past 1 + 1e-12
+    weights = [0.5442292252959519, 0.45577077470504807]
+    code, outdir = run_manifest(tmp_path, shapes_sim(weights=weights))
+    assert code == 0
+    model = json.loads((outdir / "collapse_sim.json").read_text())["model"]
+    assert model["outcome_weights"] == pytest.approx(weights, rel=2e-12)
+
+
+def test_a_shapes_route_collapse_sim_at_the_default_weights_has_the_default_amplitudes(tmp_path):
+    code, outdir = run_manifest(tmp_path, shapes_sim())
+    assert code == 0
+    summary = json.loads((outdir / "collapse_sim.json").read_text())
+    spec = SuperpositionSpec(shape_from_dict(SPHERE), shape_from_dict(SPHERE_AT_4))
+    model = CollapseModel.from_superposition(spec, (1.0, 2.0), 0.1, rel_tol=1e-6)
+    assert summary["ensemble"]["model_digest"] == model.content_digest()
 
 
 def test_profile_sweep_is_accurate_at_small_separation(tmp_path):
