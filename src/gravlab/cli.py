@@ -151,18 +151,20 @@ def _reject_unknown(payload: dict, paths: set[str], prefix: str, at: str = "") -
         _reject_unknown(value, paths, prefix, path + ".")
 
 
+def _get(payload: dict, path: str, default=None):
+    """The value at the dotted ``path`` of ``payload``, or ``default``."""
+    *groups, name = path.split(".")
+    for key in groups:
+        payload = payload.get(key, {})
+    return payload.get(name, default)
+
+
 def _validated(rows, payload: dict, prefix: str) -> dict:
     """Every row's value in ``payload``, checked and converted, keyed by path;
     defaults fill what is absent.  A key no row declares is an error."""
     _reject_unknown(payload, {row.path for row in rows}, prefix)
-    values = {}
-    for row in rows:
-        *groups, name = row.path.split(".")
-        node = payload
-        for key in groups:
-            node = node.get(key, {})
-        values[row.path] = _checked(row, node.get(name, row.default), prefix + row.path)
-    return values
+    return {row.path: _checked(row, _get(payload, row.path, row.default), prefix + row.path)
+            for row in rows}
 
 
 def _add_flags(parser: argparse.ArgumentParser, rows, prefix: str) -> None:
@@ -363,11 +365,17 @@ class Table(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _superposition(p: dict, *amplitudes: complex) -> SuperpositionSpec:
+def _refuse_unread(manifest: RunManifest, route: str, *paths: str) -> None:
+    """Exit 2 on the first of ``paths`` that the manifest sets: ``route`` reads none of them."""
+    for path in paths:
+        if _get(manifest.parameters, path) is not None:
+            raise ManifestError(f"not read {route}", field=f"parameters.{path}")
+
+
+def _superposition(p: dict) -> SuperpositionSpec:
     try:
-        return SuperpositionSpec(p["shape_a"], p["shape_b"], *amplitudes)
+        return SuperpositionSpec(p["shape_a"], p["shape_b"])
     except ValueError as exc:
-        # the amplitudes come from checked weights, so this is the branch-mass check
         raise ManifestError(str(exc), field="parameters.shape_b") from exc
 
 
@@ -421,7 +429,9 @@ def _cmd_lifetime_sweep(p: dict, manifest: RunManifest, constants: PhysicalConst
             payload["rho_kg_m3"] = [lam * v for v in payload["rho_kg_m3"]]
         return shape_from_dict(payload)
 
-    if kind == "mass-scale" and separation is None:
+    if kind == "separation":
+        _refuse_unread(manifest, "by a separation sweep", "sweep.separation_m")
+    elif separation is None:
         raise ManifestError("missing required parameter", field="parameters.sweep.separation_m")
     family = []
     try:
@@ -465,6 +475,8 @@ def _sn_grid(p: dict, mass: float, couplings: list[KernelTerm],
 
 
 def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants):
+    if p["method"] == "shooting":
+        _refuse_unread(manifest, "by the shooting method", "tolerance")
     mass = p["mass_kg"]
     couplings = [make(mass, constants) for make in p["couplings"]]
     if sum(t.strength for t in couplings) >= 0.0:
@@ -520,6 +532,7 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     kappa = sum(t.strength for t in couplings)
     record_every = max(1, n_steps // 200)
     if p["initial_state_csv"] is not None:
+        _refuse_unread(manifest, "with initial_state_csv", "sigma0", *(row.path for row in GRID))
         try:
             state = load_state_csv(p["initial_state_csv"], mass)
         except (OSError, ValueError) as exc:
@@ -594,14 +607,14 @@ def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstan
     n, energies, interference = p["n"], p["branch_energies_J"], p["interference_energy_J"]
     rate, weights, shapes = p["rate_per_s"], p["weights"], (p["shape_a"], p["shape_b"])
     if rate is not None and shapes == (None, None):
+        _refuse_unread(manifest, "under rate_per_s", "prefactor", "tolerance")
         model = CollapseModel(rate=rate, outcome_weights=weights,
                               branch_energies=energies, interference_energy=interference)
     elif rate is None and None not in shapes:
-        # Born weights: the amplitudes are square roots of the weights, normalised to sum 1
-        spec = _superposition(p, *(complex(math.sqrt(w / sum(weights))) for w in weights))
+        spec = _superposition(p)
         try:
-            model = CollapseModel.from_superposition(spec, energies, interference,
-                                                     p["prefactor"], constants, p["tolerance"])
+            model = CollapseModel.from_superposition(spec, energies, interference, p["prefactor"],
+                                                     constants, p["tolerance"], weights)
         except ValueError as exc:
             # E_delta / (prefactor hbar) is out of the rate's range
             raise ManifestError(str(exc), field="parameters.prefactor") from exc

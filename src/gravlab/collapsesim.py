@@ -81,13 +81,14 @@ class CollapseModel:
         prefactor: float = 1.0,
         constants: PhysicalConstants = CODATA2018,
         rel_tol: float = DEFAULT_REL_TOL,
+        outcome_weights: tuple[float, float] = (0.5, 0.5),
     ) -> "CollapseModel":
         """Rate defaults to E_delta / (prefactor * hbar), the criterion's inverse lifetime;
         ``rel_tol`` is the quadrature tolerance of E_delta."""
         energy = e_delta(spec, constants=constants, rel_tol=rel_tol)
         return cls(
             rate=energy / (prefactor * constants.hbar),
-            outcome_weights=spec.weights,
+            outcome_weights=outcome_weights,
             branch_energies=branch_energies,
             interference_energy=interference_energy,
             spec_digest=spec.content_digest(),

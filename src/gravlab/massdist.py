@@ -389,34 +389,19 @@ def shape_from_dict(payload: dict) -> MassDistribution:
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """Two mass configurations of the same body plus complex branch amplitudes."""
+    """Two mass configurations of the same body."""
 
     branch_a: MassDistribution
     branch_b: MassDistribution
-    amp_a: complex = complex(math.sqrt(0.5))
-    amp_b: complex = complex(math.sqrt(0.5))
 
     def __post_init__(self) -> None:
-        total = abs(self.amp_a) ** 2 + abs(self.amp_b) ** 2
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"|amp_a|^2 + |amp_b|^2 = {total!r}, must be 1 within 1e-12")
         ma, mb = self.branch_a.mass, self.branch_b.mass
         if abs(ma - mb) > 1e-9 * max(abs(ma), abs(mb)):
-            raise ValueError(
-                f"branches must share total mass within 1e-9 relative (got {ma!r}, {mb!r})"
-            )
-
-    @property
-    def weights(self) -> tuple[float, float]:
-        return (abs(self.amp_a) ** 2, abs(self.amp_b) ** 2)
+            raise ValueError(f"branches must share total mass within 1e-9 relative "
+                             f"(got {ma!r}, {mb!r})")
 
     def to_dict(self) -> dict:
-        return {
-            "branch_a": self.branch_a.to_dict(),
-            "branch_b": self.branch_b.to_dict(),
-            "amp_a": [self.amp_a.real, self.amp_a.imag],
-            "amp_b": [self.amp_b.real, self.amp_b.imag],
-        }
+        return {"branch_a": self.branch_a.to_dict(), "branch_b": self.branch_b.to_dict()}
 
     def content_digest(self) -> str:
         return json_digest(self.to_dict())

@@ -213,16 +213,17 @@ def test_criterion_8_collapse_statistics():
     t0 = time.time()
     n = 100_000
     spec = SuperpositionSpec(UniformSphere(1.0, 1.0),
-                             UniformSphere(1.0, 1.0, (4.0, 0.0, 0.0)),
-                             amp_a=0.6, amp_b=0.8)
+                             UniformSphere(1.0, 1.0, (4.0, 0.0, 0.0)))
+    born = (0.36, 0.64)   # |0.6|^2 and |0.8|^2
     scenarios = [
-        CollapseModel.from_superposition(spec, (2.0, 2.0), 0.0),
-        CollapseModel.from_superposition(spec, (1.0, 3.0), 0.0),
-        CollapseModel.from_superposition(spec, (1.0, 3.0), 0.5),
+        CollapseModel.from_superposition(spec, (2.0, 2.0), 0.0, outcome_weights=born),
+        CollapseModel.from_superposition(spec, (1.0, 3.0), 0.0, outcome_weights=born),
+        CollapseModel.from_superposition(spec, (1.0, 3.0), 0.5, outcome_weights=born),
     ]
     rate = scenarios[0].rate
     assert rate == pytest.approx(e_delta(spec) / C.hbar, rel=1e-12)
     for k, model in enumerate(scenarios):
+        assert model.outcome_weights == born
         ens = simulate(model, n, seed=1000 + k)
         ks = stats.kstest(ens.collapse_times, "expon", args=(0.0, 1.0 / rate))
         assert ks.statistic < 1.6276 / math.sqrt(n)   # 1% critical value

@@ -50,8 +50,7 @@ BASE = {
     "hydrogen-shift": {"electrostatic": True, "gravitational": True, "points": 800,
                        "r_max_bohr": 24.0, "tolerance": 1e-8},
     "collapse-sim": {"n": 1000, "rate_per_s": 1.0, "weights": [0.36, 0.64],
-                     "branch_energies_J": [1.0, 2.0], "interference_energy_J": 0.1,
-                     "tolerance": 1e-6},
+                     "branch_energies_J": [1.0, 2.0], "interference_energy_J": 0.1},
 }
 
 
@@ -188,6 +187,24 @@ REJECTED = [
     # the two branches of one body share its mass
     pytest.param(manifest("e-delta", shape_b=dict(SPHERE_AT_4, mass_kg=2.0)),
                  "parameters.shape_b", id="e-delta:parameters.shape_b:unequal-mass"),
+    # a natural grid's length unit comes from the coupling
+    pytest.param(manifest("sn-evolve", couplings=[]), "parameters.grid.units",
+                 id="sn-evolve:parameters.grid.units:kernel-free-natural"),
+    # a setting the chosen route does not read
+    pytest.param(manifest("collapse-sim", prefactor=5.0), "parameters.prefactor",
+                 id="collapse-sim:parameters.prefactor:rate"),
+    pytest.param(manifest("collapse-sim", tolerance=1e-3), "parameters.tolerance",
+                 id="collapse-sim:parameters.tolerance:rate"),
+    pytest.param(manifest("lifetime-sweep", sweep={"kind": "separation", "values": [2.0],
+                                                   "separation_m": 5.0}),
+                 "parameters.sweep.separation_m",
+                 id="lifetime-sweep:parameters.sweep.separation_m:separation-sweep"),
+    pytest.param(manifest("sn-evolve", initial_state_csv="state.csv"), "parameters.sigma0",
+                 id="sn-evolve:parameters.sigma0:initial_state_csv"),
+    pytest.param(manifest("sn-ground", method="shooting"), "parameters.tolerance",
+                 id="sn-ground:parameters.tolerance:shooting"),
+    pytest.param(manifest("sn-spectrum", method="shooting"), "parameters.tolerance",
+                 id="sn-spectrum:parameters.tolerance:shooting"),
 ]
 
 
@@ -277,27 +294,38 @@ def test_a_shapes_route_collapse_sim_draws_outcomes_with_its_weights(tmp_path):
     summary = json.loads((outdir / "collapse_sim.json").read_text())
     weights = summary["model"]["outcome_weights"]
     frequencies = summary["ensemble"]["outcome_frequencies"]
-    for weight, frequency, expected in zip(weights, frequencies, (0.9, 0.1)):
-        assert abs(weight - expected) <= math.ulp(expected)
+    assert weights == [0.9, 0.1]
+    for frequency, expected in zip(frequencies, weights):
         assert abs(frequency - expected) <= 3.0 * math.sqrt(expected * (1.0 - expected) / n)
 
 
 def test_shapes_route_weights_at_the_edge_of_their_sum_tolerance_run(tmp_path):
-    # they sum to 1 + 1.0e-12; the squares of their own square roots sum past 1 + 1e-12
+    # they sum to 1 + 1.0e-12, the edge of check_weights' tolerance
     weights = [0.5442292252959519, 0.45577077470504807]
     code, outdir = run_manifest(tmp_path, shapes_sim(weights=weights))
     assert code == 0
     model = json.loads((outdir / "collapse_sim.json").read_text())["model"]
-    assert model["outcome_weights"] == pytest.approx(weights, rel=2e-12)
+    assert model["outcome_weights"] == weights
 
 
-def test_a_shapes_route_collapse_sim_at_the_default_weights_has_the_default_amplitudes(tmp_path):
+def test_a_shapes_route_collapse_sim_keeps_the_default_weights_and_the_library_model(tmp_path):
     code, outdir = run_manifest(tmp_path, shapes_sim())
     assert code == 0
     summary = json.loads((outdir / "collapse_sim.json").read_text())
+    assert summary["model"]["outcome_weights"] == [0.5, 0.5]
     spec = SuperpositionSpec(shape_from_dict(SPHERE), shape_from_dict(SPHERE_AT_4))
     model = CollapseModel.from_superposition(spec, (1.0, 2.0), 0.1, rel_tol=1e-6)
     assert summary["ensemble"]["model_digest"] == model.content_digest()
+
+
+def test_an_energy_flag_overrides_one_branch_of_the_manifest_energies(tmp_path):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(manifest("collapse-sim")))
+    outdir = tmp_path / "out"
+    assert main(["collapse-sim", "--manifest", str(source), "--energy-a", "5",
+                 "--output-dir", str(outdir)]) == 0
+    summary = json.loads((outdir / "collapse_sim.json").read_text())
+    assert summary["model"]["branch_energies_J"] == [5.0, 2.0]
 
 
 def test_profile_sweep_is_accurate_at_small_separation(tmp_path):
@@ -312,6 +340,20 @@ def test_profile_sweep_is_accurate_at_small_separation(tmp_path):
     assert summary["errors"] == 0
     assert summary["rows"][0]["E_delta_J"] == pytest.approx(G * _ball_overlap(1e-6), rel=1e-6)
     assert summary["rows"][1]["E_delta_J"] > 0.0
+
+
+def test_a_mass_scale_sweep_rescales_a_radial_profile(tmp_path):
+    # E_delta goes as the mass squared, and powers of 2 rescale without rounding
+    rho = 3.0 / (4.0 * math.pi)
+    profile = {"kind": "radial_profile", "r_m": [i / 15 for i in range(16)],
+               "rho_kg_m3": [rho] * 16, "mass_kg": 1.0}
+    code, outdir = run_manifest(tmp_path, manifest(
+        "lifetime-sweep", shape=profile,
+        sweep={"kind": "mass-scale", "values": [1.0, 2.0, 4.0], "separation_m": 0.5}))
+    assert code == 0
+    e1, e2, e4 = (row["E_delta_J"] for row in json.loads(
+        (outdir / "lifetime_sweep.json").read_text())["rows"])
+    assert (e2, e4) == (4.0 * e1, 16.0 * e1)
 
 
 def test_sweep_records_divergent_rows_and_exits_0(tmp_path):

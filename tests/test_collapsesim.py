@@ -39,6 +39,7 @@ def test_rate_defaults_to_e_delta_over_hbar():
     c = CODATA2018
     assert model.rate == pytest.approx(0.95 * c.G / c.hbar, rel=1e-9)
     assert model.spec_digest == spec.content_digest()
+    assert model.outcome_weights == (0.5, 0.5)
     half = CollapseModel.from_superposition(spec, prefactor=2.0)
     assert half.rate == pytest.approx(model.rate / 2.0, rel=1e-12)
 

@@ -185,11 +185,10 @@ def test_superposition_validation():
     a = UniformSphere(1.0, 1.0)
     b = UniformSphere(1.0, 1.0, (2.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        SuperpositionSpec(a, b, amp_a=1.0, amp_b=1.0)
-    with pytest.raises(ValueError):
         SuperpositionSpec(a, UniformSphere(2.0, 1.0, (2.0, 0.0, 0.0)))
-    spec = SuperpositionSpec(a, b, amp_a=0.6, amp_b=0.8j)
-    assert spec.weights == pytest.approx((0.36, 0.64))
+    spec = SuperpositionSpec(a, b)
+    # a superposition is its two branches; outcome weights belong to collapsesim
+    assert spec.to_dict() == {"branch_a": a.to_dict(), "branch_b": b.to_dict()}
     assert len(spec.content_digest()) == 64
 
 
@@ -218,6 +217,13 @@ def test_profile_rejects_negative_density():
     rho[10] = -0.1
     with pytest.raises(ValueError):
         RadialProfile(r, rho)
+
+
+def test_a_profile_sampled_from_r_above_0_is_plugged_with_its_first_density():
+    # constant density inside the first sample makes these samples a uniform unit ball
+    r = np.linspace(0.25, 1.0, 16)
+    prof = RadialProfile(r, np.full(16, 3.0 / (4.0 * math.pi)))
+    assert self_energy(prof) == pytest.approx(3.0 * G / 5.0, rel=1e-12)
 
 
 def test_profile_from_csv(tmp_path):
