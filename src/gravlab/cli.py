@@ -8,8 +8,8 @@ form).  Exit codes: 0 success, 1 computational error, 2 validation/usage.
 
 Each command is declared once, in COMMANDS: its handler and a table of Param
 rows.  The table builds the command's flags, merges them over the manifest
-file, and checks and converts every parameter before anything is written.
-Handlers only compute; run() writes what they return.
+file, and checks, converts and routes every parameter before anything is
+written.  Handlers only compute; run() writes what they return.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
 
 from . import __version__, np
-from .errors import FloatRangeError, GravlabError, ManifestError, OutputError
+from .errors import FloatRangeError, GravlabError, GridError, ManifestError, OutputError
 from .massdist import (
     DEFAULT_REL_TOL,
     MassDistribution,
@@ -57,6 +57,7 @@ from .snsolver import (
     validate_tail,
 )
 from .snsolver.evolution import STEP_FRACTION
+from .snsolver.state import POINTS_PER_LENGTH
 from .snsolver.stationary import DEFAULT_TOL
 
 OUTPUT_DIR_ENV = "GRAVLAB_OUTPUT_DIR"
@@ -70,15 +71,15 @@ COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 class Param(NamedTuple):
-    """One settable value: its dotted path in the manifest, its kind (float,
-    int, bool, str, list, dict, or a function (value, field) -> value that
-    checks and converts a compound value), its default (a None default makes
-    it optional), its check (a tuple of choices, bounds such as "> 0" or ">= 1,
-    <= 1e8" that keep an array size allocatable, or a library function that
-    raises ValueError) and its flags.  A flag is a name that sets the value as
+    """One settable value: its dotted path in the manifest, its kind (float, int, bool, str,
+    list, dict, or a function (value, field) -> value that checks and converts a compound
+    value), its default (a None default makes it optional), its check (a tuple of choices,
+    bounds such as "> 0" or ">= 1, <= 1e8" that keep an array size allocatable, or a library
+    function that raises ValueError) and its flags.  A flag is a name that sets the value as
     given, or a (name, argparse type or choices, help) triple whose values
-    from_flags(target, *values) turns into the value to store in ``target``
-    (None: keep).
+    from_flags(target, *values) turns into the value to store in ``target`` (None: keep).
+    A row with ``when = (path, values)`` is read only while the earlier row at ``path``
+    holds one of ``values``; elsewhere its value is None.
     """
 
     path: str
@@ -88,6 +89,10 @@ class Param(NamedTuple):
     flags: tuple = ()
     help: str = ""
     from_flags: Callable | None = None
+    when: tuple | None = None
+
+    def route(self) -> str:
+        return f"{self.when[0]} is " + " or ".join(json.dumps(v).strip('"') for v in self.when[1])
 
 
 def _typed(value, kind, field: str):
@@ -161,16 +166,24 @@ def _get(payload: dict, path: str, default=None):
 
 def _validated(rows, payload: dict, prefix: str) -> dict:
     """Every row's value in ``payload``, checked and converted, keyed by path;
-    defaults fill what is absent.  A key no row declares is an error."""
+    defaults fill what is absent.  An undeclared or unread key is an error."""
     _reject_unknown(payload, {row.path for row in rows}, prefix)
-    return {row.path: _checked(row, _get(payload, row.path, row.default), prefix + row.path)
-            for row in rows}
+    values: dict[str, Any] = {}
+    for row in rows:
+        field, unread = prefix + row.path, row.when and values[row.when[0]] not in row.when[1]
+        if unread and _get(payload, row.path) is not None:
+            raise ManifestError(f"not read unless {row.route()}", field=field)
+        values[row.path] = None if unread else _checked(
+            row, _get(payload, row.path, row.default), field)
+    return values
 
 
 def _add_flags(parser: argparse.ArgumentParser, rows, prefix: str) -> None:
     for row in rows:
         notes = [prefix + row.path,
                  "required" if row.default is REQUIRED else f"default {json.dumps(row.default)}"]
+        if row.when:
+            notes.append(f"read when {row.route()}")
         if isinstance(row.check, str):
             notes.append(row.check)
         for flag in row.flags:
@@ -365,13 +378,6 @@ class Table(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _refuse_unread(manifest: RunManifest, route: str, *paths: str) -> None:
-    """Exit 2 on the first of ``paths`` that the manifest sets: ``route`` reads none of them."""
-    for path in paths:
-        if _get(manifest.parameters, path) is not None:
-            raise ManifestError(f"not read {route}", field=f"parameters.{path}")
-
-
 def _superposition(p: dict) -> SuperpositionSpec:
     try:
         return SuperpositionSpec(p["shape_a"], p["shape_b"])
@@ -429,14 +435,10 @@ def _cmd_lifetime_sweep(p: dict, manifest: RunManifest, constants: PhysicalConst
             payload["rho_kg_m3"] = [lam * v for v in payload["rho_kg_m3"]]
         return shape_from_dict(payload)
 
-    if kind == "separation":
-        _refuse_unread(manifest, "by a separation sweep", "sweep.separation_m")
-    elif separation is None:
-        raise ManifestError("missing required parameter", field="parameters.sweep.separation_m")
     family = []
     try:
         for value in p["sweep.values"]:
-            a, d = (base, value) if kind == "separation" else (rescaled_mass(base, value), separation)
+            a, d = (base, value) if separation is None else (rescaled_mass(base, value), separation)
             b = shape_from_dict(_displaced(a.to_dict(), d))
             family.append((value, SuperpositionSpec(a, b)))
     except ValueError as exc:
@@ -475,8 +477,6 @@ def _sn_grid(p: dict, mass: float, couplings: list[KernelTerm],
 
 
 def _cmd_sn_states(p: dict, manifest: RunManifest, constants: PhysicalConstants):
-    if p["method"] == "shooting":
-        _refuse_unread(manifest, "by the shooting method", "tolerance")
     mass = p["mass_kg"]
     couplings = [make(mass, constants) for make in p["couplings"]]
     if sum(t.strength for t in couplings) >= 0.0:
@@ -532,25 +532,28 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
     kappa = sum(t.strength for t in couplings)
     record_every = max(1, n_steps // 200)
     if p["initial_state_csv"] is not None:
-        _refuse_unread(manifest, "with initial_state_csv", "sigma0", *(row.path for row in GRID))
         try:
             state = load_state_csv(p["initial_state_csv"], mass)
         except (OSError, ValueError) as exc:
             raise ManifestError(str(exc), field="parameters.initial_state_csv") from exc
-        sigma0 = None
+        grid, sigma0 = state.grid, None
     else:
         grid, unit = _sn_grid(p, mass, couplings, constants)
         sigma0 = p["sigma0"] * unit
+    # the grid contract: the kernel and a Gaussian packet resolved, the wall in the tail
+    validate_grid_resolution(grid, mass, couplings, constants)
+    if sigma0 is not None:
+        if grid.spacing > sigma0 / POINTS_PER_LENGTH:
+            raise GridError(f"grid spacing {grid.spacing:.3e} m does not resolve sigma0 "
+                            f"{sigma0:.3e} m (need >= {POINTS_PER_LENGTH} points per sigma0)")
         state = WaveState.gaussian_packet(grid, sigma0, mass)
-    # the stationary solver's grid contract: the kernel resolved, the wall in the tail
-    validate_grid_resolution(state.grid, mass, couplings, constants)
     validate_tail(state.psi)
     dt = STEP_FRACTION * suggested_dt(state, kappa, constants)
 
     result = evolve(state, dt, n_steps, kappa=kappa, constants=constants,
                     record_every=record_every)
     # a packet that reaches the wall during the run has widths that belong to the box
-    validate_tail(result.final_u / state.grid.r)
+    validate_tail(result.final_u / grid.r)
     header = ["t_s", "norm", "energy_J", "width_m"]
     columns = [result.times, result.norm, result.energy, result.width]
     curves = [(1, 4, "width")]
@@ -568,11 +571,11 @@ def _cmd_sn_evolve(p: dict, manifest: RunManifest, constants: PhysicalConstants)
         "closed_form_free_width_m": None if sigma0 is None else math.sqrt(
             3.0 * free_gaussian_width_squared(sigma0, mass, float(result.times[-1]), constants)),
     }
-    if p["compare_free"] and kappa != 0.0:
+    if p["compare_free"]:
         # the same initial state, evolved without the kernel
         free = evolve(state, dt, n_steps, kappa=0.0, constants=constants,
                       record_every=record_every)
-        validate_tail(free.final_u / state.grid.r)
+        validate_tail(free.final_u / grid.r)
         header.append("free_width_m")
         columns.append(free.width)
         curves.append((1, 5, "free width"))
@@ -605,12 +608,11 @@ def _cmd_hydrogen_shift(p: dict, manifest: RunManifest, constants: PhysicalConst
 
 def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstants):
     n, energies, interference = p["n"], p["branch_energies_J"], p["interference_energy_J"]
-    rate, weights, shapes = p["rate_per_s"], p["weights"], (p["shape_a"], p["shape_b"])
-    if rate is not None and shapes == (None, None):
-        _refuse_unread(manifest, "under rate_per_s", "prefactor", "tolerance")
+    rate, weights = p["rate_per_s"], p["weights"]
+    if rate is not None:
         model = CollapseModel(rate=rate, outcome_weights=weights,
                               branch_energies=energies, interference_energy=interference)
-    elif rate is None and None not in shapes:
+    else:
         spec = _superposition(p)
         try:
             model = CollapseModel.from_superposition(spec, energies, interference, p["prefactor"],
@@ -618,9 +620,6 @@ def _cmd_collapse_sim(p: dict, manifest: RunManifest, constants: PhysicalConstan
         except ValueError as exc:
             # E_delta / (prefactor hbar) is out of the rate's range
             raise ManifestError(str(exc), field="parameters.prefactor") from exc
-    else:
-        raise ManifestError("provide rate_per_s or shape_a and shape_b, not both",
-                            field="parameters.rate_per_s")
 
     ensemble = simulate(model, n, manifest.seed)
     ledger = energy_ledger(ensemble, model)
@@ -676,7 +675,8 @@ SHAPE = Param("shape", _shape, flags=(
 ), from_flags=_shape_from_flags)
 ENERGY_METHOD = Param("method", str, "auto", ("auto", "analytic", "quadrature"))
 MONTE_CARLO = (Param("monte_carlo", bool, False, flags=("--monte-carlo",)),
-               Param("mc_samples", int, 200_000, ">= 20, <= 1e8", flags=("--mc-samples",)))
+               Param("mc_samples", int, 200_000, ">= 20, <= 1e8", flags=("--mc-samples",),
+                     when=("monte_carlo", (True,))))
 BRANCHES = (SHAPE._replace(path="shape_a"),
             Param("shape_b", _shape, from_flags=_separated, flags=(
                 ("--separation", float, "m; branch b is branch a displaced by this distance"),)))
@@ -687,7 +687,8 @@ GRID = (Param("grid.r_max", float, 60.0, "> 0", flags=("--r-max",),
               help="domain size, in kernel natural lengths unless grid.units is si"),
         Param("grid.points", int, 2400, ">= 8, <= 1e7", flags=("--points",)),
         Param("grid.units", str, "natural", ("natural", "si")))
-SN_METHOD = Param("method", str, "scf", ("scf", "shooting", "both"), flags=("--method",))
+SN_METHOD = (Param("method", str, "scf", ("scf", "shooting", "both"), flags=("--method",)),
+             SCF_TOL._replace(when=("method", ("scf", "both"))))
 
 COMMANDS: dict[str, Command] = {
     "selfenergy": Command(
@@ -705,24 +706,25 @@ COMMANDS: dict[str, Command] = {
         Param("sweep.kind", str, check=("separation", "mass-scale"), flags=("--sweep-kind",)),
         Param("sweep.values", _numbers,
               flags=(("--values", float_list, "comma-separated parameter values"),)),
-        Param("sweep.separation_m", float, None, "> 0", flags=("--separation",),
-              help="m; fixed separation for mass-scale sweeps"),
+        Param("sweep.separation_m", float, REQUIRED, "> 0", flags=("--separation",),
+              help="m; fixed separation", when=("sweep.kind", ("mass-scale",))),
         PREFACTOR,
         QUADRATURE_TOL,
     )),
     "sn-ground": Command(
         _cmd_sn_states, "self-gravitating ground state",
-        (SN_MASS, COUPLINGS, *GRID, SN_METHOD, SCF_TOL, SCALE)),
+        (SN_MASS, COUPLINGS, *GRID, *SN_METHOD, SCALE)),
     "sn-spectrum": Command(
         _cmd_sn_states, "first n stationary states",
-        (SN_MASS, COUPLINGS, *GRID, SN_METHOD,
-         Param("n_states", int, 3, ">= 1", flags=("--n-states",)), SCF_TOL, SCALE)),
+        (SN_MASS, COUPLINGS, *GRID, Param("n_states", int, 3, ">= 1", flags=("--n-states",)),
+         *SN_METHOD, SCALE)),
     "sn-evolve": Command(_cmd_sn_evolve, "evolve a Gaussian packet", (
-        SN_MASS, COUPLINGS, *GRID,
+        SN_MASS, COUPLINGS,
         Param("n_steps", int, 1000, ">= 1, <= 1e7", flags=("--n-steps",)),
         Param("initial_state_csv", str, None),
-        Param("sigma0", float, 2.0, "> 0", flags=("--sigma0",),
+        Param("sigma0", float, 2.0, "> 0", flags=("--sigma0",), when=("initial_state_csv", (None,)),
               help="initial width, in kernel natural lengths unless grid.units is si"),
+        *(row._replace(when=("initial_state_csv", (None,))) for row in GRID),
         Param("compare_free", bool, False, flags=("--compare-free",)),
     )),
     "hydrogen-shift": Command(_cmd_hydrogen_shift, "hydrogen self-interaction diagnostic", (
@@ -741,10 +743,8 @@ COMMANDS: dict[str, Command] = {
         Param("branch_energies_J", _pair, NO_ENERGIES, from_flags=_energies_from_flags,
               flags=(("--energy-a", float, "J"), ("--energy-b", float, "J"))),
         Param("interference_energy_J", float, 0.0, flags=("--interference",), help="J"),
-        BRANCHES[0]._replace(default=None, flags=()),
-        BRANCHES[1]._replace(default=None, flags=()),
-        PREFACTOR,
-        QUADRATURE_TOL,
+        *(row._replace(flags=(), when=("rate_per_s", (None,))) for row in BRANCHES),
+        *(row._replace(when=("rate_per_s", (None,))) for row in (PREFACTOR, QUADRATURE_TOL)),
     )),
 }
 

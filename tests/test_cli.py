@@ -395,6 +395,18 @@ def test_sn_evolve_runs_a_kernel_free_gaussian_on_an_si_grid(tmp_path):
                                                      rel=1e-6)
 
 
+def test_sn_evolve_compares_a_kernel_free_gaussian_with_itself(tmp_path):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps({"command": "sn-evolve", "parameters": {
+        "mass_kg": 1e-17, "couplings": [], "sigma0": 3.3e-7, "compare_free": True,
+        "grid": {"units": "si", "r_max": 1e-5, "points": 2400}}}))
+    outdir = tmp_path / "out"
+    assert main(["sn-evolve", "--manifest", str(source), "--output-dir", str(outdir)]) == 0
+    summary = json.loads((outdir / "sn_evolve.json").read_text())
+    assert summary["final_free_width_m"] == summary["final_width_m"]
+    assert summary["inhibited"] is False
+
+
 def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):
     r = np.linspace(1e-9, 400e-9, 400)
     psi = np.exp(-((r - 1e-7) ** 2) / (2.0 * (4e-8) ** 2))
@@ -424,7 +436,13 @@ def test_sn_evolve_compares_a_loaded_state_with_its_free_evolution(tmp_path):
     # printed a free width 45% below its closed form, and inhibited true, with exit 0
     (["--sigma0", "1", "--r-max", "10", "--points", "320", "--n-steps", "8000",
       "--compare-free"], "extend r_max"),
-], ids=["cut-by-the-wall", "fills-the-box", "unresolved-kernel", "reaches-the-wall-late"])
+    # sigma0 spans 0.4 grid spacings: this started 1.44 times too wide and printed
+    # a free width 74.8% below its closed form, and inhibited false, with exit 0
+    (["--sigma0", "0.01", "--compare-free"], "does not resolve sigma0"),
+    # this ended in a RuntimeWarning from the packet's exponent
+    (["--sigma0", "1e-300"], "does not resolve sigma0"),
+], ids=["cut-by-the-wall", "fills-the-box", "unresolved-kernel", "reaches-the-wall-late",
+        "unresolved-packet", "vanishing-packet"])
 def test_sn_evolve_rejects_a_grid_whose_answer_belongs_to_the_box(tmp_path, argv, message):
     outdir = tmp_path / "out"
     assert main(["sn-evolve", "--mass", "1e-17", *argv, "--output-dir", str(outdir)]) == 1
@@ -598,6 +616,15 @@ def test_readme_example_manifest_runs(tmp_path):
     source.write_text(block)
     assert main([payload["command"], "--manifest", str(source),
                  "--output-dir", str(tmp_path / "out")]) == 0
+
+
+def test_help_names_the_route_that_reads_a_flag(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "400")   # no help text wrapped, no hyphen broken
+    with pytest.raises(SystemExit):
+        main(["lifetime-sweep", "--help"])
+    assert ("--separation SEPARATION m; fixed separation [parameters.sweep.separation_m; "
+            "required; read when sweep.kind is mass-scale; > 0]"
+            in " ".join(capsys.readouterr().out.split()))
 
 
 READS_TOLERANCE = {"selfenergy", "e-delta", "collapse-time", "lifetime-sweep", "collapse-sim",

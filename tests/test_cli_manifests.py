@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravlab.cli import RunManifest, main
+from gravlab.cli import COMMANDS, RunManifest, main
 from gravlab.collapsesim import CollapseModel
 from gravlab.errors import ManifestError
 from gravlab.massdist import SuperpositionSpec, _ball_overlap, shape_from_dict
@@ -67,10 +67,17 @@ def manifest(command: str, **changes) -> dict:
     return {"command": command, "parameters": {**copy.deepcopy(BASE[command]), **changes}}
 
 
+def without(payload: dict, *keys: str) -> dict:
+    """``payload`` with the top-level ``parameters`` entries ``keys`` removed."""
+    for key in keys:
+        del payload["parameters"][key]
+    return payload
+
+
 def shapes_sim(**changes) -> dict:
     """BASE's collapse-sim with its rate from two branch shapes and default weights."""
-    payload = manifest("collapse-sim", shape_a=SPHERE, shape_b=SPHERE_AT_4)
-    del payload["parameters"]["rate_per_s"], payload["parameters"]["weights"]
+    payload = without(manifest("collapse-sim", shape_a=SPHERE, shape_b=SPHERE_AT_4),
+                      "rate_per_s", "weights")
     payload["parameters"].update(changes)
     return payload
 
@@ -81,8 +88,47 @@ NEAR_CONCENTRIC = {
     "shape_b": {"kind": "spherical_shell", "mass_kg": 1.0, "radius_m": 9.0},
 }
 
+# a setting that its command's route does not read, or that the route needs and
+# lacks: one case for each Param row with a `when`
+ROUTED = [
+    pytest.param(manifest("selfenergy", monte_carlo=False), "parameters.mc_samples",
+                 id="selfenergy:parameters.mc_samples:no-monte-carlo"),
+    pytest.param(manifest("e-delta", monte_carlo=False), "parameters.mc_samples",
+                 id="e-delta:parameters.mc_samples:no-monte-carlo"),
+    pytest.param(manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [1.0]}),
+                 "parameters.sweep.separation_m",
+                 id="lifetime-sweep:parameters.sweep.separation_m"),
+    pytest.param(manifest("lifetime-sweep", sweep={"kind": "separation", "values": [2.0],
+                                                   "separation_m": 5.0}),
+                 "parameters.sweep.separation_m",
+                 id="lifetime-sweep:parameters.sweep.separation_m:separation-sweep"),
+    pytest.param(manifest("sn-ground", method="shooting"), "parameters.tolerance",
+                 id="sn-ground:parameters.tolerance:shooting"),
+    pytest.param(manifest("sn-spectrum", method="shooting"), "parameters.tolerance",
+                 id="sn-spectrum:parameters.tolerance:shooting"),
+    pytest.param(manifest("sn-evolve", initial_state_csv="state.csv"), "parameters.sigma0",
+                 id="sn-evolve:parameters.sigma0:initial_state_csv"),
+    *[pytest.param(without(manifest("sn-evolve", initial_state_csv="state.csv",
+                                    grid={key: value}), "sigma0"),
+                   f"parameters.grid.{key}",
+                   id=f"sn-evolve:parameters.grid.{key}:initial_state_csv")
+      for key, value in [("r_max", 18.0), ("points", 600), ("units", "si")]],
+    # a collapse rate comes from rate_per_s or from the two branch shapes, not both
+    pytest.param(without(manifest("collapse-sim"), "rate_per_s"), "parameters.shape_a",
+                 id="collapse-sim:parameters.shape_a:no-source"),
+    pytest.param(manifest("collapse-sim", shape_a=SPHERE, shape_b=SPHERE_AT_4, prefactor=5.0),
+                 "parameters.shape_a", id="collapse-sim:parameters.shape_a:rate"),
+    pytest.param(manifest("collapse-sim", shape_b=SPHERE_AT_4), "parameters.shape_b",
+                 id="collapse-sim:parameters.shape_b:rate"),
+    pytest.param(manifest("collapse-sim", prefactor=5.0), "parameters.prefactor",
+                 id="collapse-sim:parameters.prefactor:rate"),
+    pytest.param(manifest("collapse-sim", tolerance=1e-3), "parameters.tolerance",
+                 id="collapse-sim:parameters.tolerance:rate"),
+]
+
 # each case names its own id, so adding a case renames no other test
 REJECTED = [
+    *ROUTED,
     pytest.param(manifest("selfenergy", method="bogus"), "parameters.method",
                  id="selfenergy:parameters.method"),
     pytest.param(manifest("sn-ground", grid={"points": "abc"}), "parameters.grid.points",
@@ -116,9 +162,6 @@ REJECTED = [
                  id="collapse-sim:parameters.weights:negative"),
     pytest.param(shapes_sim(weights=[1.5, -0.5]), "parameters.weights",
                  id="collapse-sim:parameters.weights:negative-shapes"),
-    pytest.param(manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [1.0]}),
-                 "parameters.sweep.separation_m",
-                 id="lifetime-sweep:parameters.sweep.separation_m"),
     pytest.param(manifest("lifetime-sweep", sweep={"kind": "mass-scale", "values": [-1.0],
                                                    "separation_m": 3.0}),
                  "parameters.sweep.values", id="lifetime-sweep:parameters.sweep.values"),
@@ -176,35 +219,12 @@ REJECTED = [
       for key in ("sigma0_m", "sigma0_natural", "dt_s", "dt_fraction")],
     pytest.param(manifest("sn-ground", n_states=1), "parameters.n_states",
                  id="sn-ground:parameters.n_states"),
-    # a collapse rate comes from rate_per_s or from the two branch shapes, not both
-    pytest.param({"command": "collapse-sim", "parameters": {
-        key: value for key, value in BASE["collapse-sim"].items() if key != "rate_per_s"}},
-                 "parameters.rate_per_s", id="collapse-sim:parameters.rate_per_s:no-source"),
-    pytest.param(manifest("collapse-sim", shape_a=SPHERE, shape_b=SPHERE_AT_4, prefactor=5.0),
-                 "parameters.rate_per_s", id="collapse-sim:parameters.rate_per_s:and-shapes"),
-    pytest.param(manifest("collapse-sim", shape_b=SPHERE_AT_4), "parameters.rate_per_s",
-                 id="collapse-sim:parameters.rate_per_s:and-shape_b"),
     # the two branches of one body share its mass
     pytest.param(manifest("e-delta", shape_b=dict(SPHERE_AT_4, mass_kg=2.0)),
                  "parameters.shape_b", id="e-delta:parameters.shape_b:unequal-mass"),
     # a natural grid's length unit comes from the coupling
     pytest.param(manifest("sn-evolve", couplings=[]), "parameters.grid.units",
                  id="sn-evolve:parameters.grid.units:kernel-free-natural"),
-    # a setting the chosen route does not read
-    pytest.param(manifest("collapse-sim", prefactor=5.0), "parameters.prefactor",
-                 id="collapse-sim:parameters.prefactor:rate"),
-    pytest.param(manifest("collapse-sim", tolerance=1e-3), "parameters.tolerance",
-                 id="collapse-sim:parameters.tolerance:rate"),
-    pytest.param(manifest("lifetime-sweep", sweep={"kind": "separation", "values": [2.0],
-                                                   "separation_m": 5.0}),
-                 "parameters.sweep.separation_m",
-                 id="lifetime-sweep:parameters.sweep.separation_m:separation-sweep"),
-    pytest.param(manifest("sn-evolve", initial_state_csv="state.csv"), "parameters.sigma0",
-                 id="sn-evolve:parameters.sigma0:initial_state_csv"),
-    pytest.param(manifest("sn-ground", method="shooting"), "parameters.tolerance",
-                 id="sn-ground:parameters.tolerance:shooting"),
-    pytest.param(manifest("sn-spectrum", method="shooting"), "parameters.tolerance",
-                 id="sn-spectrum:parameters.tolerance:shooting"),
 ]
 
 
@@ -214,6 +234,12 @@ def test_malformed_values_exit_2_naming_the_field(tmp_path, capsys, payload, fie
     assert code == 2
     assert f"{field}:" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_every_row_read_on_one_route_has_a_routed_case():
+    rows = {(name, f"parameters.{row.path}") for name, command in COMMANDS.items()
+            for row in command.params if row.when}
+    assert {(case.values[0]["command"], case.values[1]) for case in ROUTED} == rows
 
 
 # keys no command reads any more: the branch amplitudes (no e-delta or
@@ -242,8 +268,10 @@ FAILED = [
     pytest.param(manifest("e-delta", shape_a={"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
                           method="analytic"), "NoClosedForm", id="NoClosedForm"),
     # U_a + U_b - mutual of two unit Gaussians 1e-8 apart keeps no correct digit
-    pytest.param(manifest("e-delta", shape_a=GAUSSIAN, monte_carlo=False, method="analytic",
-                          shape_b=dict(GAUSSIAN, center_m=[1e-8, 0.0, 0.0])),
+    pytest.param(without(manifest("e-delta", shape_a=GAUSSIAN, monte_carlo=False,
+                                  method="analytic",
+                                  shape_b=dict(GAUSSIAN, center_m=[1e-8, 0.0, 0.0])),
+                         "mc_samples"),
                  "CancellationError", id="CancellationError"),
     # finite, in-range inputs whose numerics overflow or divide by zero; the
     # message keeps the Python exception's type
@@ -279,8 +307,8 @@ def test_compute_errors_exit_1_with_a_bundle(tmp_path, payload, error):
 
 def test_near_concentric_e_delta_exits_0_with_the_concentric_value(tmp_path):
     # d = 1e-14 m adds O(d^2) to E_delta(0) = U[ball] + U[shell] - mutual(d = 0)
-    code, outdir = run_manifest(tmp_path, manifest("e-delta", **NEAR_CONCENTRIC,
-                                                   monte_carlo=False))
+    code, outdir = run_manifest(tmp_path, without(
+        manifest("e-delta", **NEAR_CONCENTRIC, monte_carlo=False), "mc_samples"))
     assert code == 0
     summary = json.loads((outdir / "e_delta.json").read_text())
     expected = G * (0.6 / 11.0 + 0.5 / 9.0 - 282.0 / 2662.0)
