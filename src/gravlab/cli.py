@@ -122,7 +122,8 @@ def _checked(row: Param, value, field: str):
     if value is None and row.default is None:
         return None
     if value is REQUIRED:
-        raise ManifestError("missing required parameter", field=field)
+        route = f"; read when {row.route()}" if row.when else ""
+        raise ManifestError("missing required parameter" + route, field=field)
     if row.kind in (float, int, bool, str, list, dict):
         value = _typed(value, row.kind, field)
     else:
@@ -673,7 +674,7 @@ SHAPE = Param("shape", _shape, flags=(
     ("--mass", float, "kg"), ("--radius", float, "m"), ("--width", float, "gaussian sigma, m"),
     ("--smearing-length", float, "m"), ("--profile-csv", str, "two-column r,rho CSV"),
 ), from_flags=_shape_from_flags)
-ENERGY_METHOD = Param("method", str, "auto", ("auto", "analytic", "quadrature"))
+ENERGY_METHOD = Param("method", str, "auto", ("auto", "quadrature"))
 MONTE_CARLO = (Param("monte_carlo", bool, False, flags=("--monte-carlo",)),
                Param("mc_samples", int, 200_000, ">= 20, <= 1e8", flags=("--mc-samples",),
                      when=("monte_carlo", (True,))))

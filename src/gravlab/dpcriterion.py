@@ -73,7 +73,8 @@ def lifetime_sweep(
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> list[SweepRow]:
     """Evaluate the criterion over a parameterized family; per-row errors do not
-    abort the sweep.  Rows come back ordered by parameter value."""
+    abort the sweep, and a row whose float arithmetic overflows or divides by
+    zero records it as FloatRangeError.  Rows come back ordered by parameter value."""
     rows: list[SweepRow] = []
     for parameter, spec in family:
         try:
@@ -81,5 +82,8 @@ def lifetime_sweep(
             rows.append(SweepRow(float(parameter), est.e_delta, est.collapse_time))
         except GravlabError as exc:
             rows.append(SweepRow(float(parameter), None, None, error=str(exc)))
+        except ArithmeticError as exc:
+            error = f"FloatRangeError: {type(exc).__name__}: {exc}"
+            rows.append(SweepRow(float(parameter), None, None, error=error))
     rows.sort(key=lambda row: row.parameter)
     return rows

@@ -19,14 +19,6 @@ class NormalizationError(GravlabError):
     """Wavefunction norm deviates from unity beyond tolerance."""
 
 
-class CancellationError(GravlabError):
-    """A difference of nearly equal energies rounds beyond the tolerance."""
-
-
-class NoClosedForm(GravlabError):
-    """``method="analytic"`` was asked for a shape pair with no closed form."""
-
-
 class QuadratureWarning(UserWarning):
     """An adaptive integral stopped at its panel cap short of its tolerance."""
 

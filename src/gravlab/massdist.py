@@ -10,11 +10,10 @@ shell theorem.  Energies follow the convention
 
 Every self energy, closed-form, quadrature or Monte Carlo, is half the
 mutual energy of a shape with itself at zero separation.  Mutual energies go
-through one dispatch: the closed form unless method="quadrature", else the
-Gauss-law engine, built on each shape's enclosed mass fraction F(r) and
-f(r) = F'(r)/r.  A closed form of None means "no closed form": "analytic"
-then raises NoClosedForm, "auto" integrates.  E_delta is never a difference
-of near-equal energies unless method="analytic" (see ``e_delta``).
+through one dispatch: the closed form where the shape pair has one (unless
+method="quadrature"), else the Gauss-law engine, built on each shape's
+enclosed mass fraction F(r) and f(r) = F'(r)/r.  E_delta is never a
+difference of near-equal energies (see ``e_delta``).
 
 It needs numpy alone (a numpy PCHIP, a vectorized adaptive Gauss-Legendre
 rule), so no energy command loads scipy; ``tests/test_cli.py`` guards that.
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import np
-from .errors import CancellationError, DivergentSelfEnergy, NoClosedForm, QuadratureWarning
+from .errors import DivergentSelfEnergy, QuadratureWarning
 from .persistence import json_digest
 from .quantities import CODATA2018, PhysicalConstants
 
@@ -568,8 +567,6 @@ def _unit_mutual(
         closed = _unit_mutual_closed_form(d1, d2, d)
         if closed is not None:
             return closed
-        if method == "analytic":
-            raise NoClosedForm("no closed form for this shape pair; use method='auto'")
     product = lambda r: d1.enclosed_fraction(r) * d2.enclosed_fraction(r)
     if 0.0 in (d1.delta_radius(), d2.delta_radius()):
         # F = 1 for a point, whose mutual energy is the potential int_d^inf F / r^2
@@ -618,12 +615,10 @@ def e_delta(
 ) -> float:
     """Self energy of the branch difference density rho_a - rho_b, in joules.
 
-    Nonnegative, and zero for identical branches.  Disjoint branches take
-    U[a] + U[b] - G m_a m_b / d (at most half the sum is subtracted), equal
-    balls a series in d/R; other pairs, and all under method="quadrature",
-    the Gauss-law sum of two nonnegative terms.  Only method="analytic"
-    subtracts near-equal energies: U[a] + U[b] - mutual from closed forms, and
-    it raises CancellationError when their rounding exceeds rel_tol of the value.
+    Nonnegative, and zero for identical branches.  Unless method="quadrature",
+    overlapping equal balls take a series in d/R and disjoint branches
+    U[a] + U[b] - G m_a m_b / d; every other pair, and all under
+    method="quadrature", the Gauss-law sum of two nonnegative terms.
     """
     a, b = spec.branch_a, spec.branch_b
     if a.delta_radius() == 0.0 or b.delta_radius() == 0.0:
@@ -639,17 +634,12 @@ def e_delta(
         if len(balls) == 2 and balls[0] == balls[1] and not _disjoint(a, b, d):
             overlap = 0.6 * (ma - mb) ** 2 + ma * mb * _ball_overlap(d / balls[0])
             return constants.G * overlap / balls[0]
-        if method == "analytic" or _disjoint(a, b, d):
-            selves = (self_energy(a, constants, method, rel_tol)
-                      + self_energy(b, constants, method, rel_tol))
-            value = selves - mutual_energy(a, b, constants, method, rel_tol)
-            # the difference rounds at eps * selves; kernel positivity makes the
-            # true value > 0, so a negative one fails this test too
-            if sys.float_info.epsilon * selves > rel_tol * value:
-                raise CancellationError(
-                    f"e_delta = {value:.6e} J is U_a + U_b - mutual with U_a + U_b = "
-                    f"{selves:.6e} J: rounding exceeds rel_tol = {rel_tol:g}; use method='auto'")
-            return value
+        if _disjoint(a, b, d):
+            # U >= G m^2 / (2 R) within radius R and (R_a + R_b)(1/R_a + 1/R_b) >= 4 (Cauchy-
+            # Schwarz), so G m_a m_b / d is at most half of U_a + U_b: one bit is lost
+            return (self_energy(a, constants, method, rel_tol)
+                    + self_energy(b, constants, method, rel_tol)
+                    - mutual_energy(a, b, constants, method, rel_tol))
     # F_a - F_b of near-equal shapes rounds at eps times the self-energy scale
     noise = sys.float_info.epsilon * (ma + mb) ** 2 / max(a.tail_radius(), b.tail_radius())
     concentric = 0.5 * _concentric_integral(

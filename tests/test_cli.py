@@ -579,15 +579,65 @@ def test_sn_commands_start_without_scipy(tmp_path):
     assert report == expected
 
 
-def test_selfenergy_analytic_on_a_profile_is_no_closed_form(tmp_path):
-    csv = tmp_path / "profile.csv"
-    csv.write_text("".join(f"{0.25 * i!r},1.0\n" for i in range(9)))
+def test_selfenergy_method_analytic_exits_2_writing_nothing(tmp_path, capsys):
+    # auto takes the closed forms; there is no third energy route
     outdir = tmp_path / "out"
-    code = main(["selfenergy", "--profile-csv", str(csv), "--method", "analytic",
-                 "--output-dir", str(outdir)])
-    assert code == 1
-    bundle = json.loads((outdir / "result_bundle.json").read_text())
-    assert bundle["error"]["type"] == "NoClosedForm"
+    with pytest.raises(SystemExit) as info:
+        main(["selfenergy", "--shape", "gaussian", "--mass", "1", "--width", "1",
+              "--method", "analytic", "--output-dir", str(outdir)])
+    assert info.value.code == 2
+    assert "invalid choice: 'analytic'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+DISJOINT_SPHERES = ["--shape", "uniform-sphere", "--mass", "1", "--radius", "1"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["e-delta", *DISJOINT_SPHERES, "--separation", "4"], "e_delta_J"),
+    (["collapse-time", *DISJOINT_SPHERES, "--separation", "4"], "e_delta_J"),
+    (["lifetime-sweep", *DISJOINT_SPHERES, "--sweep-kind", "separation",
+      "--values", "2,3,4,6,10"], "rows"),
+], ids=["e-delta", "collapse-time", "lifetime-sweep"])
+def test_disjoint_spheres_keep_their_e_delta_bits_at_any_tolerance(tmp_path, argv, key):
+    # U_a + U_b - G m^2 / d of disjoint supports loses at most one bit, at any tolerance
+    values = []
+    for tolerance in ([], ["--tolerance", "1e-16"]):
+        outdir = tmp_path / f"out{len(values)}"
+        assert main([*argv, *tolerance, "--output-dir", str(outdir)]) == 0
+        summary = json.loads((outdir / f"{argv[0].replace('-', '_')}.json").read_text())
+        values.append(summary[key])
+    assert values[0] == values[1]
+
+
+def test_a_sweep_row_that_overflows_errors_that_row_only(tmp_path):
+    # (1e200 kg)^2 overflows a float; the rows at 1e-200 and 1 keep their values
+    outdir = tmp_path / "out"
+    assert main(["lifetime-sweep", "--shape", "gaussian", "--mass", "1", "--width", "1",
+                 "--sweep-kind", "mass-scale", "--values", "1e-200,1,1e200", "--separation", "1",
+                 "--output-dir", str(outdir)]) == 0
+    summary = json.loads((outdir / "lifetime_sweep.json").read_text())
+    assert summary["errors"] == 1
+    low, one, high = summary["rows"]
+    assert low["error"] is None and one["error"] is None
+    assert one["E_delta_J"] > 0.0
+    assert high["E_delta_J"] is None
+    assert high["error"].startswith("FloatRangeError: OverflowError: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["collapse-sim", "--n", "10"],
+     "parameters.shape_a: missing required parameter; read when rate_per_s is null"),
+    (["lifetime-sweep", *DISJOINT_SPHERES, "--sweep-kind", "mass-scale", "--values", "1"],
+     "parameters.sweep.separation_m: missing required parameter; "
+     "read when sweep.kind is mass-scale"),
+], ids=["collapse-sim", "lifetime-sweep"])
+def test_a_missing_required_setting_names_the_route_that_reads_it(tmp_path, capsys, argv,
+                                                                  message):
+    outdir = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(outdir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_collapse_sim_rate_from_shapes_honours_the_tolerance(tmp_path):

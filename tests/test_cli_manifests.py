@@ -131,6 +131,9 @@ REJECTED = [
     *ROUTED,
     pytest.param(manifest("selfenergy", method="bogus"), "parameters.method",
                  id="selfenergy:parameters.method"),
+    # auto takes the closed forms, so there is no separate closed-form method
+    pytest.param(manifest("e-delta", method="analytic"), "parameters.method",
+                 id="e-delta:parameters.method:analytic"),
     pytest.param(manifest("sn-ground", grid={"points": "abc"}), "parameters.grid.points",
                  id="sn-ground:parameters.grid.points"),
     pytest.param(manifest("sn-ground", method="bogus"), "parameters.method",
@@ -265,14 +268,6 @@ def test_removed_keys_exit_2_as_unknown_keys(tmp_path, capsys, payload, key):
 
 
 FAILED = [
-    pytest.param(manifest("e-delta", shape_a={"kind": "gaussian", "mass_kg": 1.0, "width_m": 1.0},
-                          method="analytic"), "NoClosedForm", id="NoClosedForm"),
-    # U_a + U_b - mutual of two unit Gaussians 1e-8 apart keeps no correct digit
-    pytest.param(without(manifest("e-delta", shape_a=GAUSSIAN, monte_carlo=False,
-                                  method="analytic",
-                                  shape_b=dict(GAUSSIAN, center_m=[1e-8, 0.0, 0.0])),
-                         "mc_samples"),
-                 "CancellationError", id="CancellationError"),
     # finite, in-range inputs whose numerics overflow or divide by zero; the
     # message keeps the Python exception's type
     pytest.param(manifest("selfenergy", shape={"kind": "gaussian", "mass_kg": 1.0,

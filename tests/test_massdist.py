@@ -11,7 +11,7 @@ import pytest
 
 import gravlab
 from gravlab.dpcriterion import collapse_time
-from gravlab.errors import CancellationError, DivergentSelfEnergy, NoClosedForm, QuadratureWarning
+from gravlab.errors import DivergentSelfEnergy, QuadratureWarning
 from gravlab.massdist import (
     PANEL_CAP,
     Gaussian,
@@ -22,6 +22,7 @@ from gravlab.massdist import (
     UniformSphere,
     _adaptive,
     _ball_overlap,
+    _unit_mutual_closed_form,
     e_delta,
     e_delta_mc,
     mutual_energy,
@@ -172,13 +173,17 @@ def test_singular_branch_reports_guidance():
         e_delta(SuperpositionSpec(PointMass(1.0), PointMass(1.0, (1.0, 0.0, 0.0))))
 
 
-def test_analytic_e_delta_raises_when_the_subtraction_keeps_too_few_digits():
-    # U_a + U_b - mutual rounds at eps (U_a + U_b) ~ 8e-27 J; E_delta is 3.1e-28 J at d/w = 1e-8
-    a = Gaussian(1.0, 1.0)
-    with pytest.raises(CancellationError, match="rel_tol"):
-        e_delta(SuperpositionSpec(a, Gaussian(1.0, 1.0, (1e-8, 0.0, 0.0))), method="analytic")
-    spec = SuperpositionSpec(a, Gaussian(1.0, 1.0, (1e-2, 0.0, 0.0)))
-    assert e_delta(spec, method="analytic") == pytest.approx(e_delta(spec), rel=1e-9)
+def _closed_form_energy(a, b) -> float:
+    """G (m_a m_b) times the closed-form unit mutual energy of a and b at their separation."""
+    return G * a.mass * b.mass * _unit_mutual_closed_form(a, b, math.dist(a.center, b.center))
+
+
+def test_gaussian_e_delta_matches_the_closed_form_difference_at_d_over_w_1e_2():
+    # at d/w = 1e-2, U_a + U_b - mutual rounds at about 3e-11 of E_delta; the engine subtracts none
+    a, b = Gaussian(1.0, 1.0), Gaussian(1.0, 1.0, (1e-2, 0.0, 0.0))
+    selves = 0.5 * (_closed_form_energy(a, a) + _closed_form_energy(b, b))
+    assert selves - _closed_form_energy(a, b) == pytest.approx(e_delta(SuperpositionSpec(a, b)),
+                                                               rel=1e-9)
 
 
 def test_superposition_validation():
@@ -269,8 +274,8 @@ def test_profile_self_energy_honours_rel_tol_under_auto():
 
 
 def test_profile_self_energy_has_no_closed_form():
-    with pytest.raises(NoClosedForm):
-        self_energy(_exponential_profile(1.0), method="analytic")
+    profile = _exponential_profile(1.0)
+    assert _unit_mutual_closed_form(profile, profile, 0.0) is None
 
 
 def test_profile_quadrature_does_not_depend_on_the_unit_of_length():
@@ -285,7 +290,7 @@ def test_profile_quadrature_does_not_depend_on_the_unit_of_length():
 def test_quadrature_self_energies_match_closed_forms():
     for shape in (SphericalShell(2.0, 0.5), Gaussian(1.5, 0.7),
                   PointMass(1.0, smearing_length=0.3)):
-        exact = self_energy(shape, method="analytic")
+        exact = 0.5 * _closed_form_energy(shape, shape)
         assert self_energy(shape, method="quadrature") == pytest.approx(exact, rel=1e-9)
 
 
@@ -293,7 +298,8 @@ def test_shell_inside_shell_has_a_closed_form():
     # a shell sees a constant potential G m / R anywhere inside another shell
     outer = SphericalShell(2.0, 2.0)
     inner = SphericalShell(3.0, 1.0, (0.5, 0.0, 0.0))
-    assert mutual_energy(outer, inner, method="analytic") == G * 2.0 * 3.0 / 2.0
+    assert _closed_form_energy(outer, inner) == G * 2.0 * 3.0 / 2.0
+    assert mutual_energy(outer, inner) == G * 2.0 * 3.0 / 2.0
 
 
 # -- the field-energy Monte Carlo --------------------------------------------
