@@ -450,11 +450,7 @@ def _cmd_lifetime_sweep(p: dict, manifest: RunManifest, constants: PhysicalConst
         "n_rows": len(rows),
         "kind": kind,
         "errors": sum(1 for r in rows if r.error is not None),
-        "rows": [
-            {"parameter": r.parameter, "E_delta_J": r.e_delta, "T_s": r.collapse_time,
-             "error": r.error}
-            for r in rows
-        ],
+        "rows": [r.to_dict() for r in rows],
     }
     # errored rows keep their slot with empty cells; messages live in the JSON
     table = Table("lifetime_sweep", ["parameter", "E_delta_J", "T_s"],

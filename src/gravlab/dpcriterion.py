@@ -65,6 +65,15 @@ class SweepRow:
     collapse_time: float | None
     error: str | None = None
 
+    def to_dict(self) -> dict:
+        """JSON has no infinity: an infinite lifetime is ``"T_s": null`` with
+        ``"infinite_lifetime": true``, as in ``CollapseEstimate.to_dict``."""
+        row = {"parameter": self.parameter, "E_delta_J": self.e_delta,
+               "T_s": self.collapse_time, "error": self.error}
+        if self.collapse_time == math.inf:
+            row.update(T_s=None, infinite_lifetime=True)
+        return row
+
 
 def lifetime_sweep(
     family: Iterable[tuple[float, SuperpositionSpec]] | Sequence[tuple[float, SuperpositionSpec]],

@@ -4,12 +4,12 @@ A ``WaveState`` is its radial amplitude u = sqrt(4 pi) r psi, of norm dr sum |u|
 ``evolve``, ``suggested_dt``, ``validate_step_size`` and ``rayleigh_quotient``
 take the net kernel strength kappa; a state carries no coupling.
 
-The tridiagonal eigensolve and the Crank-Nicolson ``?gtsv`` solves call LAPACK
-in numpy's bundled OpenBLAS through ``_lapack``, which the functions that call
-it import, so no SN command loads scipy and importing this package does not
-load ``_lapack``; ``tests/test_cli.py`` guards the first.  Where numpy ships no
-such library, ``_lapack`` takes the same routines from ``scipy.linalg`` on
-first use.
+The tridiagonal eigensolve, the SCF's ``dgtsv`` steps and ``evolve``'s kinetic
+steps (one ``zgttrf`` per run, one ``zgttrs`` per step) call LAPACK in numpy's
+bundled OpenBLAS through ``_lapack``, which the functions that call it import,
+so no SN command loads scipy and importing this package does not load
+``_lapack``; ``tests/test_cli.py`` guards the first.  Where numpy ships no such
+library, ``_lapack`` takes the same routines from ``scipy.linalg`` on first use.
 """
 
 from .evolution import (

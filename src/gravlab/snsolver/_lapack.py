@@ -1,12 +1,12 @@
-"""The six LAPACK routines of the SN solvers, bound from numpy's own OpenBLAS.
+"""The five LAPACK routines of the SN solvers, bound from numpy's own OpenBLAS.
 
 numpy's wheels ship and load ``libscipy_openblas64_``, which exports the
 ILP64 LAPACK as ``scipy_<routine>_64_``.  This module calls ``dstebz`` and
 ``dstein`` (one eigenpair of a symmetric tridiagonal matrix), ``dgtsv`` (the
-SCF's warm-started Rayleigh-quotient steps) and ``zgtsv``, ``zgttrf`` and
-``zgttrs`` (the Crank-Nicolson solves) there through ctypes,
-with 64-bit integers and gfortran's hidden ``size_t`` lengths of character
-arguments.  That spares every SN command a cold ``import scipy.linalg``.
+SCF's warm-started Rayleigh-quotient steps) and ``zgttrf`` and ``zgttrs`` (the
+kinetic Crank-Nicolson steps of ``evolve``) there through ctypes, with 64-bit
+integers and gfortran's hidden ``size_t`` lengths of character arguments.
+That spares every SN command a cold ``import scipy.linalg``.
 
 Where the library or one of its symbols is missing (conda/MKL, a system BLAS,
 other wheels), the same routines come from ``scipy.linalg``, imported on
@@ -28,8 +28,8 @@ _LIBRARY_GLOBS = (("..", "numpy.libs", "libscipy_openblas64_*"),
                   (".dylibs", "libscipy_openblas64_*"))
 # each routine's pointer arguments, then its character arguments' lengths (gfortran's
 # hidden size_t ones)
-_SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "zgtsv": (8, 0),
-               "zgttrf": (7, 0), "zgttrs": (11, 1)}
+_SIGNATURES = {"dstebz": (18, 2), "dstein": (13, 0), "dgtsv": (8, 0), "zgttrf": (7, 0),
+               "zgttrs": (11, 1)}
 _int = ctypes.c_int64   # LAPACK's INTEGER in this ILP64 build
 _LEN1 = 1               # the length of every character argument passed here
 
@@ -42,7 +42,7 @@ def _library_paths() -> list[str]:
 
 @functools.cache
 def _openblas() -> dict[str, ctypes._CFuncPtr] | None:
-    """The six routines from numpy's bundled OpenBLAS, or None where it lacks them."""
+    """The five routines from numpy's bundled OpenBLAS, or None where it lacks them."""
     for path in _library_paths():
         try:
             lib = ctypes.CDLL(path)
@@ -130,28 +130,25 @@ def eigenpair(diag: np.ndarray, off: np.ndarray, k: int) -> tuple[float, np.ndar
 
 
 def gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution x of the tridiagonal system (dl, d, du) x = b: ``dgtsv`` when all
-    four are real, ``zgtsv`` when one is complex.
+    """Solution x of the real tridiagonal system (dl, d, du) x = b (``dgtsv``).
 
-    ``d`` and ``b`` are overwritten when they are contiguous arrays of the
-    routine's dtype; ``dl`` and ``du`` are left as they are.
+    ``d`` and ``b`` are overwritten when they are contiguous float64 arrays;
+    ``dl`` and ``du`` are left as they are.
     """
-    dtype = complex if any(np.iscomplexobj(a) for a in (dl, d, du, b)) else float
-    routine = "zgtsv" if dtype is complex else "dgtsv"
     lapack = _openblas()
     if lapack is None:
-        from scipy.linalg import lapack as scipy_lapack
+        from scipy.linalg.lapack import dgtsv
 
-        *_, x, info = getattr(scipy_lapack, routine)(dl, d, du, b, overwrite_d=1, overwrite_b=1)
-        _check(info, routine)
+        *_, x, info = dgtsv(dl, d, du, b, overwrite_d=1, overwrite_b=1)
+        _check(info, "dgtsv")
         return x
 
-    dl, du = np.array(dl, dtype=dtype), np.array(du, dtype=dtype)   # gtsv overwrites them
-    d, b = _own(d, dtype), _own(b, dtype)
+    dl, du = np.array(dl, dtype=float), np.array(du, dtype=float)   # dgtsv overwrites them
+    d, b = _own(d, float), _own(b, float)
     n, info = _int(_order(d, dl, du, b)), _int()
-    lapack[routine](_ref(n), _ref(_int(1)), _ref(dl), _ref(d), _ref(du), _ref(b), _ref(n),
+    lapack["dgtsv"](_ref(n), _ref(_int(1)), _ref(dl), _ref(d), _ref(du), _ref(b), _ref(n),
                     _ref(info))
-    _check(info.value, routine)
+    _check(info.value, "dgtsv")
     return b
 
 

@@ -1,13 +1,13 @@
 """Norm-preserving time evolution with a self-refreshing kernel potential.
 
-Each step is a Crank-Nicolson solve (exactly unitary for the frozen midpoint
-Hamiltonian); the kernel potential is refreshed with one predictor-corrector
-pass per step, which keeps the scheme second order in dt.  Each tridiagonal
-system goes straight to LAPACK ``zgtsv`` (from numpy's OpenBLAS, see
-``_lapack``).  Without a kernel the matrix never changes, so it is factored
-once with ``zgttrf`` and each step is a ``zgttrs`` solve, which gives the same
-bits as a ``zgtsv`` solve per step.  ``EvolutionResult.final_u`` lets a caller
-check the last state against the wall.
+Each step is a Strang split, second order in dt (Lubich, Math. Comp. 77, 2141
+(2008)): half a step of the kernel potential as the phase exp(-i phi dt / 2 hbar),
+one Crank-Nicolson step of the kinetic part, then the other half phase.  A phase
+leaves |u|^2 as it is, so one kernel potential per step serves the two half
+phases that meet between steps and the recorded energy.  The kinetic matrix is
+factored once per call with LAPACK ``zgttrf`` (numpy's OpenBLAS, see ``_lapack``)
+and each step is a ``zgttrs`` solve; without a kernel the phases are skipped.
+``EvolutionResult.final_u`` lets a caller check the last state against the wall.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ def evolve(
     """Advance the state n_steps of size dt under the kernel of net strength
     kappa (J m; 0 for a free packet), recording norm/energy/width.
 
-    The potential used inside each step is the midpoint average of the kernel
-    potential before and after a predictor step, so a stationary input state
-    (whose density does not move) sees an effectively frozen Hamiltonian.
+    Each half phase uses the potential of the density it acts on, so a
+    stationary input state (whose density does not move) sees an effectively
+    frozen Hamiltonian, and the bits of ``final_u`` do not depend on ``record_every``.
     """
-    from ._lapack import gtsv, gttrf, gttrs   # here, as in ``_eigensolve``
+    from ._lapack import gttrf, gttrs   # here, as in ``_eigensolve``
 
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -97,17 +97,15 @@ def evolve(
     hbar = constants.hbar
     kin = hbar**2 / (2.0 * state.mass * dx**2)
     lam = 1j * dt / (2.0 * hbar)
+    lam_diag = lam * (2.0 * kin)
     lam_off = lam * np.full(u.size - 1, -kin)
+    factors = gttrf(lam_off, np.full(u.size, 1.0 + lam_diag), lam_off)
 
-    def explicit_half(u_in: np.ndarray, lam_diag: np.ndarray) -> np.ndarray:
+    def kinetic_step(u_in: np.ndarray) -> np.ndarray:
         rhs = (1.0 - lam_diag) * u_in
         rhs[:-1] -= lam_off * u_in[1:]
         rhs[1:] -= lam_off * u_in[:-1]
-        return rhs
-
-    def cn_solve(u_in: np.ndarray, potential: np.ndarray) -> np.ndarray:
-        lam_diag = lam * (2.0 * kin + potential)
-        return gtsv(lam_off, 1.0 + lam_diag, lam_off, explicit_half(u_in, lam_diag))
+        return gttrs(factors, rhs)
 
     def observables(u_now: np.ndarray, phi_now: np.ndarray) -> tuple[float, float, float]:
         dens = np.abs(u_now) ** 2
@@ -123,20 +121,19 @@ def evolve(
     energies = np.empty(n_records)
     widths = np.empty(n_records)
 
+    half_angle = -0.5j * dt / hbar
     phi = kernel_potential(grid, u, kappa)
-    if kappa == 0.0:   # phi stays zero, so one factorization serves every step
-        free_lam_diag = lam * (2.0 * kin + phi)
-        factors = gttrf(lam_off, 1.0 + free_lam_diag, lam_off)
+    phase = np.exp(half_angle * phi)
     times[0], (norms[0], energies[0], widths[0]) = 0.0, observables(u, phi)
     rec = 1
     for step in range(1, n_steps + 1):
         if kappa != 0.0:
-            u_pred = cn_solve(u, phi)
-            phi_mid = 0.5 * (phi + kernel_potential(grid, u_pred, kappa))
-            u = cn_solve(u, phi_mid)
+            u = kinetic_step(u * phase)
             phi = kernel_potential(grid, u, kappa)
+            phase = np.exp(half_angle * phi)
+            u *= phase
         else:
-            u = gttrs(factors, explicit_half(u, free_lam_diag))
+            u = kinetic_step(u)
         if not np.all(np.isfinite(u.view(float))):
             raise NumericalBlowup(f"non-finite amplitudes after step {step}", step)
         if step % record_every == 0 or step == n_steps:

@@ -150,7 +150,7 @@ def test_constant_overrides_flow_through(tmp_path):
                               constant_overrides={"G": 4.0 * 6.67430e-11}))
     default = run(manifest_for("feynman-scale", {}, tmp_path / "o2"))
     assert bundle.summary["mass_kg"] == pytest.approx(
-        default.summary["mass_kg"] / 2.0, rel=1e-12)
+        default.summary["mass_kg"] / 2.0, rel=1e-12, abs=0)
     with pytest.raises(ManifestError, match="constant_overrides"):
         run(manifest_for("feynman-scale", {}, tmp_path / "o3",
                          constant_overrides={"G": -1.0}))
@@ -169,7 +169,7 @@ def test_selfenergy_with_monte_carlo_cross_check(tmp_path):
         "monte_carlo": True, "mc_samples": 30_000,
     }, tmp_path / "out", seed=5))
     value = bundle.summary["self_energy_J"]
-    assert value == pytest.approx(6.67430e-11 / (2.0 * math.sqrt(math.pi)), rel=1e-9)
+    assert value == pytest.approx(6.67430e-11 / (2.0 * math.sqrt(math.pi)), rel=1e-9, abs=0)
     assert abs(bundle.summary["monte_carlo_J"] - value) < \
         4.0 * bundle.summary["monte_carlo_stderr_J"]
 
@@ -378,7 +378,7 @@ def test_sn_evolve_free_width_meets_its_closed_form_at_readme_arguments(tmp_path
         3.0 * free_gaussian_width_squared(summary["sigma0_m"], 1e-17, t_end))
     # 2,400 points leave the free width 6.3e-7 below the closed form
     assert summary["final_free_width_m"] == pytest.approx(
-        summary["closed_form_free_width_m"], rel=1e-6)
+        summary["closed_form_free_width_m"], rel=1e-6, abs=0)
 
 
 def test_sn_evolve_runs_a_kernel_free_gaussian_on_an_si_grid(tmp_path):
@@ -392,7 +392,7 @@ def test_sn_evolve_runs_a_kernel_free_gaussian_on_an_si_grid(tmp_path):
     summary = json.loads((outdir / "sn_evolve.json").read_text())
     assert summary["sigma0_m"] == 3.3e-7
     assert summary["final_width_m"] == pytest.approx(summary["closed_form_free_width_m"],
-                                                     rel=1e-6)
+                                                     rel=1e-6, abs=0)
 
 
 def test_sn_evolve_compares_a_kernel_free_gaussian_with_itself(tmp_path):
@@ -623,6 +623,24 @@ def test_a_sweep_row_that_overflows_errors_that_row_only(tmp_path):
     assert one["E_delta_J"] > 0.0
     assert high["E_delta_J"] is None
     assert high["error"].startswith("FloatRangeError: OverflowError: ")
+
+
+def test_a_sweep_row_with_an_infinite_lifetime_writes_null(tmp_path):
+    # d = 0: identical branches, E_delta = 0; JSON has no Infinity
+    outdir = tmp_path / "out"
+    assert main(["lifetime-sweep", "--shape", "uniform-sphere", "--mass", "1", "--radius", "1",
+                 "--sweep-kind", "separation", "--values", "0,2",
+                 "--output-dir", str(outdir)]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for name in ("lifetime_sweep.json", "result_bundle.json"):
+        json.loads((outdir / name).read_text(), parse_constant=no_constants)
+    zero, two = json.loads((outdir / "lifetime_sweep.json").read_text())["rows"]
+    assert zero["E_delta_J"] == 0.0
+    assert zero["T_s"] is None and zero["infinite_lifetime"] is True
+    assert two["T_s"] > 0.0 and "infinite_lifetime" not in two
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -307,7 +307,7 @@ def test_near_concentric_e_delta_exits_0_with_the_concentric_value(tmp_path):
     assert code == 0
     summary = json.loads((outdir / "e_delta.json").read_text())
     expected = G * (0.6 / 11.0 + 0.5 / 9.0 - 282.0 / 2662.0)
-    assert summary["e_delta_J"] == pytest.approx(expected, rel=1e-9)
+    assert summary["e_delta_J"] == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 def test_a_shapes_route_collapse_sim_draws_outcomes_with_its_weights(tmp_path):
@@ -361,7 +361,8 @@ def test_profile_sweep_is_accurate_at_small_separation(tmp_path):
     assert code == 0
     summary = json.loads((outdir / "lifetime_sweep.json").read_text())
     assert summary["errors"] == 0
-    assert summary["rows"][0]["E_delta_J"] == pytest.approx(G * _ball_overlap(1e-6), rel=1e-6)
+    assert summary["rows"][0]["E_delta_J"] == pytest.approx(G * _ball_overlap(1e-6),
+                                                            rel=1e-6, abs=0)
     assert summary["rows"][1]["E_delta_J"] > 0.0
 
 

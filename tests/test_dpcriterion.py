@@ -20,7 +20,7 @@ def test_definitional_arithmetic():
     # a superposition engineered so E_delta = hbar / (1 s) collapses in one second
     spec = sphere_pair(4.0)
     est = collapse_time(spec)
-    assert est.collapse_time * est.e_delta == pytest.approx(CODATA2018.hbar, rel=1e-12)
+    assert est.collapse_time * est.e_delta == pytest.approx(CODATA2018.hbar, rel=1e-12, abs=0)
 
 
 def test_identical_branches_live_forever():
@@ -34,9 +34,10 @@ def test_identical_branches_live_forever():
 def test_unit_spheres_at_four_radii():
     # E_delta = 0.95 G ~ 6.34e-11 J gives T ~ 1.66e-24 s
     est = collapse_time(sphere_pair(4.0))
-    assert est.e_delta == pytest.approx(0.95 * CODATA2018.G, rel=1e-9)
-    assert est.collapse_time == pytest.approx(CODATA2018.hbar / (0.95 * CODATA2018.G), rel=1e-9)
-    assert est.collapse_time == pytest.approx(1.66e-24, rel=0.01)
+    assert est.e_delta == pytest.approx(0.95 * CODATA2018.G, rel=1e-9, abs=0)
+    assert est.collapse_time == pytest.approx(CODATA2018.hbar / (0.95 * CODATA2018.G),
+                                              rel=1e-9, abs=0)
+    assert est.collapse_time == pytest.approx(1.66e-24, rel=0.01, abs=0)
 
 
 def test_prefactor_scales_lifetime_exactly():
@@ -44,7 +45,7 @@ def test_prefactor_scales_lifetime_exactly():
     base = collapse_time(spec)
     for lam in (0.5, 2.0, 7.0):
         assert collapse_time(spec, prefactor=lam).collapse_time == pytest.approx(
-            lam * base.collapse_time, rel=1e-14
+            lam * base.collapse_time, rel=1e-14, abs=0
         )
 
 
@@ -53,7 +54,7 @@ def test_branch_swap_invariance():
     b = UniformSphere(1.0, 1.0, (2.5, 0.0, 0.0))
     t1 = collapse_time(SuperpositionSpec(a, b)).collapse_time
     t2 = collapse_time(SuperpositionSpec(b, a)).collapse_time
-    assert t1 == pytest.approx(t2, rel=1e-12)
+    assert t1 == pytest.approx(t2, rel=1e-12, abs=0)
 
 
 def test_digest_tracks_inputs():
@@ -67,13 +68,13 @@ def test_digest_tracks_inputs():
 def test_feynman_mass_scale():
     c = CODATA2018
     m = feynman_mass_scale()
-    assert m == pytest.approx(math.sqrt(c.hbar * c.c / c.G), rel=1e-14)
+    assert m == pytest.approx(math.sqrt(c.hbar * c.c / c.G), rel=1e-14, abs=0)
     # ~2.176e-8 kg = 2.176e-5 g, the "near 1e-5 grams" order
     assert m == pytest.approx(2.176e-8, rel=1e-3)
     assert m**2 * c.G / (c.hbar * c.c) == pytest.approx(1.0, rel=1e-12)
     # quadrupling G halves the scale
     quad_g = feynman_mass_scale(c.with_overrides(G=4.0 * c.G))
-    assert quad_g == pytest.approx(m / 2.0, rel=1e-14)
+    assert quad_g == pytest.approx(m / 2.0, rel=1e-14, abs=0)
 
 
 def test_sweep_monotone_in_separation():
@@ -88,8 +89,8 @@ def test_sweep_single_element_matches_collapse_time():
     rows = lifetime_sweep([(4.0, sphere_pair(4.0))])
     est = collapse_time(sphere_pair(4.0))
     assert len(rows) == 1
-    assert rows[0].e_delta == pytest.approx(est.e_delta, rel=1e-12)
-    assert rows[0].collapse_time == pytest.approx(est.collapse_time, rel=1e-12)
+    assert rows[0].e_delta == pytest.approx(est.e_delta, rel=1e-12, abs=0)
+    assert rows[0].collapse_time == pytest.approx(est.collapse_time, rel=1e-12, abs=0)
 
 
 def test_sweep_mass_scaling_law():
@@ -98,8 +99,8 @@ def test_sweep_mass_scaling_law():
         [(lam, sphere_pair(4.0, mass=lam)) for lam in (1.0, 2.0, 4.0)]
     )
     t1, t2, t4 = (row.collapse_time for row in rows)
-    assert t2 == pytest.approx(t1 / 4.0, rel=1e-9)
-    assert t4 == pytest.approx(t1 / 16.0, rel=1e-9)
+    assert t2 == pytest.approx(t1 / 4.0, rel=1e-9, abs=0)
+    assert t4 == pytest.approx(t1 / 16.0, rel=1e-9, abs=0)
 
 
 def test_sweep_records_row_errors_and_continues():

@@ -41,8 +41,8 @@ def test_electrostatic_first_order_is_five_eighths(rep):
 def test_gravitational_term_is_negligible(rep):
     grav = next(t for t in rep.terms if t.label == "gravity")
     expected = -C.G * C.m_e**2 * 0.625 / C.bohr_radius / 1.602176634e-19
-    assert grav.first_order_ev == pytest.approx(expected, rel=1e-2)
-    assert abs(grav.first_order_ev) == pytest.approx(4.1e-42, rel=0.5)
+    assert grav.first_order_ev == pytest.approx(expected, rel=1e-2, abs=0)
+    assert abs(grav.first_order_ev) == pytest.approx(4.1e-42, rel=0.5, abs=0)
     es = next(t for t in rep.terms if t.label == "electrostatic")
     # at least 40 orders of magnitude below the electrostatic term
     assert abs(es.first_order_ev / grav.first_order_ev) > 1e40

@@ -41,8 +41,8 @@ G = CODATA2018.G
 def test_uniform_sphere_self_energy_analytic():
     # 3 G m^2 / (5 R); for m = 1 kg, R = 1 m this is ~4.005e-11 J
     u = self_energy(UniformSphere(1.0, 1.0))
-    assert u == pytest.approx(3.0 * G / 5.0, rel=1e-12)
-    assert u == pytest.approx(4.00458e-11, rel=1e-4)
+    assert u == pytest.approx(3.0 * G / 5.0, rel=1e-12, abs=0)
+    assert u == pytest.approx(4.00458e-11, rel=1e-4, abs=0)
 
 
 def test_sphere_self_energy_against_monte_carlo():
@@ -55,9 +55,9 @@ def test_gaussian_self_energy_analytic_and_quadrature():
     # G m^2 / (2 sqrt(pi) sigma) ~ 1.882e-11 J at m = 1 kg, sigma = 1 m
     g = Gaussian(1.0, 1.0)
     u = self_energy(g)
-    assert u == pytest.approx(G / (2.0 * math.sqrt(math.pi)), rel=1e-12)
-    assert u == pytest.approx(1.8828e-11, rel=1e-4)
-    assert self_energy(g, method="quadrature") == pytest.approx(u, rel=1e-5)
+    assert u == pytest.approx(G / (2.0 * math.sqrt(math.pi)), rel=1e-12, abs=0)
+    assert u == pytest.approx(1.8828e-11, rel=1e-4, abs=0)
+    assert self_energy(g, method="quadrature") == pytest.approx(u, rel=1e-5, abs=0)
 
 
 def test_gaussian_enclosed_fraction_matches_the_regularized_gamma_function():
@@ -71,7 +71,7 @@ def test_gaussian_enclosed_fraction_matches_the_regularized_gamma_function():
 
 
 def test_shell_self_energy():
-    assert self_energy(SphericalShell(2.0, 0.5)) == pytest.approx(G * 4.0 / 1.0, rel=1e-12)
+    assert self_energy(SphericalShell(2.0, 0.5)) == pytest.approx(G * 4.0 / 1.0, rel=1e-12, abs=0)
 
 
 def test_singular_point_mass_raises():
@@ -79,7 +79,7 @@ def test_singular_point_mass_raises():
         self_energy(PointMass(1.0))
     # smearing regularizes it into a uniform ball
     assert self_energy(PointMass(1.0, smearing_length=0.1)) == pytest.approx(
-        3.0 * G / 0.5, rel=1e-12
+        3.0 * G / 0.5, rel=1e-12, abs=0
     )
 
 
@@ -88,14 +88,14 @@ def test_singular_point_mass_raises():
 def test_shell_theorem_for_disjoint_spheres():
     a = UniformSphere(1.0, 1.0)
     b = UniformSphere(1.0, 1.0, (4.0, 0.0, 0.0))
-    assert mutual_energy(a, b) == pytest.approx(G / 4.0, rel=1e-12)
-    assert mutual_energy(a, b, method="quadrature") == pytest.approx(G / 4.0, rel=1e-5)
+    assert mutual_energy(a, b) == pytest.approx(G / 4.0, rel=1e-12, abs=0)
+    assert mutual_energy(a, b, method="quadrature") == pytest.approx(G / 4.0, rel=1e-5, abs=0)
 
 
 def test_mutual_of_distribution_with_itself_is_twice_self_energy():
     for shape in (UniformSphere(2.0, 1.5), Gaussian(1.0, 0.7), SphericalShell(1.0, 2.0)):
         assert mutual_energy(shape, shape) == pytest.approx(
-            2.0 * self_energy(shape), rel=1e-12
+            2.0 * self_energy(shape), rel=1e-12, abs=0
         )
 
 
@@ -104,9 +104,9 @@ def test_coincident_gaussians_match_quadrature():
     b = Gaussian(1.0, 2.0)
     closed = mutual_energy(a, b)
     assert closed == pytest.approx(
-        G * math.sqrt(2.0 / math.pi) / math.sqrt(1.0 + 4.0), rel=1e-12
+        G * math.sqrt(2.0 / math.pi) / math.sqrt(1.0 + 4.0), rel=1e-12, abs=0
     )
-    assert mutual_energy(a, b, method="quadrature") == pytest.approx(closed, rel=1e-5)
+    assert mutual_energy(a, b, method="quadrature") == pytest.approx(closed, rel=1e-5, abs=0)
 
 
 def test_overlapping_spheres_closed_form_matches_quadrature():
@@ -114,7 +114,7 @@ def test_overlapping_spheres_closed_form_matches_quadrature():
     for d in (0.0, 0.5, 1.0, 1.7, 2.0):
         b = UniformSphere(1.0, 1.0, (d, 0.0, 0.0))
         assert mutual_energy(a, b, method="quadrature") == pytest.approx(
-            mutual_energy(a, b), rel=1e-5
+            mutual_energy(a, b), rel=1e-5, abs=0
         )
 
 
@@ -122,16 +122,16 @@ def test_contained_sphere_closed_form_matches_quadrature():
     big = UniformSphere(1.0, 2.0)
     small = UniformSphere(1.0, 0.3, (0.8, 0.0, 0.0))
     assert mutual_energy(big, small, method="quadrature") == pytest.approx(
-        mutual_energy(big, small), rel=1e-5
+        mutual_energy(big, small), rel=1e-5, abs=0
     )
 
 
 def test_point_mass_sees_shell_potential():
     p = PointMass(1.0, (0.5, 0.0, 0.0))
     shell = SphericalShell(1.0, 2.0)
-    assert mutual_energy(p, shell) == pytest.approx(G / 2.0, rel=1e-12)  # inside: 1/R
+    assert mutual_energy(p, shell) == pytest.approx(G / 2.0, rel=1e-12, abs=0)  # inside: 1/R
     outside = PointMass(1.0, (5.0, 0.0, 0.0))
-    assert mutual_energy(outside, shell) == pytest.approx(G / 5.0, rel=1e-12)
+    assert mutual_energy(outside, shell) == pytest.approx(G / 5.0, rel=1e-12, abs=0)
 
 
 def test_coincident_singular_points_diverge():
@@ -139,7 +139,7 @@ def test_coincident_singular_points_diverge():
         mutual_energy(PointMass(1.0), PointMass(1.0))
     # distinct centers are fine
     assert mutual_energy(PointMass(1.0), PointMass(1.0, (2.0, 0.0, 0.0))) == pytest.approx(
-        G / 2.0, rel=1e-12
+        G / 2.0, rel=1e-12, abs=0
     )
 
 
@@ -155,7 +155,7 @@ def test_displaced_spheres_value():
     a = UniformSphere(1.0, 1.0)
     b = UniformSphere(1.0, 1.0, (4.0, 0.0, 0.0))
     value = e_delta(SuperpositionSpec(a, b))
-    assert value == pytest.approx(0.95 * G, rel=1e-12)
+    assert value == pytest.approx(0.95 * G, rel=1e-12, abs=0)
     mc, err = e_delta_mc(SuperpositionSpec(a, b), n_samples=150_000, seed=5)
     assert abs(mc - value) < 3.0 * err
 
@@ -165,7 +165,7 @@ def test_far_separation_limit():
     a = UniformSphere(1.0, 1.0)
     b = UniformSphere(1.0, 1.0, (100.0, 0.0, 0.0))
     value = e_delta(SuperpositionSpec(a, b), method="quadrature")
-    assert value == pytest.approx(1.2 * G, rel=0.01)
+    assert value == pytest.approx(1.2 * G, rel=0.01, abs=0)
 
 
 def test_singular_branch_reports_guidance():
@@ -183,7 +183,7 @@ def test_gaussian_e_delta_matches_the_closed_form_difference_at_d_over_w_1e_2():
     a, b = Gaussian(1.0, 1.0), Gaussian(1.0, 1.0, (1e-2, 0.0, 0.0))
     selves = 0.5 * (_closed_form_energy(a, a) + _closed_form_energy(b, b))
     assert selves - _closed_form_energy(a, b) == pytest.approx(e_delta(SuperpositionSpec(a, b)),
-                                                               rel=1e-9)
+                                                               rel=1e-9, abs=0)
 
 
 def test_superposition_validation():
@@ -205,7 +205,7 @@ def test_profile_reproduces_sampled_gaussian():
     prof = RadialProfile(r, rho)
     assert prof.mass == pytest.approx(2.0, rel=1e-6)
     assert self_energy(prof) == pytest.approx(
-        self_energy(Gaussian(prof.mass, 1.0)), rel=1e-5
+        self_energy(Gaussian(prof.mass, 1.0)), rel=1e-5, abs=0
     )
 
 
@@ -228,7 +228,7 @@ def test_a_profile_sampled_from_r_above_0_is_plugged_with_its_first_density():
     # constant density inside the first sample makes these samples a uniform unit ball
     r = np.linspace(0.25, 1.0, 16)
     prof = RadialProfile(r, np.full(16, 3.0 / (4.0 * math.pi)))
-    assert self_energy(prof) == pytest.approx(3.0 * G / 5.0, rel=1e-12)
+    assert self_energy(prof) == pytest.approx(3.0 * G / 5.0, rel=1e-12, abs=0)
 
 
 def test_profile_from_csv(tmp_path):
@@ -291,7 +291,7 @@ def test_quadrature_self_energies_match_closed_forms():
     for shape in (SphericalShell(2.0, 0.5), Gaussian(1.5, 0.7),
                   PointMass(1.0, smearing_length=0.3)):
         exact = 0.5 * _closed_form_energy(shape, shape)
-        assert self_energy(shape, method="quadrature") == pytest.approx(exact, rel=1e-9)
+        assert self_energy(shape, method="quadrature") == pytest.approx(exact, rel=1e-9, abs=0)
 
 
 def test_shell_inside_shell_has_a_closed_form():
@@ -420,7 +420,7 @@ def _check_small_d(spec: SuperpositionSpec, expected: float, method: str) -> Non
     with warnings.catch_warnings():
         warnings.simplefilter("error", QuadratureWarning)
         value = e_delta(spec, method=method, rel_tol=1e-10)
-        assert value == pytest.approx(G * expected, rel=1e-8)
+        assert value == pytest.approx(G * expected, rel=1e-8, abs=0)
         if method == "auto":
             assert math.isfinite(collapse_time(spec, rel_tol=1e-10).collapse_time)
 
@@ -439,7 +439,7 @@ def test_profile_e_delta_is_exact_where_the_kernel_switch_meets_a_support_edge(e
     # for 1 < d/R < 2, s = (d - u)/2 reaches R at u = d - 2R and u = 2R - d,
     # between the half-decade separations of the test above
     spec = SuperpositionSpec(_uniform_ball_profile(1.0), _uniform_ball_profile(1.0, (eta, 0, 0)))
-    assert e_delta(spec) == pytest.approx(G * _ball_e_delta(1.0, eta), rel=1e-13)
+    assert e_delta(spec) == pytest.approx(G * _ball_e_delta(1.0, eta), rel=1e-13, abs=0)
 
 
 def test_adaptive_quadrature_stops_at_the_panel_cap_on_a_divergent_integrand():
@@ -516,4 +516,4 @@ def test_e_delta_raises_no_warning_at_the_rounding_limits():
         # a subnormal separation gives the concentric value
         spec = SuperpositionSpec(UniformSphere(1.0, 1.0),
                                  UniformSphere(1.0, 0.5, (1e-311, 0.0, 0.0)))
-        assert e_delta(spec) == pytest.approx(G * _nested_e_delta(1.0, 0.5, 0.0), rel=1e-8)
+        assert e_delta(spec) == pytest.approx(G * _nested_e_delta(1.0, 0.5, 0.0), rel=1e-8, abs=0)

@@ -13,10 +13,10 @@ from gravlab.quantities import (
 
 def test_defaults_are_codata2018():
     c = CODATA2018
-    assert c.hbar == pytest.approx(1.054571817e-34, rel=1e-9)
+    assert c.hbar == pytest.approx(1.054571817e-34, rel=1e-9, abs=0)
     assert c.G == 6.67430e-11
     assert c.c == 299792458.0
-    assert c.e2_coulomb == pytest.approx(2.307077552e-28, rel=1e-9)
+    assert c.e2_coulomb == pytest.approx(2.307077552e-28, rel=1e-9, abs=0)
     assert c.m_e == 9.1093837015e-31
 
 
@@ -34,8 +34,9 @@ def test_sn_natural_definitions():
     m = 1e-17
     c = CODATA2018
     energy = ENERGY_SCALES["sn-natural"](m, c)
-    assert energy == pytest.approx(c.G**2 * m**5 / c.hbar**2, rel=1e-14)
-    assert kernel_length(m, c.G * m**2, c) == pytest.approx(c.hbar**2 / (c.G * m**3), rel=1e-14)
+    assert energy == pytest.approx(c.G**2 * m**5 / c.hbar**2, rel=1e-14, abs=0)
+    assert kernel_length(m, c.G * m**2, c) == pytest.approx(c.hbar**2 / (c.G * m**3),
+                                                            rel=1e-14, abs=0)
 
 
 def test_hartree_value():

@@ -31,10 +31,10 @@ def test_free_gaussian_spreading_follows_closed_form():
     result = evolve(state, t_final / 1500, 1500, kappa=0.0, record_every=50)
     for i in range(1, result.times.size):
         expected = 3.0 * free_gaussian_width_squared(sigma0, mass, float(result.times[i]), C)
-        assert result.width[i] ** 2 == pytest.approx(expected, rel=5e-3)
+        assert result.width[i] ** 2 == pytest.approx(expected, rel=5e-3, abs=0)
     # the end point is the most stringent
     expected = 3.0 * free_gaussian_width_squared(sigma0, mass, float(result.times[-1]), C)
-    assert result.width[-1] ** 2 == pytest.approx(expected, rel=1e-3)
+    assert result.width[-1] ** 2 == pytest.approx(expected, rel=1e-3, abs=0)
 
 
 def test_norm_and_energy_conserved_over_1000_steps():
@@ -73,7 +73,7 @@ def test_gravitational_coupling_inhibits_spreading():
     free = evolve(packet, dt, n_steps, kappa=0.0, record_every=n_steps)
     coupled = evolve(packet, dt, n_steps, kappa=gravitational_kernel(mass, C).strength,
                      record_every=n_steps)
-    assert free.width[0] == pytest.approx(coupled.width[0], rel=1e-9)
+    assert free.width[0] == pytest.approx(coupled.width[0], rel=1e-9, abs=0)
     assert free.width[-1] > free.width[0]           # the free packet spreads
     assert coupled.width[-1] < free.width[-1]       # gravity slows the spread
 
@@ -108,7 +108,7 @@ def test_radial_free_packet_matches_closed_form_too():
     t_final = 1.0 * mass * sigma0**2 / C.hbar
     result = evolve(state, t_final / 1000, 1000, kappa=0.0, record_every=1000)
     expected = 3.0 * free_gaussian_width_squared(sigma0, mass, float(result.times[-1]), C)
-    assert result.width[-1] ** 2 == pytest.approx(expected, rel=5e-3)
+    assert result.width[-1] ** 2 == pytest.approx(expected, rel=5e-3, abs=0)
 
 
 def test_final_step_recorded_with_ragged_stride():
@@ -120,24 +120,64 @@ def test_final_step_recorded_with_ragged_stride():
     assert result.times.size == 3   # t = 0, 7 dt, 10 dt
 
 
-def test_coupled_predictor_corrector_step_is_pinned():
-    # a self-gravitating packet through the predictor-corrector step; values
-    # were computed by this code and pin it against silent changes
+def coupled_run(n_steps, *, steps_per_dt=1, record_every=None):
+    """A self-gravitating packet on 600 points, n_steps of dt / steps_per_dt, where dt
+    is 0.9 of the suggested step."""
     mass = 1e-17
     a = kernel_length(mass, C.G * mass**2, C)
-    grid = RadialGrid.uniform(60.0 * a, 600)
-    state = WaveState.gaussian_packet(grid, 2.0 * a, mass)
+    state = WaveState.gaussian_packet(RadialGrid.uniform(60.0 * a, 600), 2.0 * a, mass)
     kappa = gravitational_kernel(mass, C).strength
-    dt = 0.9 * suggested_dt(state, kappa, C)
-    result = evolve(state, dt, 200, kappa=kappa, record_every=50)
-    assert result.width[-1] == pytest.approx(5.911264471621955e-07, rel=1e-12)
-    assert result.energy[-1] == pytest.approx(-1.8960687932012198e-39, rel=1e-12)
+    dt = 0.9 * suggested_dt(state, kappa, C) / steps_per_dt
+    return evolve(state, dt, n_steps, kappa=kappa, record_every=record_every or n_steps)
+
+
+def test_coupled_strang_step_is_pinned():
+    # values were computed by this code and pin it against silent changes; a run
+    # with 16x the steps checks that the pin is the solution, not just a state
+    result = coupled_run(200, record_every=50)
+    assert result.width[-1] == pytest.approx(5.9112640456281e-07, rel=1e-12, abs=0)
+    assert result.energy[-1] == pytest.approx(-1.8960681972757912e-39, rel=1e-12, abs=0)
+    fine = coupled_run(16 * 200, steps_per_dt=16)
+    assert result.width[-1] == pytest.approx(fine.width[-1], rel=1e-6, abs=0)
+    assert result.energy[-1] == pytest.approx(fine.energy[-1], rel=1e-6, abs=0)
+
+
+def test_coupled_final_state_does_not_depend_on_the_record_stride():
+    runs = [coupled_run(60, record_every=every) for every in (1, 7, 60)]
+    assert all(np.array_equal(run.final_u, runs[0].final_u) for run in runs[1:])
+    assert [run.times.size for run in runs] == [61, 10, 2]
+
+
+def test_coupled_step_is_second_order_in_dt():
+    # the final width's error against a run with 64x the steps falls 4x per halving of dt
+    reference = coupled_run(64 * 200, steps_per_dt=64).width[-1]
+    errors = [abs(coupled_run(m * 200, steps_per_dt=m).width[-1] - reference) for m in (1, 2)]
+    assert errors[0] / errors[1] == pytest.approx(4.0, abs=0.3)
+
+
+def test_one_kernel_integral_per_coupled_step(monkeypatch):
+    from gravlab.snsolver import state as state_module
+
+    calls = []
+    counted = state_module.kernel_integral
+
+    def counting(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(state_module, "kernel_integral", counting)
+    counts = []
+    for n_steps in (10, 30):
+        calls.clear()
+        coupled_run(n_steps)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 20
 
 
 def reference_evolve(state, kappa, dt, n_steps, record_every):
-    """``evolve`` with each Crank-Nicolson step through ``solve_banded`` and a
-    freshly filled banded matrix: the reference the LAPACK route must match
-    bit for bit."""
+    """``evolve``'s split step with each kinetic Crank-Nicolson step through
+    ``solve_banded`` and a freshly filled banded matrix: the reference the
+    LAPACK route must match bit for bit."""
     from scipy.linalg import solve_banded
 
     grid = state.grid
@@ -146,10 +186,10 @@ def reference_evolve(state, kappa, dt, n_steps, record_every):
     kin = C.hbar**2 / (2.0 * state.mass * dx**2)
     lam = 1j * dt / (2.0 * C.hbar)
     n = u.size
+    diag = np.full(n, 2.0 * kin)
     off = np.full(n - 1, -kin)
 
-    def cn_solve(u_in, potential):
-        diag = 2.0 * kin + potential
+    def cn_solve(u_in):
         rhs = (1.0 - lam * diag) * u_in
         rhs[:-1] -= lam * off * u_in[1:]
         rhs[1:] -= lam * off * u_in[:-1]
@@ -158,6 +198,9 @@ def reference_evolve(state, kappa, dt, n_steps, record_every):
         ab[1, :] = 1.0 + lam * diag
         ab[2, :-1] = lam * off
         return solve_banded((1, 1), ab, rhs)
+
+    def half_phase(potential):
+        return np.exp(-0.5j * dt / C.hbar * potential)
 
     def observables(u_now, phi_now):
         dens = np.abs(u_now) ** 2
@@ -171,12 +214,11 @@ def reference_evolve(state, kappa, dt, n_steps, record_every):
     rows = [(0.0, *observables(u, phi))]
     for step in range(1, n_steps + 1):
         if kappa != 0.0:
-            u_pred = cn_solve(u, phi)
-            phi_mid = 0.5 * (phi + kernel_potential(grid, u_pred, kappa))
-            u = cn_solve(u, phi_mid)
+            u = cn_solve(u * half_phase(phi))
             phi = kernel_potential(grid, u, kappa)
+            u = u * half_phase(phi)
         else:
-            u = cn_solve(u, phi)
+            u = cn_solve(u)
         if step % record_every == 0 or step == n_steps:
             rows.append((step * dt, *observables(u, phi)))
     return [np.array(column) for column in zip(*rows)]
@@ -184,8 +226,8 @@ def reference_evolve(state, kappa, dt, n_steps, record_every):
 
 @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "kernel-free"])
 def test_lapack_steps_match_the_banded_reference_bit_for_bit(coupled):
-    # the coupled run solves with ?gtsv each step, the kernel-free run reuses
-    # one ?gttrf factorization; both must give solve_banded's bits
+    # both runs reuse one ?gttrf factorization of the kinetic matrix; both must
+    # give solve_banded's bits
     mass = 1e-17
     a = kernel_length(mass, C.G * mass**2, C)
     grid = RadialGrid.uniform(60.0 * a, 600)

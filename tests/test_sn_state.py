@@ -46,9 +46,9 @@ def test_hydrogenic_self_interaction_energy():
     phi = kernel_potential(grid, state.u, electrostatic_kernel(c).strength)
     weight = 4.0 * math.pi * grid.r**2 * np.abs(state.psi) ** 2
     expectation = float(np.trapezoid(phi * weight, grid.r))
-    assert expectation == pytest.approx(0.625 * c.hartree, rel=1e-3)
+    assert expectation == pytest.approx(0.625 * c.hartree, rel=1e-3, abs=0)
     # finite at the innermost point, approaching e^2/a0
-    assert phi[0] == pytest.approx(c.e2_coulomb / a0, rel=1e-2)
+    assert phi[0] == pytest.approx(c.e2_coulomb / a0, rel=1e-2, abs=0)
 
 
 def test_zero_coupling_gives_zero_potential():
@@ -97,10 +97,10 @@ def test_gaussian_packet_width():
 def test_kernel_strength_signs():
     c = CODATA2018
     grav = gravitational_kernel(2e-10, c)
-    assert grav.strength == pytest.approx(-c.G * 4e-20, rel=1e-12)
+    assert grav.strength == pytest.approx(-c.G * 4e-20, rel=1e-12, abs=0)
     assert grav.strength < 0.0
     es = electrostatic_kernel(c)
-    assert es.strength == pytest.approx(c.e2_coulomb, rel=1e-12)
+    assert es.strength == pytest.approx(c.e2_coulomb, rel=1e-12, abs=0)
     assert es.strength > 0.0
 
 

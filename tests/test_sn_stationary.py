@@ -82,7 +82,7 @@ def test_anderson_scf_converges_in_few_iterations_to_the_tight_solve():
     for state, reference in zip(states, tight):
         assert state.iterations <= 25
         assert state.residual < 1e-8
-        assert state.eigenvalue == pytest.approx(reference.eigenvalue, rel=2e-8)
+        assert state.eigenvalue == pytest.approx(reference.eigenvalue, rel=2e-8, abs=0)
 
 
 def test_five_node_state():
@@ -232,8 +232,8 @@ def test_shooting_results_are_pinned():
     _, e_scale = natural_scales()
     ground = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=ground_grid(), method="shooting")[0]
-    assert ground.eigenvalue / e_scale == pytest.approx(-0.16276920776760564, rel=1e-12)
-    assert ground.residual == pytest.approx(1.4825373224124275e-12, rel=1e-12)
+    assert ground.eigenvalue / e_scale == pytest.approx(-0.16276920776760564, rel=1e-12, abs=0)
+    assert ground.residual == pytest.approx(1.4825373224124275e-12, rel=1e-12, abs=0)
 
 
 # the h -> 0 limit of the shooting eigenvalue for node counts 0, 1 and 2 (SN
@@ -254,8 +254,8 @@ def test_single_step_shooting_keeps_the_integrators_arithmetic():
     _, e_scale = natural_scales()
     ground, residual = single_step_shooting(MASS, [gravitational_kernel(MASS, C)],
                                             ground_grid(), 0.004)
-    assert ground / e_scale == pytest.approx(-0.16276920777870146, rel=1e-12)
-    assert residual == pytest.approx(1.4825373411267212e-12, rel=1e-12)
+    assert ground / e_scale == pytest.approx(-0.16276920777870146, rel=1e-12, abs=0)
+    assert residual == pytest.approx(1.4825373411267212e-12, rel=1e-12, abs=0)
 
 
 def reference_integrate_batch(eps, k, h, n_steps, kappa_sign):
