@@ -17,16 +17,22 @@ from gravlab.snsolver import (
     rayleigh_quotient,
     stationary_states,
 )
+from gravlab.snsolver import stationary
 from gravlab.snsolver.state import kernel_integral
 from gravlab.snsolver.stationary import (
     ANDERSON_DEPTH,
     DAMPING,
     DEFAULT_TOL,
     MAX_ITER,
+    SCAN_COLUMNS,
+    SCANS,
     SHOOTING_STEP,
+    _bisect_eigenvalue,
+    _bracket_from_above,
     _eigensolve,
     _gaussian_kernel_seed,
     _integrate_batch,
+    _n_steps,
     _scf_state,
     _shoot_at_step,
 )
@@ -228,7 +234,8 @@ def test_shooting_results_are_pinned():
     # the bisection decides each trial eigenvalue by its node count; a wrong
     # decision moves the result by at least one bracket width, far past rel=1e-12.
     # Pinned from the Richardson-combined route: the ground value is 4.0e-10
-    # relative from the h -> 0 limit -0.16276920783267
+    # relative from the h -> 0 limit -0.16276920783267 and 4.6e-10 from the
+    # independent -0.16276920784215
     _, e_scale = natural_scales()
     ground = stationary_states(MASS, [gravitational_kernel(MASS, C)], n_states=1,
                                grid=ground_grid(), method="shooting")[0]
@@ -307,6 +314,82 @@ def test_rk4_integrator_matches_the_reference_arithmetic():
     assert 0 < np.count_nonzero(above) < eps.size
     assert np.array_equal(above, ref_above)
     assert np.array_equal(history, ref_history)
+
+
+def test_a_mixed_step_batch_matches_each_step_integrated_alone():
+    # h and 2h columns interleaved, the 2h ones with too few steps to decide them all
+    h, eps = SHOOTING_STEP, np.linspace(0.0, 8.0, 9)
+    steps = np.tile([h, 2.0 * h], eps.size)
+    n_steps = np.tile([2000, 200], eps.size)
+    above, history = _integrate_batch(np.repeat(eps, 2), 1, steps, n_steps, record=True)
+    for col, (step, n) in enumerate(((h, 2000), (2.0 * h, 200))):
+        ref_above, ref_history = reference_integrate_batch(eps, 1, step, n, -1.0)
+        assert np.array_equal(above[col::2], ref_above)
+        assert np.array_equal(history[:, : n + 1, col::2], ref_history)
+        # held at the value where the column left the batch
+        assert (history[:, n:, col::2] == ref_history[:, n:]).all()
+    # one 2h column is neither clamped nor decided when its steps run out
+    left_undecided = ~above[1::2] & (np.abs(history[0, 200, 1::2]) < 1e30)
+    assert np.count_nonzero(left_undecided) == 1
+
+
+def reference_bracket(k, h, n_steps):
+    """The upper bracket by the loop that doubles eps until its solution crosses
+    zero more than k times, one integration at a time."""
+    hi, span = 1.0, 1.0
+    for _ in range(80):
+        if reference_integrate_batch(np.array([hi]), k, h, n_steps, -1.0)[0][0]:
+            return hi
+        hi += span
+        span *= 2.0
+    raise AssertionError("no upper bracket")
+
+
+def reference_bisection(k, h):
+    """(lo, hi, history) of the one problem (k, h): the reference bracket, then
+    ``SCANS`` scans through the reference integrator."""
+    n_steps = int(math.ceil((20.0 + 14.0 * k) / h))
+    lo, hi = 0.0, reference_bracket(k, h, n_steps)
+    for _ in range(SCANS):
+        eps = np.linspace(lo, hi, SCAN_COLUMNS)
+        above, history = reference_integrate_batch(eps, k, h, n_steps, -1.0)
+        above[0], above[-1] = False, True
+        idx = int(np.argmax(above))
+        lo, hi = float(eps[idx - 1]), float(eps[idx])
+    return lo, hi, history[:, :, idx - 1]
+
+
+def test_the_batched_bracket_search_stops_where_the_doubling_loop_does():
+    # mixed node counts and steps; the 8-node problem needs eps = 8, the others 4
+    problems = [(0, SHOOTING_STEP), (1, 2.0 * SHOOTING_STEP), (2, SHOOTING_STEP),
+                (8, 2.0 * SHOOTING_STEP)]
+    expected = [reference_bracket(k, h, _n_steps(k, h)) for k, h in problems]
+    assert expected == [4.0, 4.0, 4.0, 8.0]
+    assert _bracket_from_above(problems) == expected
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_lockstep_bisection_of_both_steps_matches_each_step_bisected_alone(k):
+    steps = (SHOOTING_STEP, 2.0 * SHOOTING_STEP)
+    lockstep = _bisect_eigenvalue([(k, h) for h in steps])
+    for h, (lo, hi, history) in zip(steps, lockstep):
+        for alone in (reference_bisection(k, h), _bisect_eigenvalue([(k, h)])[0]):
+            assert (lo, hi) == alone[:2]
+            assert np.array_equal(history, alone[2])
+
+
+def test_a_failed_bracket_names_its_node_count_and_step(monkeypatch):
+    integrate = stationary._integrate_batch
+
+    def never_above_at_2h(eps, k, h, n_steps, record=False):
+        above, history = integrate(eps, k, h, n_steps, record)
+        above[np.broadcast_to(h, eps.shape) == 2.0 * SHOOTING_STEP] = False
+        return above, history
+
+    monkeypatch.setattr(stationary, "_integrate_batch", never_above_at_2h)
+    with pytest.raises(ConvergenceError, match=r"1-node eigenvalue from above at RK4 step "
+                                               r"h = 0\.032$"):
+        _bisect_eigenvalue([(1, SHOOTING_STEP), (1, 2.0 * SHOOTING_STEP)])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
