@@ -29,9 +29,11 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Pa
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\r\n")
         writer.writerow(header)
+        line = ",".join(["%.9e"] * len(header)) + "\r\n"   # format_number's spelling
         for row in rows:
-            if all(isinstance(v, float) for v in row):   # np.float64 too: the same bytes, faster
-                handle.write(",".join([f"{v:.9e}" for v in row]) + "\r\n")
+            # np.float64 too: the same bytes, faster
+            if len(row) == len(header) and all(isinstance(v, float) for v in row):
+                handle.write(line % tuple(row))
             else:
                 writer.writerow([v if isinstance(v, str) else format_number(v) for v in row])
     return path

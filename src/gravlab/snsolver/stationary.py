@@ -17,9 +17,17 @@ state).  They are independent and cross-checked against each other:
   and bisect on the eigenvalue until the solution has the requested node
   count and decays.  The upper bracket is the first of 1, 2, 4, ... whose
   solution has too many nodes, all candidates tried in one batch.  Each trial
-  eigenvalue is integrated only until its node count is decided.  The
-  profile is the lower bracket's column of the last bisection scan; past the valley where it turns to diverge it continues as
-  the decaying Whittaker solution of the far-field Coulomb-like equation.
+  eigenvalue is integrated only until its node count is decided: at its
+  (k+1)-th crossing, when |u| reaches the 1e30 clamp, or, outside the
+  recorded last scan, once it is past its classical turning point (P > eps)
+  with |u| moving away from zero (u u' > 0).  That verdict is final:
+  f = q - x q' has f(0) = 0 and f' = -x q'' = 4 pi u^2 >= 0, so P = -q/x,
+  whose slope is f/x^2, never falls; P - eps stays positive, u'' = 2(P - eps)u
+  has the sign of u, and |u| grows with no further crossing.  The recorded
+  last scan keeps the clamp and x_max stop, so its (u, q') history is the
+  full one.  The profile is the lower bracket's column of that scan; past the
+  valley where it turns to diverge it continues as the decaying Whittaker
+  solution of the far-field Coulomb-like equation.
   The scaling symmetry (psi, Phi, E) -> (l^2 psi(l x), l^2 Phi(l x), l^2 E)
   converts the arbitrary-amplitude solution into the unit-norm one.
   Each state is solved at RK4 steps h = 0.016 and 2h, bisected in one
@@ -219,13 +227,19 @@ def _integrate_batch(
     eps candidates integrate in lockstep, each at its own x += h, and each
     only until it is decided whether u crosses zero more than k times: at its
     (k+1)-th crossing, or when |u| reaches the clamp value, after which it
-    would stay frozen.  Decided columns leave the batch, as do columns whose
-    own steps run out; the loop ends when none is left.  No column's
-    arithmetic depends on the others, so each result matches a full-length
-    integration bit for bit.  Returns whether each column has more than k
-    crossings and, when ``record`` is set, the (u, q') history of every
-    column, shape (2, max(n_steps) + 1, m), held after the column leaves at
-    its value there (a clamped column's frozen value).
+    would stay frozen.  Without ``record``, a column is also decided at a step
+    end past its classical turning point (P - eps > 0) where |u| moves away
+    from zero (u u' > 0): f = q - x q' has f(0) = 0 and f' = 4 pi u^2 >= 0,
+    so P, whose slope is f/x^2, never falls, u'' keeps the sign of u and no
+    crossing follows.  A recorded batch keeps the clamp and n_steps stop, so
+    its histories are the full ones.  Decided columns leave the batch, as do
+    columns whose own steps run out; the loop ends when none is left.  No
+    column's arithmetic depends on the others, so each history matches a
+    full-length integration bit for bit, and so does each verdict.  Returns
+    whether each column has more than k crossings and, when ``record`` is
+    set, the (u, q') history of every column, shape (2, max(n_steps) + 1, m),
+    held after the column leaves at its value there (a clamped column's
+    frozen value).
     """
     m = eps.shape[0]
     k, h, n_steps = (np.broadcast_to(v, (m,)) for v in (k, h, n_steps))
@@ -263,6 +277,8 @@ def _integrate_batch(
         if record:
             history[:, step + 1, cols] = y[0::3]
         live = (np.abs(y_new[0]) < clamp) & (crossings <= k)
+        if not record:   # past the turning point (P > eps) with |u| growing: no crossing follows
+            live &= (y[2] / neg_x <= eps) | (y[0] * y[1] <= zero)
         if step + 1 in ends:
             live &= n_steps > step + 1
         if np.count_nonzero(live) < live.size:

@@ -323,6 +323,17 @@ def test_write_csv_writes_float_rows_as_the_csv_module_does(tmp_path):
     assert path.read_bytes() == buffer.getvalue().encode("utf-8")
 
 
+def test_write_csv_formats_a_float_row_as_format_number_does(tmp_path):
+    values = [-0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300, 0.1, 6.02214076e23]
+    rows = [tuple(values), tuple(map(np.float64, values)),
+            tuple(v if i % 2 else np.float64(v) for i, v in enumerate(values)),
+            (1e-300, -0.0)]   # narrower than the header: the csv module writes it
+    header = [f"c{i}" for i in range(len(values))]
+    path = write_csv(tmp_path / "t.csv", header, rows)
+    expected = [",".join(header)] + [",".join(format_number(v) for v in row) for row in rows]
+    assert path.read_bytes() == "".join(line + "\r\n" for line in expected).encode("utf-8")
+
+
 @pytest.mark.parametrize("target", ["a-file", "a-file/sub"])
 def test_an_output_dir_that_cannot_be_a_directory_exits_2_before_the_compute(
         tmp_path, capsys, target):

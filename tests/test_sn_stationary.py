@@ -368,7 +368,7 @@ def test_the_batched_bracket_search_stops_where_the_doubling_loop_does():
     assert _bracket_from_above(problems) == expected
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_lockstep_bisection_of_both_steps_matches_each_step_bisected_alone(k):
     steps = (SHOOTING_STEP, 2.0 * SHOOTING_STEP)
     lockstep = _bisect_eigenvalue([(k, h) for h in steps])
@@ -376,6 +376,21 @@ def test_lockstep_bisection_of_both_steps_matches_each_step_bisected_alone(k):
         for alone in (reference_bisection(k, h), _bisect_eigenvalue([(k, h)])[0]):
             assert (lo, hi) == alone[:2]
             assert np.array_equal(history, alone[2])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_a_column_past_its_turning_point_leaves_with_the_verdict_of_a_full_integration(k):
+    # unrecorded columns leave once P > eps and u u' > 0; scans of +-4/32^j around
+    # the eigenvalue, down to the last scan's width, and the bracket candidates
+    # must get the verdict of the reference, which has no such stop
+    steps = (SHOOTING_STEP, 2.0 * SHOOTING_STEP)
+    for h, (lo, _, _) in zip(steps, _bisect_eigenvalue([(k, h) for h in steps])):
+        scans = [np.linspace(lo - w, lo + w, SCAN_COLUMNS) for w in 4.0 / 32.0 ** np.arange(SCANS)]
+        n_steps = _n_steps(k, h)
+        for eps in (np.concatenate(scans), np.ldexp(1.0, np.arange(80))):
+            above = _integrate_batch(eps, k, h, n_steps)[0]
+            assert np.array_equal(above, reference_integrate_batch(eps, k, h, n_steps, -1.0)[0])
+            assert above.any() and not above.all()
 
 
 def test_a_failed_bracket_names_its_node_count_and_step(monkeypatch):
