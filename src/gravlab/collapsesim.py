@@ -9,7 +9,8 @@ interference energy when outcomes follow the configured weights.
 
 Trajectories are generated from the Philox-4x64 counter-based generator with
 one counter block per trajectory index, so the ensemble is bit-reproducible
-and independent of evaluation order.
+and independent of evaluation order, and the stream can be drawn, and
+replayed, in fixed-size leaves.
 """
 
 from __future__ import annotations
@@ -117,13 +118,12 @@ class EnsembleSummary:
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Per-trajectory events plus summary statistics; bit-reproducible from
-    (model_digest, n_trajectories, seed)."""
+    """Summary statistics of n trajectories; bit-reproducible from
+    (model_digest, n_trajectories, seed).  The per-trajectory events are the
+    replayable stream ``_trajectory_uniforms(n_trajectories, seed)``."""
 
     n_trajectories: int
     seed: int
-    collapse_times: np.ndarray        # s; +inf marks a surviving trajectory
-    outcomes: np.ndarray              # 0 = branch a, 1 = branch b
     model_digest: str
     infinite_lifetime: bool
     summary: EnsembleSummary
@@ -143,48 +143,133 @@ class TrajectoryEnsemble:
         }
 
 
-def _trajectory_uniforms(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two uniforms per trajectory from Philox counter block i = trajectory index.
+#: Most trajectories drawn at once; a power of two of at least numpy's
+#: pairwise-sum block (128), so every leaf is a whole subtree of that sum.
+LEAF = 1 << 16
 
-    A single stream advancing the low counter word visits exactly the blocks
+#: Half-width of the median window around ln 2, in units of 1/sqrt(n): the
+#: sample median of n unit exponentials has standard deviation ~1/sqrt(n).
+MEDIAN_WINDOW = 10.0
+
+
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum splits a block of n > 128 values."""
+    return n // 2 - n // 2 % 8
+
+
+def _leaf_sizes(n: int):
+    """numpy's pairwise split of n values, halved until each block fits in a leaf."""
+    if n <= LEAF:
+        yield n
+    else:
+        yield from _leaf_sizes(_half(n))
+        yield from _leaf_sizes(n - _half(n))
+
+
+def _pairwise_total(n: int, leaf_sums) -> float:
+    """Add the leaf sums (an iterator, in stream order) along numpy's pairwise
+    tree, so the total has the bits of ``np.add.reduce`` over all n values."""
+    if n <= LEAF:
+        return next(leaf_sums)
+    left = _pairwise_total(_half(n), leaf_sums)
+    return left + _pairwise_total(n - _half(n), leaf_sums)
+
+
+def _trajectory_uniforms(n: int, seed: int):
+    """Yield (u_time, u_branch), two uniforms per trajectory, leaf by leaf.
+
+    One stream advancing the low counter word visits exactly the blocks
     Philox(counter=[i, 0, 0, 0], key=[seed, 0]) in order (4 outputs per
-    block), so this vectorized draw is bit-identical to constructing one
-    generator per trajectory; tests pin that equivalence.
+    block), so the leaves, joined, are bit-identical to constructing one
+    generator per trajectory index i; tests pin that equivalence.
     """
     gen = np.random.Generator(np.random.Philox(counter=[0, 0, 0, 0], key=[seed, 0]))
-    block = gen.random(4 * n).reshape(n, 4)
-    # copies, so the caller does not keep the whole 4n block alive
-    return block[:, 0].copy(), block[:, 1].copy()
+    for size in _leaf_sizes(n):
+        block = gen.random(4 * size).reshape(size, 4)
+        yield block[:, 0], block[:, 1]
+
+
+def _unit_times(u_time: np.ndarray) -> np.ndarray:
+    """Collapse times in units of 1/rate.  The statistics are taken in those
+    units and scaled, so their sums cannot overflow at a rate near MIN_RATE."""
+    return -np.log1p(-u_time)
+
+
+def _in_window(unit: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
+    """The count of unit times below lo, and those in [lo, hi]."""
+    return int(np.count_nonzero(unit < lo)), unit[(unit >= lo) & (unit <= hi)]
+
+
+def _window(n: int, seed: int, lo: float, hi: float) -> tuple[int, np.ndarray]:
+    """The count of the stream's unit times below lo, and the sorted ones in [lo, hi]."""
+    below, kept = 0, []
+    for u_time, _ in _trajectory_uniforms(n, seed):
+        count, inside = _in_window(_unit_times(u_time), lo, hi)
+        below += count
+        kept.append(inside)
+    return below, np.sort(np.concatenate(kept))
+
+
+def _median(n: int, seed: int, below: int, kept: np.ndarray, lo: float, hi: float) -> float:
+    """np.median of the n unit times, from the window [lo, hi] around it.
+
+    A middle rank outside the window (a 10-sigma miss past a handful of
+    trajectories) replays the stream once, with the window widened to all
+    values on the side where the counts place that rank; only then are more
+    than about 10 sqrt(n) values held.
+    """
+    first, last = (n - 1) // 2, n // 2
+    if first < below or last >= below + kept.size:
+        lo = -math.inf if first < below else lo
+        hi = math.inf if last >= below + kept.size else hi
+        below, kept = _window(n, seed, lo, hi)
+    # np.median's own arithmetic: the mean of the one or two middle values
+    return float(np.mean(kept[first - below:last - below + 1]))
 
 
 def simulate(model: CollapseModel, n: int, seed: int) -> TrajectoryEnsemble:
     """Draw n independent collapse trajectories.
+
+    The stream is drawn in leaves of at most LEAF trajectories, so memory is
+    flat in n.  Each leaf adds exact counts (outcomes, survivors past each
+    grid time, unit times below the median window) and its sum of unit times;
+    the sums combine along numpy's pairwise tree, and the median is read from
+    the window, so every statistic has the bits of the whole-array formula.
 
     rate = 0 is the identical-branch limit: nothing ever collapses and the
     ensemble is flagged infinite_lifetime rather than erroring.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    u_time, u_branch = _trajectory_uniforms(n, seed)
     wa = model.outcome_weights[0]
-    outcomes = (u_branch >= wa).astype(np.int8)
-    if model.rate > 0.0:
-        # collapse times in units of 1/rate; the statistics are taken in those
-        # units and scaled, so their sums cannot overflow at a rate near MIN_RATE
-        unit_times = -np.log1p(-u_time)
-        times = unit_times / model.rate
-        grid = np.linspace(0.0, 5.0 / model.rate, 51)
-        fractions = np.array([np.count_nonzero(times > t) for t in grid]) / n
-        mean_t = float(np.mean(unit_times)) / model.rate
-        median_t = float(np.median(unit_times)) / model.rate
+    timed = model.rate > 0.0
+    grid = np.linspace(0.0, 5.0 / model.rate, 51) if timed else np.zeros(1)
+    survivors = np.zeros(grid.size, dtype=np.int64)
+    half_width = MEDIAN_WINDOW / math.sqrt(n)
+    lo, hi = math.log(2.0) - half_width, math.log(2.0) + half_width
+    n_b, below, kept, sums = 0, 0, [], []
+    for u_time, u_branch in _trajectory_uniforms(n, seed):
+        n_b += int(np.count_nonzero(u_branch >= wa))
+        if not timed:
+            continue
+        unit = _unit_times(u_time)
+        sums.append(np.add.reduce(unit))
+        times = unit / model.rate
+        survivors += [np.count_nonzero(times > t) for t in grid]
+        count, inside = _in_window(unit, lo, hi)
+        below += count
+        kept.append(inside)
+
+    if timed:
+        fractions = survivors / n
+        mean_t = float(_pairwise_total(n, iter(sums)) / n) / model.rate
+        kept = np.sort(np.concatenate(kept))
+        median_t = _median(n, seed, below, kept, lo, hi) / model.rate
     else:
-        times = np.full(n, np.inf)
-        grid = np.zeros(1)
         fractions = np.ones(1)
         mean_t = math.inf
         median_t = math.inf
 
-    n_b = int(np.count_nonzero(outcomes))
     freq_b = n_b / n
     freqs = (1.0 - freq_b, freq_b)
     ea, eb = model.branch_energies
@@ -202,10 +287,8 @@ def simulate(model: CollapseModel, n: int, seed: int) -> TrajectoryEnsemble:
     return TrajectoryEnsemble(
         n_trajectories=n,
         seed=int(seed),
-        collapse_times=times,
-        outcomes=outcomes,
         model_digest=model.content_digest(),
-        infinite_lifetime=model.rate == 0.0,
+        infinite_lifetime=not timed,
         summary=summary,
     )
 

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from gravlab.cli import RunManifest, run
-from gravlab.collapsesim import CollapseModel, energy_ledger, simulate
+from gravlab.collapsesim import CollapseModel, energy_ledger, simulate, _trajectory_uniforms
 from gravlab.dpcriterion import feynman_mass_scale
 from gravlab.massdist import (
     Gaussian,
@@ -225,7 +225,8 @@ def test_criterion_8_collapse_statistics():
     for k, model in enumerate(scenarios):
         assert model.outcome_weights == born
         ens = simulate(model, n, seed=1000 + k)
-        ks = stats.kstest(ens.collapse_times, "expon", args=(0.0, 1.0 / rate))
+        u_time = np.concatenate([u for u, _ in _trajectory_uniforms(n, 1000 + k)])
+        ks = stats.kstest(-np.log1p(-u_time) / model.rate, "expon", args=(0.0, 1.0 / rate))
         assert ks.statistic < 1.6276 / math.sqrt(n)   # 1% critical value
         fa = ens.summary.outcome_frequencies[0]
         sigma = math.sqrt(0.36 * 0.64 / n)
@@ -234,8 +235,12 @@ def test_criterion_8_collapse_statistics():
         assert abs(ledger.residual - ledger.expected_residual) <= 3.0 * ledger.standard_error
     again = simulate(scenarios[0], n, seed=1000)
     first = simulate(scenarios[0], n, seed=1000)
-    assert np.array_equal(again.collapse_times, first.collapse_times)
-    assert np.array_equal(again.outcomes, first.outcomes)
+    assert again.to_dict() == first.to_dict()
+    assert np.array_equal(again.summary.survival_fractions, first.summary.survival_fractions)
+    for (u_again, b_again), (u_first, b_first) in zip(_trajectory_uniforms(n, 1000),
+                                                      _trajectory_uniforms(n, 1000)):
+        assert np.array_equal(u_again, u_first)
+        assert np.array_equal(b_again, b_first)
     report(8, f"KS, Born weights, and 3 energy-ledger scenarios pass at n = {n}; "
               "bit-exact under fixed seed", t0)
 

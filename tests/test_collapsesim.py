@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
+from gravlab import collapsesim
 from gravlab.collapsesim import (
     BORN_WEIGHT_NOTE,
+    LEAF,
     MIN_RATE,
     CollapseModel,
     energy_ledger,
@@ -18,6 +21,18 @@ from gravlab.collapsesim import (
 from gravlab.errors import ProvenanceError
 from gravlab.massdist import SuperpositionSpec, UniformSphere
 from gravlab.quantities import CODATA2018
+
+
+def _stream(n, seed):
+    """The per-trajectory uniforms (u_time, u_branch): the stream's leaves, joined."""
+    leaves = list(_trajectory_uniforms(n, seed))
+    return tuple(np.concatenate(column) for column in zip(*leaves))
+
+
+def _trajectories(model, n, seed):
+    """Per-trajectory unit collapse times (units of 1/rate) and outcomes (1 = branch b)."""
+    u_time, u_branch = _stream(n, seed)
+    return -np.log1p(-u_time), (u_branch >= model.outcome_weights[0]).astype(np.int8)
 
 
 def test_model_validation():
@@ -45,10 +60,11 @@ def test_rate_defaults_to_e_delta_over_hbar():
 
 
 def test_per_trajectory_counter_blocks():
-    # the vectorized stream must equal one Philox generator per trajectory index
-    seed, n = 424242, 64
-    u_time, u_branch = _trajectory_uniforms(n, seed)
-    for i in (0, 1, 17, 63):
+    # the leaves, joined, must equal one Philox generator per trajectory index
+    seed, n = 424242, 2 * LEAF + 65
+    u_time, u_branch = _stream(n, seed)
+    assert u_time.size == u_branch.size == n
+    for i in (0, 1, 17, 63, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF, n - 1):
         gen = Generator(Philox(counter=[i, 0, 0, 0], key=[seed, 0]))
         draws = gen.random(2)
         assert u_time[i] == draws[0]
@@ -59,10 +75,15 @@ def test_bit_exact_reproducibility():
     model = CollapseModel(rate=2.0, outcome_weights=(0.3, 0.7))
     a = simulate(model, 5000, seed=99)
     b = simulate(model, 5000, seed=99)
-    assert np.array_equal(a.collapse_times, b.collapse_times)
-    assert np.array_equal(a.outcomes, b.outcomes)
-    c = simulate(model, 5000, seed=100)
-    assert not np.array_equal(a.collapse_times, c.collapse_times)
+    assert a.to_dict() == b.to_dict()
+    assert np.array_equal(a.summary.survival_fractions, b.summary.survival_fractions)
+    times_a, outcomes_a = _trajectories(model, 5000, 99)
+    times_b, outcomes_b = _trajectories(model, 5000, 99)
+    assert np.array_equal(times_a, times_b)
+    assert np.array_equal(outcomes_a, outcomes_b)
+    times_c, _ = _trajectories(model, 5000, 100)
+    assert not np.array_equal(times_a, times_c)
+    assert simulate(model, 5000, seed=100).to_dict() != a.to_dict()
 
 
 def test_exponential_statistics():
@@ -77,8 +98,8 @@ def test_exponential_statistics():
 
 def test_survival_curve_against_exponential_ks():
     model = CollapseModel(rate=3.5, outcome_weights=(0.5, 0.5))
-    ens = simulate(model, 100_000, seed=13)
-    ks = stats.kstest(ens.collapse_times, "expon", args=(0.0, 1.0 / 3.5))
+    unit_times, _ = _trajectories(model, 100_000, 13)
+    ks = stats.kstest(unit_times / model.rate, "expon", args=(0.0, 1.0 / 3.5))
     critical_1pct = 1.6276 / math.sqrt(100_000)
     assert ks.statistic < critical_1pct
 
@@ -98,8 +119,14 @@ def test_zero_rate_never_collapses():
     model = CollapseModel(rate=0.0, outcome_weights=(0.5, 0.5))
     ens = simulate(model, 500, seed=3)
     assert ens.infinite_lifetime
-    assert np.all(np.isinf(ens.collapse_times))
-    assert math.isinf(ens.summary.mean_collapse_time)
+    s = ens.summary
+    assert np.array_equal(s.survival_times, [0.0])
+    assert np.array_equal(s.survival_fractions, [1.0])
+    assert math.isinf(s.mean_collapse_time)
+    assert math.isinf(s.median_collapse_time)
+    _, outcomes = _trajectories(model, 500, 3)
+    freq_b = float(np.count_nonzero(outcomes)) / 500
+    assert s.outcome_frequencies == (1.0 - freq_b, freq_b)
 
 
 def test_ledger_degenerate_branches():
@@ -159,10 +186,12 @@ def test_model_rejects_a_rate_too_small_to_represent(rate):
 
 def test_the_smallest_rate_gives_finite_statistics():
     # at MIN_RATE the collapse times reach 0.57 of the float maximum: their sum overflows
-    ens = simulate(CollapseModel(rate=MIN_RATE, outcome_weights=(0.5, 0.5)), 1000, seed=1)
+    model = CollapseModel(rate=MIN_RATE, outcome_weights=(0.5, 0.5))
+    ens = simulate(model, 1000, seed=1)
     s = ens.summary
     assert not ens.infinite_lifetime
-    assert np.all(np.isfinite(ens.collapse_times))
+    unit_times, _ = _trajectories(model, 1000, 1)
+    assert np.all(np.isfinite(unit_times / MIN_RATE))
     assert np.all(np.isfinite(s.survival_times))
     assert s.survival_fractions[0] == 1.0
     assert np.all(np.diff(s.survival_fractions) <= 0.0)
@@ -177,21 +206,57 @@ def test_model_rejects_non_finite_energies():
         CollapseModel(rate=1.0, outcome_weights=(0.5, 0.5), interference_energy=math.nan)
 
 
+def _assert_brute_force_summary(model, n, seed):
+    ens = simulate(model, n, seed)
+    s = ens.summary
+    unit_times, outcomes = _trajectories(model, n, seed)
+    times = unit_times / model.rate
+    grid = np.linspace(0.0, 5.0 / model.rate, 51)
+    survival = np.array([np.count_nonzero(times > t) for t in grid]) / n
+    assert np.array_equal(s.survival_times, grid)
+    assert np.array_equal(s.survival_fractions, survival)
+    # bit for bit, across leaf boundaries: the leaf sums add up along numpy's pairwise tree
+    assert s.mean_collapse_time == float(np.mean(unit_times)) / model.rate
+    assert s.median_collapse_time == float(np.median(unit_times)) / model.rate
+    post = math.fsum(np.where(outcomes == 0, *model.branch_energies).tolist()) / n
+    assert s.mean_post_collapse_energy == post
+    freq_b = float(np.count_nonzero(outcomes)) / n
+    assert s.outcome_frequencies == (1.0 - freq_b, freq_b)
+
+
 @pytest.mark.parametrize("n, seed, weights, energies", [
     (1, 0, (0.5, 0.5), (1.0, 2.0)),
+    (2, 5, (0.5, 0.5), (1.0, 2.0)),
     (997, 3, (0.3, 0.7), (0.1, -7.3e-5)),
     (20_000, 11, (1.0, 0.0), (3.0, 5.0)),
     (50_001, 42, (0.123, 0.877), (1e-30, 2.5e12)),
+    (LEAF, 8, (0.5, 0.5), (1.0, 2.0)),
+    (LEAF + 1, 9, (0.4, 0.6), (-1.0, 2.0)),
+    (3 * LEAF + 12_345, 10, (0.5, 0.5), (0.0, 1.0)),
+    (1_000_003, 12, (0.25, 0.75), (1.0, 2.0)),
 ])
 def test_summary_equals_brute_force_formulas(n, seed, weights, energies):
     model = CollapseModel(rate=1.7, outcome_weights=weights, branch_energies=energies)
-    ens = simulate(model, n, seed)
-    s = ens.summary
-    grid = np.linspace(0.0, 5.0 / model.rate, 51)
-    survival = np.mean(ens.collapse_times[None, :] > grid[:, None], axis=1)
-    assert np.array_equal(s.survival_times, grid)
-    assert np.array_equal(s.survival_fractions, survival)
-    post = math.fsum(np.where(ens.outcomes == 0, *energies).tolist()) / n
-    assert s.mean_post_collapse_energy == post
-    freq_b = float(np.count_nonzero(ens.outcomes)) / n
-    assert s.outcome_frequencies == (1.0 - freq_b, freq_b)
+    _assert_brute_force_summary(model, n, seed)
+
+
+@pytest.mark.parametrize("n, seed", [
+    (2 * LEAF + 3, 28),   # odd n, the median below ln 2
+    (2 * LEAF + 4, 31),   # even n, both middle values above ln 2
+])
+def test_a_median_outside_its_window_replays_the_stream(monkeypatch, n, seed):
+    # a zero-width window keeps no value, so the middle ranks miss it
+    monkeypatch.setattr(collapsesim, "MEDIAN_WINDOW", 0.0)
+    _assert_brute_force_summary(CollapseModel(rate=0.3, outcome_weights=(0.5, 0.5)), n, seed)
+
+
+def test_memory_is_flat_in_the_trajectory_count():
+    # whole-array draws would hold about 47 B per trajectory, 190 MB here
+    model = CollapseModel(rate=1.0, outcome_weights=(0.5, 0.5), branch_energies=(1.0, 2.0))
+    tracemalloc.start()
+    try:
+        simulate(model, 4_000_000, seed=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
